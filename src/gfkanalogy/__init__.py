@@ -21,7 +21,6 @@ from .grassmann import (
     gfk,
     gfk_numeric_oracle,
     gfk_similarity,
-    kernel_text_dump,
     principal_angles,
     subspace_from_rows,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "gfk_answer",
     "gfk_numeric_oracle",
     "gfk_similarity",
-    "kernel_text_dump",
     "load_text_embeddings",
     "parse_google",
     "parse_msr",

@@ -116,11 +116,6 @@ def cmd_build_ppmi(args) -> int:
 def cmd_eval(args) -> int:
     config = _config_from_args(args)
     table = load_text_embeddings(args.embeddings, normalize=args.normalize)
-    if any(m.startswith("GFK") for m in config.measures()) and 2 * config.subspace_dim > table.dim:
-        raise ValueError(
-            f"--subspace-dim {config.subspace_dim} too large: kernel measures need "
-            f"2*d <= embedding dim {table.dim}"
-        )
     dataset = _load_dataset(args)
     reports = evaluate(dataset, table, config)
     extras = {"embeddings": args.embeddings, "dataset": args.dataset}

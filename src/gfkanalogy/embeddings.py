@@ -31,6 +31,10 @@ class EmbeddingTable:
             )
         if vectors.shape[1] < 1:
             raise ValueError("embedding dimension must be at least 1")
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            bad = words[int(np.argmin(finite))]
+            raise ValueError(f"non-finite value in the vector for word {bad!r}")
         index: dict[str, int] = {}
         for i, w in enumerate(words):
             if w in index:
@@ -116,7 +120,8 @@ def load_text_embeddings(path: str, normalize: bool = False) -> EmbeddingTable:
     Policy on dirty input: duplicate words keep the first occurrence (warn),
     all-zero vectors are dropped (warn), and a count that disagrees with the
     header is warned about. Structural problems (bad header, wrong number of
-    values on a line) raise ValueError with the offending line number.
+    values on a line, a nan or infinite value) raise ValueError with the
+    offending line number.
     """
     words: list[str] = []
     rows: list[np.ndarray] = []
@@ -146,6 +151,8 @@ def load_text_embeddings(path: str, normalize: bool = False) -> EmbeddingTable:
                 vec = np.array([float(x) for x in fields[1:]])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}: line {lineno}: non-finite value")
             if word in seen:
                 warnings.warn(f"{path}: line {lineno}: duplicate word {word!r}, keeping first")
                 continue

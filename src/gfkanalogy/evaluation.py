@@ -30,7 +30,12 @@ GFK_MEASURES = ("GFKCosADD", "GFKCosMUL")
 HOLDOUTS = ("none", "answer", "question")
 
 _CANONICAL = {m.lower(): m for m in MEASURES}
-# Cap on scores-matrix elements per scoring chunk, to bound memory on big vocabularies.
+# The cosine rule behind each measure; kernel measures apply it in kernel coordinates.
+_MODES = {"CosADD": "add", "CosMUL": "mul", "GFKCosADD": "add", "GFKCosMUL": "mul"}
+# k x |V| float64 arrays alive per rule while a chunk of k questions is scored:
+# the additive rule holds its cosines, the multiplicative rule three cosine sets.
+_LIVE_ARRAYS = {"add": 1, "mul": 3}
+# Cap on score elements alive per scoring chunk (40 MB), to bound memory on big vocabularies.
 _CHUNK_ELEMS = 5_000_000
 
 
@@ -103,32 +108,31 @@ class Ranking:
         return [table.words[i] for i in self.indices]
 
 
-class SimilaritySpace:
-    """Unit-normalized candidate matrix for cosine scoring.
+class _Scorer:
+    """Cosine scoring, plain or in a kernel's coordinates.
 
-    Rows whose norm is below 1e-12 have no direction; their cosine against
-    any query is pinned to -1 so they sink to the bottom of every ranking.
+    Holds the unit-normalized (projected) candidates. Candidates whose norm is
+    below NULL_SPACE_NORM have no direction; their cosine against any query is
+    pinned to -1 so they sink to the bottom of every ranking.
     """
 
-    def __init__(self, vectors: np.ndarray):
-        vectors = np.asarray(vectors, dtype=np.float64)
-        norms = np.linalg.norm(vectors, axis=1)
+    def __init__(self, vectors: np.ndarray, kernel: GfkKernel | None = None):
+        self.project = (lambda rows: rows) if kernel is None else kernel.project
+        candidates = np.asarray(self.project(vectors), dtype=np.float64)
+        norms = np.linalg.norm(candidates, axis=1)
         self.null_mask = norms < NULL_SPACE_NORM
         safe = np.where(self.null_mask, 1.0, norms)
-        self.unit = vectors / safe[:, None]
+        self.unit = candidates / safe[:, None]
         self.unit[self.null_mask] = 0.0
         self.n_null_candidates = int(self.null_mask.sum())
 
-    def __len__(self) -> int:
-        return self.unit.shape[0]
-
-    def cosines(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cosine of each query row against every candidate.
+    def cosines(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cosine of each projected row against every candidate.
 
         Returns (scores k x |V|, null-query mask). Null queries and null
         candidates score -1 everywhere.
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        queries = np.atleast_2d(np.asarray(self.project(rows), dtype=np.float64))
         qnorms = np.linalg.norm(queries, axis=1)
         null_q = qnorms < NULL_SPACE_NORM
         safe = np.where(null_q, 1.0, qnorms)
@@ -138,32 +142,29 @@ class SimilaritySpace:
         scores[null_q, :] = -1.0
         return scores, null_q
 
-
-class _Scorer:
-    """One similarity: plain cosine, or cosine in a kernel's coordinates."""
-
-    def __init__(self, vectors: np.ndarray, kernel: GfkKernel | None = None):
-        self.project = (lambda rows: rows) if kernel is None else kernel.project
-        self.space = SimilaritySpace(self.project(vectors))
-
-    def add_scores(self, a_rows, b_rows, x_rows) -> tuple[np.ndarray, np.ndarray]:
-        targets = x_rows - a_rows + b_rows
-        return self.space.cosines(self.project(targets))
-
-    def mul_scores(
-        self, a_rows, b_rows, x_rows, epsilon: float, shift: bool
+    def scores(
+        self, mode: str, a_rows, b_rows, x_rows, epsilon: float, shift: bool
     ) -> tuple[np.ndarray, np.ndarray]:
-        sb, null_b = self.space.cosines(self.project(b_rows))
-        sx, null_x = self.space.cosines(self.project(x_rows))
-        sa, null_a = self.space.cosines(self.project(a_rows))
+        """Scores (k x |V|) and null-query mask under the additive or multiplicative rule.
+
+        The multiplicative rule works in place on its three cosine matrices,
+        so at most _LIVE_ARRAYS[mode] k x |V| arrays are alive at once.
+        """
+        if mode == "add":
+            return self.cosines(x_rows - a_rows + b_rows)
+        sb, null_b = self.cosines(b_rows)
+        sx, null_x = self.cosines(x_rows)
+        sa, null_a = self.cosines(a_rows)
         if shift:
-            sb = (sb + 1.0) / 2.0
-            sx = (sx + 1.0) / 2.0
-            sa = (sa + 1.0) / 2.0
+            for s in (sb, sx, sa):
+                s += 1.0
+                s /= 2.0
+        sb *= sx
+        sa += epsilon
         with np.errstate(divide="ignore", invalid="ignore"):
-            scores = sb * sx / (sa + epsilon)
-        scores[np.isnan(scores)] = -np.inf
-        return scores, null_b | null_x | null_a
+            sb /= sa
+        sb[np.isnan(sb)] = -np.inf
+        return sb, null_b | null_x | null_a
 
 
 def _resolve_question(q: AnalogyQuestion, table: EmbeddingTable, strict: bool):
@@ -214,41 +215,51 @@ def _rank_of_gold(scores: np.ndarray, allowed: np.ndarray, gold: np.ndarray) -> 
     return 1 + higher + ties_before
 
 
-def _ranking_from_scores(scores: np.ndarray, allowed: np.ndarray, diagnostics) -> Ranking:
+def _scored_questions(scorer, table, items, modes, epsilon, shift, exclude_inputs, gold_cache=None):
+    """Score resolved questions a chunk at a time under each mode.
+
+    Yields (gold indices, candidate mask, mode -> (score row, null flag)) per
+    question, in order. An additive target with no direction has no ranking:
+    its score row is None.
+    """
+    n_vocab = len(table)
+    live = max(n_vocab, 1) * sum(_LIVE_ARRAYS[mode] for mode in modes)
+    chunk_size = max(1, _CHUNK_ELEMS // live)
+    for start in range(0, len(items), chunk_size):
+        chunk = items[start : start + chunk_size]
+        idx = np.array([r for _, r in chunk], dtype=int)
+        a_rows, b_rows, x_rows = (table.vectors[idx[:, j]] for j in range(3))
+        per_mode = {m: scorer.scores(m, a_rows, b_rows, x_rows, epsilon, shift) for m in modes}
+        for k, (q, resolved) in enumerate(chunk):
+            gold = _gold_indices(table, q.y, gold_cache)
+            allowed = _allowed_mask(n_vocab, resolved, gold, exclude_inputs)
+            yield gold, allowed, {
+                m: (None if m == "add" and null_q[k] else scores[k], bool(null_q[k]))
+                for m, (scores, null_q) in per_mode.items()
+            }
+
+
+def _answer(q, table, kernel, mode, epsilon, shift, exclude_inputs) -> Ranking:
+    """One question as a batch of one, then a stable full sort."""
+    item = (q, _resolve_question(q, table, strict=True))
+    scorer = _Scorer(table.vectors, kernel)
+    [(_, allowed, scored)] = _scored_questions(
+        scorer, table, [item], (mode,), epsilon, shift, exclude_inputs
+    )
+    scores, null_q = scored[mode]
+    if scores is None:
+        return Ranking(np.empty(0, dtype=int), np.empty(0), {"empty_ranking": 1, "null_queries": 1})
+    diagnostics = {"null_queries": 1} if null_q else {}
+    if scorer.n_null_candidates:
+        diagnostics["null_candidates"] = scorer.n_null_candidates
     idx = np.flatnonzero(allowed)
-    order = np.argsort(-scores[idx], kind="stable")
-    sel = idx[order]
+    sel = idx[np.argsort(-scores[idx], kind="stable")]
     return Ranking(indices=sel, scores=scores[sel], diagnostics=diagnostics)
-
-
-def _single_ranking(q, table, scorer, mode, epsilon, shift, exclude_inputs) -> Ranking:
-    resolved = _resolve_question(q, table, strict=True)
-    ia, ib, ix, _ = resolved
-    a = table.vectors[[ia]]
-    b = table.vectors[[ib]]
-    x = table.vectors[[ix]]
-    if mode == "add":
-        scores, null_q = scorer.add_scores(a, b, x)
-        if null_q[0]:
-            return Ranking(
-                indices=np.empty(0, dtype=int),
-                scores=np.empty(0),
-                diagnostics={"empty_ranking": 1, "null_queries": 1},
-            )
-        diag = {}
-    else:
-        scores, null_q = scorer.mul_scores(a, b, x, epsilon, shift)
-        diag = {"null_queries": 1} if null_q[0] else {}
-    gold = _gold_indices(table, q.y)
-    allowed = _allowed_mask(len(table), resolved, gold, exclude_inputs)
-    if scorer.space.n_null_candidates:
-        diag["null_candidates"] = scorer.space.n_null_candidates
-    return _ranking_from_scores(scores[0], allowed, diag)
 
 
 def cos_add_answer(q: AnalogyQuestion, table: EmbeddingTable, exclude_inputs: bool = True) -> Ranking:
     """Rank the vocabulary by cosine against the combined vector x - a + b."""
-    return _single_ranking(q, table, _Scorer(table.vectors), "add", 0.0, False, exclude_inputs)
+    return _answer(q, table, None, "add", 0.0, False, exclude_inputs)
 
 
 def cos_mul_answer(
@@ -259,9 +270,7 @@ def cos_mul_answer(
     shift_cosines: bool = True,
 ) -> Ranking:
     """Rank the vocabulary by the multiplicative rule cos(y,b) cos(y,x) / (cos(y,a) + eps)."""
-    return _single_ranking(
-        q, table, _Scorer(table.vectors), "mul", epsilon, shift_cosines, exclude_inputs
-    )
+    return _answer(q, table, None, "mul", epsilon, shift_cosines, exclude_inputs)
 
 
 def gfk_answer(
@@ -276,8 +285,7 @@ def gfk_answer(
     """Additive or multiplicative ranking with cosines taken in kernel space."""
     if mode not in ("add", "mul"):
         raise ValueError(f"mode must be 'add' or 'mul', got {mode!r}")
-    scorer = _Scorer(table.vectors, kernel)
-    return _single_ranking(q, table, scorer, mode, epsilon, shift_cosines, exclude_inputs)
+    return _answer(q, table, kernel, mode, epsilon, shift_cosines, exclude_inputs)
 
 
 def _category_pools(resolved_questions) -> tuple[list[int], list[int]]:
@@ -316,11 +324,6 @@ def _pool_subspaces(
     head = subspace_from_rows(table.vectors[head_idx], d, center=center)
     tail = subspace_from_rows(table.vectors[tail_idx], d, center=center)
     return head, tail
-
-
-def _build_kernel(table, head_pool, tail_pool, head_excl, tail_excl, d, center) -> GfkKernel:
-    head, tail = _pool_subspaces(table, head_pool, tail_pool, head_excl, tail_excl, d, center)
-    return gfk(principal_angles(head, tail))
 
 
 def relation_subspaces(
@@ -417,34 +420,20 @@ def _score_batch(scorer, table, items, measures, config, gold_cache):
 
     Returns measure -> list of (correct, rank, null_flag) aligned with items.
     """
-    n_vocab = len(table)
-    chunk_size = max(1, _CHUNK_ELEMS // max(n_vocab, 1))
+    modes = tuple(dict.fromkeys(_MODES[m] for m in measures))
     out = {m: [] for m in measures}
-    for start in range(0, len(items), chunk_size):
-        chunk = items[start : start + chunk_size]
-        idx = np.array([r for _, r in chunk], dtype=int)
-        a_rows = table.vectors[idx[:, 0]]
-        b_rows = table.vectors[idx[:, 1]]
-        x_rows = table.vectors[idx[:, 2]]
-        per_measure = {}
+    for gold, allowed, scored in _scored_questions(
+        scorer, table, items, modes,
+        config.epsilon, config.shift_cosines, config.exclude_inputs, gold_cache,
+    ):
         for m in measures:
-            if m in ("CosADD", "GFKCosADD"):
-                per_measure[m] = scorer.add_scores(a_rows, b_rows, x_rows)
-            else:
-                per_measure[m] = scorer.mul_scores(
-                    a_rows, b_rows, x_rows, config.epsilon, config.shift_cosines
-                )
-        for k, (q, resolved) in enumerate(chunk):
-            gold = _gold_indices(table, q.y, gold_cache)
-            allowed = _allowed_mask(n_vocab, resolved, gold, config.exclude_inputs)
-            for m in measures:
-                scores, null_q = per_measure[m]
-                if m in ("CosADD", "GFKCosADD") and null_q[k]:
-                    # zero target vector: empty ranking, scored as a worst-case miss
-                    out[m].append((False, float(np.count_nonzero(allowed)), True))
-                    continue
-                rank = _rank_of_gold(scores[k], allowed, gold)
-                out[m].append((rank == 1, float(rank), bool(null_q[k])))
+            scores, null_q = scored[_MODES[m]]
+            if scores is None:
+                # zero target vector: empty ranking, scored as a worst-case miss
+                out[m].append((False, float(np.count_nonzero(allowed)), True))
+                continue
+            rank = _rank_of_gold(scores, allowed, gold)
+            out[m].append((rank == 1, float(rank), null_q))
     return out
 
 
@@ -468,8 +457,8 @@ def evaluate(
     plain_measures = tuple(m for m in measures if m not in GFK_MEASURES)
     if gfk_measures and 2 * config.subspace_dim > table.dim:
         raise ValueError(
-            f"kernel measures need 2 * subspace_dim <= embedding dim "
-            f"({2 * config.subspace_dim} > {table.dim})"
+            f"subspace_dim {config.subspace_dim} too large: kernel measures need "
+            f"2 * subspace_dim <= embedding dim (2*d = {2 * config.subspace_dim} > {table.dim})"
         )
     plain_scorer = _Scorer(table.vectors) if plain_measures else None
     gold_cache: dict[str, np.ndarray] = {}
@@ -532,11 +521,11 @@ def _evaluate_relation_gfk(table, resolved_questions, measures, config, gold_cac
 
     def run_group(key_items):
         (head_excl, tail_excl), items = key_items
-        kernel = _build_kernel(
+        head, tail = _pool_subspaces(
             table, head_pool, tail_pool, head_excl, tail_excl,
             config.subspace_dim, config.center_subspaces,
         )
-        scorer = _Scorer(table.vectors, kernel)
+        scorer = _Scorer(table.vectors, gfk(principal_angles(head, tail)))
         return _score_batch(scorer, table, items, measures, config, gold_cache)
 
     entries = list(groups.items())
@@ -633,6 +622,9 @@ def write_report_csv(reports: dict[str, EvalReport], config: EvalConfig, f, **ex
             f.write(f"# skipped {relation} ({measure}): {reason}\n")
         if report.n_oov:
             f.write(f"# oov questions dropped ({measure}): {report.n_oov}\n")
+        n_null = sum(res.n_null_flags for res in report.per_relation.values())
+        if n_null:
+            f.write(f"# null flags ({measure}): {n_null}\n")
 
 
 def write_sweep_csv(rows, config: EvalConfig, f, **extras) -> None:

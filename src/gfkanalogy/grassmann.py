@@ -340,17 +340,3 @@ def gfk_numeric_oracle(pa: PrincipalAngleDecomposition, nodes: int) -> np.ndarra
     # sum_n w_n Phi_n Phi_n^T, contracted over nodes and subspace columns
     return np.tensordot(phi * weights[:, None, None], phi, axes=([0, 2], [0, 2]))
 
-
-def kernel_text_dump(pa: PrincipalAngleDecomposition, kernel: GfkKernel) -> str:
-    """Plain-text diagnostic dump: angles (radians) and lambda diagonals."""
-    d = pa.dim
-    lam1 = np.diag(kernel.lam)[:d]
-    lam3 = np.diag(kernel.lam)[d:]
-    lam2 = np.diag(kernel.lam[:d, d:])
-    lines = [
-        "theta " + " ".join(format(t, ".17g") for t in pa.theta),
-        "lambda1 " + " ".join(format(x, ".17g") for x in lam1),
-        "lambda2 " + " ".join(format(x, ".17g") for x in lam2),
-        "lambda3 " + " ".join(format(x, ".17g") for x in lam3),
-    ]
-    return "\n".join(lines) + "\n"

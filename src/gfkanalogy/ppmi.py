@@ -171,16 +171,24 @@ def truncated_svd_embed(
 
 
 def _truncated_svd(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k left singular vectors and values, descending."""
+    """Top-k left singular vectors and values, descending.
+
+    Reproducible: svds starts from a fixed vector, and every singular vector's
+    sign is chosen so that its largest-magnitude entry is positive.
+    """
     sparse = scipy.sparse.issparse(matrix)
     n_rows, n_cols = matrix.shape
     if not sparse or max(n_rows, n_cols) <= DENSE_SVD_LIMIT or k >= min(n_rows, n_cols):
         dense = matrix.toarray() if sparse else np.asarray(matrix, dtype=np.float64)
         u, sigma, _ = np.linalg.svd(dense, full_matrices=False)
-        return u[:, :k], sigma[:k]
-    u, sigma, _ = scipy.sparse.linalg.svds(matrix.astype(np.float64), k=k)
-    order = np.argsort(sigma)[::-1]
-    return u[:, order], sigma[order]
+        u, sigma = u[:, :k], sigma[:k]
+    else:
+        v0 = np.random.default_rng(0).standard_normal(min(n_rows, n_cols))
+        u, sigma, _ = scipy.sparse.linalg.svds(matrix.astype(np.float64), k=k, v0=v0)
+        order = np.argsort(sigma)[::-1]
+        u, sigma = u[:, order], sigma[order]
+    pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return u * np.where(pivots < 0, -1.0, 1.0), sigma
 
 
 def build_ppmi_embeddings(

@@ -52,6 +52,12 @@ class TestLoad:
         with pytest.raises(ValueError, match="line 2"):
             load_text_embeddings(write(tmp_path, "1 2\na x y\n"))
 
+    def test_non_finite_reports_line(self, tmp_path):
+        for value in ("nan", "inf", "-Infinity"):
+            text = f"3 2\na 1 0\nb 0 1\nd {value} 1\n"
+            with pytest.raises(ValueError, match="line 4: non-finite value"):
+                load_text_embeddings(write(tmp_path, text))
+
     def test_duplicate_keeps_first_and_warns(self, tmp_path):
         path = write(tmp_path, "2 2\na 1 2\na 3 4\n")
         with pytest.warns(UserWarning, match="duplicate"):
@@ -106,6 +112,10 @@ class TestLookupAndStack:
     def test_duplicate_words_rejected_in_constructor(self):
         with pytest.raises(ValueError, match="duplicate"):
             EmbeddingTable(["a", "a"], np.eye(2))
+
+    def test_non_finite_rejected_in_constructor(self):
+        with pytest.raises(ValueError, match="'d'"):
+            EmbeddingTable(["a", "d"], np.array([[1.0, 0.0], [np.nan, 1.0]]))
 
 
 class TestRoundTripAndNormalize:

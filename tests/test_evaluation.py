@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from gfkanalogy.evaluation import (
     evaluate,
     gfk_answer,
     relation_subspaces,
+    write_report_csv,
 )
 from gfkanalogy.grassmann import GfkKernel, gfk, principal_angles, subspace_from_rows
 
@@ -338,6 +340,22 @@ class TestEvaluate:
         assert res.average_rank == 1.0
         assert report.micro_accuracy == 1.0
         assert report.micro_average_rank == 1.0
+
+    def test_zero_target_null_flag_in_report(self):
+        table = EmbeddingTable(
+            ["a", "b", "x", "y"],
+            np.array([[1.0, 0], [1.0, -1.0], [0, 1.0], [0.5, 0.5]]),
+        )
+        ds = RelationDataset()
+        ds.add(question("a", "b", "x", "y"))
+        cfg = EvalConfig(measure="CosADD,CosMUL")
+        reports = evaluate(ds, table, cfg)
+        assert reports["CosADD"].per_relation["r"].n_null_flags == 1
+        assert reports["CosMUL"].per_relation["r"].n_null_flags == 0
+        out = io.StringIO()
+        write_report_csv(reports, cfg, out)
+        comments = [l for l in out.getvalue().splitlines() if l.startswith("# null flags")]
+        assert comments == ["# null flags (CosADD): 1"]
 
     def test_rank_three_bookkeeping(self):
         table = build_rank_fixture()

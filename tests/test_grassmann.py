@@ -10,7 +10,6 @@ from gfkanalogy.grassmann import (
     gfk,
     gfk_numeric_oracle,
     gfk_similarity,
-    kernel_text_dump,
     principal_angles,
     subspace_from_rows,
 )
@@ -334,18 +333,6 @@ class TestSimilarity:
         assert gfk_similarity(kernel, x, y) == pytest.approx(plain, abs=1e-15)
         with pytest.raises(ValueError, match="even"):
             GfkKernel.identity(5)
-
-
-class TestDump:
-    def test_text_dump_round_trips_theta(self):
-        ph, pt = random_pair(6)
-        pa = principal_angles(ph, pt)
-        dump = kernel_text_dump(pa, gfk(pa))
-        lines = dump.splitlines()
-        assert lines[0].startswith("theta ")
-        theta_back = np.array([float(x) for x in lines[0].split()[1:]])
-        np.testing.assert_array_equal(theta_back, pa.theta)
-        assert {l.split()[0] for l in lines} == {"theta", "lambda1", "lambda2", "lambda3"}
 
 
 @given(st.integers(0, 10_000), st.floats(0.0, 1.0))

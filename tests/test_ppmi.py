@@ -187,6 +187,25 @@ class TestTruncatedSvd:
         gram_b = via_dense.vectors @ via_dense.vectors.T
         np.testing.assert_allclose(gram_a, gram_b, atol=1e-8)
 
+    def test_sparse_path_is_reproducible(self, monkeypatch):
+        import gfkanalogy.ppmi as ppmi_mod
+
+        rng = np.random.default_rng(1)
+        dense = rng.random((40, 30))
+        dense[dense < 0.7] = 0.0
+        sparse = scipy.sparse.csr_matrix(dense)
+        words = [f"w{i}" for i in range(40)]
+        monkeypatch.setattr(ppmi_mod, "DENSE_SVD_LIMIT", 5)
+        first = truncated_svd_embed(sparse, words, dim=5)
+        second = truncated_svd_embed(sparse, words, dim=5)
+        np.testing.assert_array_equal(first.vectors, second.vectors)
+        monkeypatch.setattr(ppmi_mod, "DENSE_SVD_LIMIT", 5000)
+        via_dense = truncated_svd_embed(sparse, words, dim=5)
+        # both paths put each column's largest-magnitude entry on the positive side
+        for vectors in (first.vectors, via_dense.vectors):
+            pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(5)]
+            assert np.all(pivots > 0)
+
 
 class TestCorpusReader:
     def test_blank_lines_separate_documents(self, tmp_path):
