@@ -1,14 +1,15 @@
 """Subspace geometry on the Grassmannian.
 
 Subspaces are D x d orthonormal bases. Two subspaces of equal dimension are
-linked by principal angles computed from a pair of SVDs; from those factors
-we build the geodesic flow between them and its closed-form flow kernel.
+linked by principal angles computed from thin (D x d) factors; from those we
+build the geodesic flow between them and its closed-form flow kernel.
 
 Conventions, fixed here and relied on by the tests:
 
 * theta is ascending in [0, pi/2].
-* The complement factor satisfies ``R_H^T P_T = -U2 Sigma V^T`` with
-  Sigma >= 0, so the flow lands exactly on the target span at t=1.
+* The complement directions B (D x d, orthonormal, orthogonal to P_H)
+  satisfy ``P_T V = P_H U1 diag(cos theta) - B diag(sin theta)`` with
+  sin theta >= 0, so the flow lands exactly on the target span at t=1.
 * The closed-form kernel equals exactly twice the raw path integral
   ``int_0^1 Phi(t) Phi(t)^T dt``; cosine-style similarities are scale
   invariant, so the factor never affects rankings. The numeric oracle below
@@ -20,18 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 ORTHONORMAL_TOL = 1e-10
-# Below this angle U2's direction is numerically undefined; the matching
+# Below this sine a complement direction is numerically undefined; the matching
 # sin(t*theta) contribution is < 1e-8, so any orthonormal completion works.
 DEGENERATE_ANGLE = 1e-8
 # Below this angle the lambda coefficients switch to series expansions.
 SMALL_ANGLE = 1e-4
 NULL_SPACE_NORM = 1e-12
-# arccos near 1 amplifies roundoff to sqrt(eps); cosines this close to 1 are
-# numerically indistinguishable from a zero angle, so snap them.
-COS_SNAP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -91,24 +88,25 @@ def subspace_from_rows(rows: np.ndarray, d: int, center: bool = False) -> Subspa
 
 @dataclass(frozen=True)
 class PrincipalAngleDecomposition:
-    """Principal angles and rotation factors linking two equal-dim subspaces.
+    """Principal angles and matched directions linking two equal-dim subspaces.
 
-    theta:      d ascending angles in [0, pi/2]
-    u1, v:      d x d orthogonal factors of ``source^T target = U1 Gamma V^T``
-    u2:         (D-d) x d with orthonormal columns, ``complement^T target = -U2 Sigma V^T``
-    complement: D x (D-d) orthonormal basis of the source's orthogonal complement
+    theta:  d ascending angles in [0, pi/2]
+    u1, v:  d x d orthogonal factors with ``source^T target = U1 diag(cos theta) V^T``
+    b:      D x d orthonormal complement directions, orthogonal to the source,
+            with ``target V = source U1 diag(cos theta) - b diag(sin theta)``
+
+    No field is wider than D x d; principal_angles builds them in O(D d^2).
     """
 
     theta: np.ndarray
     u1: np.ndarray
-    u2: np.ndarray
     v: np.ndarray
+    b: np.ndarray
     source: Subspace
     target: Subspace
-    complement: np.ndarray
 
     def __post_init__(self):
-        for name in ("theta", "u1", "u2", "v", "complement"):
+        for name in ("theta", "u1", "v", "b"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -125,18 +123,21 @@ class PrincipalAngleDecomposition:
 
     def complement_directions(self) -> np.ndarray:
         """Matching directions in the source's complement (D x d)."""
-        return self.complement @ self.u2
+        return self.b
 
 
 def principal_angles(ph: Subspace, pt: Subspace) -> PrincipalAngleDecomposition:
-    """Decompose the pair (ph, pt) into principal angles and rotation factors.
+    """Decompose the pair (ph, pt) into principal angles and matched directions.
 
-    Singular values of ``ph^T pt`` are clamped to [0, 1] before arccos, and
-    values within 1e-14 of 1 are snapped to exactly 1 so identical subspaces
-    get exactly zero angles. U2 is recovered from ``complement^T pt V`` column
-    by column so that it shares V with the first SVD; columns for near-zero
-    angles (where the direction is arbitrary) are filled by an orthonormal
-    completion.
+    With ``U1 Gamma V^T`` the SVD of ``ph^T pt``, the columns of
+    ``W = pt V - ph U1 Gamma = (I - ph ph^T) pt V`` have norms sin(theta);
+    negated and normalized they are the complement directions. Angles come
+    from ``arctan2(sin, cos)``, accurate to ~1e-15 even where cos rounds to 1.
+    Below pi/4 the cosines no longer separate the singular vectors, so those
+    columns are re-split by a thin SVD of their part of W (the sine/cosine
+    split of Knyazev & Argentati 2002). Directions with sine at most
+    DEGENERATE_ANGLE get an orthonormal completion. Cost is O(D d^2): no
+    factor is wider than D x 2d and no D x D matrix is factorized.
     """
     if ph.ambient_dim != pt.ambient_dim:
         raise ValueError(
@@ -150,42 +151,48 @@ def principal_angles(ph: Subspace, pt: Subspace) -> PrincipalAngleDecomposition:
             f"need 2d <= D for the flow kernel factors, got d={d}, D={big_d}"
         )
 
-    u1, gamma, vt = np.linalg.svd(ph.basis.T @ pt.basis)
-    gamma = np.clip(gamma, 0.0, 1.0)
-    gamma[1.0 - gamma <= COS_SNAP] = 1.0
-    theta = np.arccos(gamma)
+    src, tgt = ph.basis, pt.basis
+    m = src.T @ tgt
+    u1, cos, vt = np.linalg.svd(m)
     v = vt.T
+    w = tgt @ v - src @ (u1 * cos)
+    sin = np.linalg.norm(w, axis=0)
+    small = sin < cos
+    b = np.empty_like(w)
+    b[:, ~small] = -w[:, ~small] / sin[~small]
+    if small.any():
+        # The part of W along ph and the large-angle directions is roundoff,
+        # yet it would dominate a column whose sine is near zero.
+        known = np.hstack([src, b[:, ~small]])
+        w_small = w[:, small]
+        w_small -= known @ (known.T @ w_small)
+        q, sin_small, rt = np.linalg.svd(w_small, full_matrices=False)
+        v_small = v[:, small] @ rt.T
+        mv = m @ v_small
+        cos_small = np.linalg.norm(mv, axis=0)
+        degenerate = sin_small <= DEGENERATE_ANGLE
+        if degenerate.any():
+            # n + k coordinate axes projected off the n accepted columns keep
+            # k singular values of exactly 1: a well-conditioned completion
+            accepted = np.hstack([known, q[:, ~degenerate]])
+            n, k = accepted.shape[1], int(degenerate.sum())
+            resid = np.eye(big_d, n + k) - accepted @ accepted[: n + k].T
+            q[:, degenerate] = np.linalg.svd(resid, full_matrices=False)[0][:, :k]
+        v[:, small] = v_small
+        u1[:, small] = mv / cos_small
+        cos[small] = cos_small
+        sin[small] = sin_small
+        b[:, small] = -q
 
-    complement = scipy.linalg.null_space(ph.basis.T)
-
-    # complement^T pt V has orthogonal columns with norms sin(theta_i); the
-    # minus sign fixes the flow's direction of travel. Columns are extracted
-    # strongest-first with Gram-Schmidt so that roundoff shared between
-    # near-zero columns cannot survive the normalization.
-    w = complement.T @ pt.basis @ v
-    u2 = np.zeros((big_d - d, d))
-    accepted: list[int] = []
-    degenerate: list[int] = []
-    for i in np.argsort(-np.linalg.norm(w, axis=0)):
-        col = w[:, i].copy()
-        for j in accepted:
-            col -= (u2[:, j] @ col) * u2[:, j]
-        norm = np.linalg.norm(col)
-        if norm > DEGENERATE_ANGLE:
-            u2[:, i] = -col / norm
-            accepted.append(i)
-        else:
-            degenerate.append(i)
-    if degenerate:
-        if accepted:
-            completion = scipy.linalg.null_space(u2[:, accepted].T)
-        else:
-            completion = np.eye(big_d - d)
-        for k, i in enumerate(sorted(degenerate)):
-            u2[:, i] = completion[:, k]
-
+    theta = np.arctan2(sin, cos)
+    order = np.argsort(theta, kind="stable")
     return PrincipalAngleDecomposition(
-        theta=theta, u1=u1, u2=u2, v=v, source=ph, target=pt, complement=complement
+        theta=theta[order],
+        u1=u1[:, order],
+        v=v[:, order],
+        b=b[:, order],
+        source=ph,
+        target=pt,
     )
 
 

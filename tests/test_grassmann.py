@@ -29,6 +29,37 @@ def span_basis(*vectors):
     return Subspace(q)
 
 
+def shared_direction_pair():
+    # D = 2d with one shared direction: its complement direction comes from
+    # an orthonormal completion that has exactly one dimension to choose from
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    ph = Subspace(q[:, :3])
+    pt = span_basis(
+        q[:, 0],
+        np.cos(0.4) * q[:, 1] + np.sin(0.4) * q[:, 3],
+        np.cos(1.1) * q[:, 2] + np.sin(1.1) * q[:, 4],
+    )
+    return ph, pt
+
+
+def assert_decomposition_invariants(ph, pt, pa):
+    d = pa.dim
+    b = pa.complement_directions()
+    assert np.all(np.diff(pa.theta) >= 0)
+    assert np.all(pa.theta >= 0) and np.all(pa.theta <= np.pi / 2 + 1e-12)
+    np.testing.assert_allclose(pa.u1.T @ pa.u1, np.eye(d), atol=1e-10)
+    np.testing.assert_allclose(pa.v.T @ pa.v, np.eye(d), atol=1e-10)
+    np.testing.assert_allclose(b.T @ b, np.eye(d), atol=1e-10)
+    assert np.linalg.norm(ph.basis.T @ b) < 1e-10
+    gamma = np.diag(np.cos(pa.theta))
+    sigma = np.diag(np.sin(pa.theta))
+    np.testing.assert_allclose(
+        ph.basis.T @ pt.basis, pa.u1 @ gamma @ pa.v.T, atol=1e-8
+    )
+    np.testing.assert_allclose(b.T @ pt.basis, -sigma @ pa.v.T, atol=1e-8)
+
+
 class TestSubspace:
     def test_axis_aligned_dominant_direction(self):
         sub = subspace_from_rows(np.array([[2.0, 0, 0], [0, 3.0, 0]]), 1)
@@ -103,22 +134,40 @@ class TestPrincipalAngles:
     @pytest.mark.parametrize("seed", range(10))
     def test_decomposition_invariants(self, seed):
         ph, pt = random_pair(seed, big_d=9, d=3)
+        assert_decomposition_invariants(ph, pt, principal_angles(ph, pt))
+
+    def test_shared_direction_at_half_ambient_dim(self):
+        ph, pt = shared_direction_pair()
         pa = principal_angles(ph, pt)
-        d = pa.dim
+        assert_decomposition_invariants(ph, pt, pa)
+        np.testing.assert_allclose(pa.theta, [0.0, 0.4, 1.1], atol=1e-12)
+        gfk(pa)  # validates factor orthonormality internally
+
+    def test_tiny_angles_resolved(self):
+        # cos(1e-10) rounds to 1 and arccos near 1 keeps only sqrt(eps);
+        # the sines resolve each of these angles
+        e = np.eye(12)
+        angles = np.array([0.0, 1e-10, 1e-7, 3e-7, 0.5])
+        cols = [np.cos(a) * e[:, i] + np.sin(a) * e[:, 7 + i] for i, a in enumerate(angles)]
+        pa = principal_angles(Subspace(e[:, :5]), Subspace(np.column_stack(cols)))
         assert np.all(np.diff(pa.theta) >= 0)
-        assert np.all(pa.theta >= 0) and np.all(pa.theta <= np.pi / 2 + 1e-12)
-        np.testing.assert_allclose(pa.u1.T @ pa.u1, np.eye(d), atol=1e-10)
-        np.testing.assert_allclose(pa.v.T @ pa.v, np.eye(d), atol=1e-10)
-        np.testing.assert_allclose(pa.u2.T @ pa.u2, np.eye(d), atol=1e-10)
-        assert np.linalg.norm(pa.complement.T @ ph.basis) < 1e-10
-        gamma = np.diag(np.cos(pa.theta))
-        sigma = np.diag(np.sin(pa.theta))
-        np.testing.assert_allclose(
-            ph.basis.T @ pt.basis, pa.u1 @ gamma @ pa.v.T, atol=1e-8
-        )
-        np.testing.assert_allclose(
-            pa.complement.T @ pt.basis, -pa.u2 @ sigma @ pa.v.T, atol=1e-8
-        )
+        np.testing.assert_allclose(pa.theta, angles, rtol=1e-6, atol=1e-15)
+        gfk(pa)
+
+    def test_kernels_stay_on_numpy_lapack(self, monkeypatch):
+        # scipy loads its own OpenBLAS whose spinning thread pool slows the
+        # numpy GEMMs that follow, so kernel construction must not call it
+        import scipy.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel construction called scipy.linalg")
+
+        monkeypatch.setattr(scipy.linalg, "null_space", refuse)
+        monkeypatch.setattr(scipy.linalg, "svd", refuse)
+        rng = np.random.default_rng(11)
+        generic = (random_subspace(rng, 300, 20), random_subspace(rng, 300, 20))
+        for ph, pt in (generic, shared_direction_pair()):
+            gfk(principal_angles(ph, pt))
 
     def test_near_degenerate_angle_mix(self):
         # zero, tiny, and order-one angles together: tiny-angle columns used
@@ -134,7 +183,8 @@ class TestPrincipalAngles:
         ]
         pt = Subspace(np.column_stack(cols))
         pa = principal_angles(ph, pt)
-        np.testing.assert_allclose(pa.u2.T @ pa.u2, np.eye(5), atol=1e-10)
+        b = pa.complement_directions()
+        np.testing.assert_allclose(b.T @ b, np.eye(5), atol=1e-10)
         kernel = gfk(pa)  # validates factor orthonormality internally
         assert np.linalg.eigvalsh(kernel.lam).min() >= -1e-10
         np.testing.assert_allclose(pa.theta[-1], 0.5, atol=1e-10)
