@@ -5,6 +5,14 @@ by cosine against x - a + b, the multiplicative rule combines the three
 per-word cosines, and the kernel variants run the identical code on vectors
 projected through a relation's flow kernel factor. Rankings are deterministic:
 ties break toward the lower vocabulary index.
+
+Vocabulary-wide work is shared. A chunk of questions is scored from one cosine
+row per distinct word: the additive numerator (x - a + b).v is a signed sum of
+the a, b and x rows, and the multiplicative rule reads those rows directly. A
+relation's kernels are all built from subspaces of its head and tail pools, so
+they act inside the span of the pool; when a relation has several kernels,
+evaluate() maps the vocabulary into an orthonormal basis of that span once and
+builds every subspace, kernel and projection in those narrow coordinates.
 """
 
 from __future__ import annotations
@@ -32,10 +40,9 @@ HOLDOUTS = ("none", "answer", "question")
 _CANONICAL = {m.lower(): m for m in MEASURES}
 # The cosine rule behind each measure; kernel measures apply it in kernel coordinates.
 _MODES = {"CosADD": "add", "CosMUL": "mul", "GFKCosADD": "add", "GFKCosMUL": "mul"}
-# k x |V| float64 arrays alive per rule while a chunk of k questions is scored:
-# the additive rule holds its cosines, the multiplicative rule three cosine sets.
-_LIVE_ARRAYS = {"add": 1, "mul": 3}
-# Cap on score elements alive per scoring chunk (40 MB), to bound memory on big vocabularies.
+# Cap on |V|-wide elements alive per scoring chunk (40 MB), to bound memory on
+# big vocabularies: one k x |V| score array per rule for a chunk of k
+# questions, plus the cosine rows of the chunk's u distinct words.
 _CHUNK_ELEMS = 5_000_000
 
 
@@ -111,12 +118,16 @@ class Ranking:
 class _Scorer:
     """Cosine scoring, plain or in a kernel's coordinates.
 
-    Holds the unit-normalized (projected) candidates. Candidates whose norm is
-    below NULL_SPACE_NORM have no direction; their cosine against any query is
-    pinned to -1 so they sink to the bottom of every ranking.
+    Holds the rows to score from (the vocabulary, or its coordinates in a
+    relation's pool basis) and the unit-normalized projected candidates.
+    Candidates whose norm is below NULL_SPACE_NORM have no direction; their
+    cosine against any query is pinned to -1 so they sink to the bottom of
+    every ranking. Questions are scored from one cosine row per distinct word,
+    shared by every question and rule of a chunk.
     """
 
     def __init__(self, vectors: np.ndarray, kernel: GfkKernel | None = None):
+        self.vectors = vectors
         self.project = (lambda rows: rows) if kernel is None else kernel.project
         candidates = np.asarray(self.project(vectors), dtype=np.float64)
         norms = np.linalg.norm(candidates, axis=1)
@@ -126,45 +137,58 @@ class _Scorer:
         self.unit[self.null_mask] = 0.0
         self.n_null_candidates = int(self.null_mask.sum())
 
-    def cosines(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cosine of each projected row against every candidate.
-
-        Returns (scores k x |V|, null-query mask). Null queries and null
-        candidates score -1 everywhere.
-        """
-        queries = np.atleast_2d(np.asarray(self.project(rows), dtype=np.float64))
-        qnorms = np.linalg.norm(queries, axis=1)
-        null_q = qnorms < NULL_SPACE_NORM
-        safe = np.where(null_q, 1.0, qnorms)
-        scores = (queries / safe[:, None]) @ self.unit.T
-        np.clip(scores, -1.0, 1.0, out=scores)
-        scores[:, self.null_mask] = -1.0
-        scores[null_q, :] = -1.0
-        return scores, null_q
-
     def scores(
-        self, mode: str, a_rows, b_rows, x_rows, epsilon: float, shift: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scores (k x |V|) and null-query mask under the additive or multiplicative rule.
+        self, idx: np.ndarray, modes, epsilon: float, shift: bool
+    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """mode -> (scores k x |V|, null-query mask) for a k x 3 block of (a, b, x) indices.
 
-        The multiplicative rule works in place on its three cosine matrices,
-        so at most _LIVE_ARRAYS[mode] k x |V| arrays are alive at once.
+        Each of the block's u distinct words gets one cosine row against the
+        unit candidates. The additive numerator (x - a + b).v is a signed sum
+        of those rows scaled by the word norms, taken as one k x u coefficient
+        product, and is divided by |x - a + b|. The multiplicative rule then
+        clips and shifts the word cosines in place, once per word, and forms
+        s_b * s_x / (s_a + eps). Null queries and null candidates score -1 in
+        every cosine; a NaN score becomes -inf.
         """
-        if mode == "add":
-            return self.cosines(x_rows - a_rows + b_rows)
-        sb, null_b = self.cosines(b_rows)
-        sx, null_x = self.cosines(x_rows)
-        sa, null_a = self.cosines(a_rows)
-        if shift:
-            for s in (sb, sx, sa):
-                s += 1.0
-                s /= 2.0
-        sb *= sx
-        sa += epsilon
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sb /= sa
-        sb[np.isnan(sb)] = -np.inf
-        return sb, null_b | null_x | null_a
+        words, pos = np.unique(idx, return_inverse=True)
+        a, b, x = pos.reshape(idx.shape).T
+        rows = np.asarray(self.project(self.vectors[words]), dtype=np.float64)
+        norms = np.linalg.norm(rows, axis=1)
+        null_w = norms < NULL_SPACE_NORM
+        safe = np.where(null_w, 1.0, norms)
+        cos = (rows / safe[:, None]) @ self.unit.T
+        out = {}
+        if "add" in modes:
+            tnorms = np.linalg.norm(rows[x] - rows[a] + rows[b], axis=1)
+            null_t = tnorms < NULL_SPACE_NORM
+            scale = np.where(null_t, 1.0, tnorms)
+            coef = np.zeros((len(idx), len(words)))
+            k = np.arange(len(idx))
+            for col, sign in ((x, 1.0), (a, -1.0), (b, 1.0)):
+                np.add.at(coef, (k, col), sign * safe[col] / scale)
+            add = coef @ cos
+            np.clip(add, -1.0, 1.0, out=add)
+            add[:, self.null_mask] = -1.0
+            add[null_t, :] = -1.0
+            out["add"] = (add, null_t)
+        if "mul" in modes:
+            np.clip(cos, -1.0, 1.0, out=cos)
+            cos[:, self.null_mask] = -1.0
+            cos[null_w, :] = -1.0
+            if shift:
+                cos += 1.0
+                cos /= 2.0
+            # row by row from views of the word rows: no k x |V| gathers
+            mul = np.empty((len(idx), cos.shape[1]))
+            den = np.empty(cos.shape[1])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for row, ia, ib, ix in zip(mul, a, b, x):
+                    np.multiply(cos[ib], cos[ix], out=row)
+                    np.add(cos[ia], epsilon, out=den)
+                    row /= den
+            mul[np.isnan(mul)] = -np.inf
+            out["mul"] = (mul, null_w[a] | null_w[b] | null_w[x])
+        return out
 
 
 def _resolve_question(q: AnalogyQuestion, table: EmbeddingTable, strict: bool):
@@ -215,6 +239,26 @@ def _rank_of_gold(scores: np.ndarray, allowed: np.ndarray, gold: np.ndarray) -> 
     return 1 + higher + ties_before
 
 
+def _chunks(items, budget: int, per_question: int):
+    """Split resolved questions into consecutive runs that fit a row budget.
+
+    A run of k questions over u distinct input words holds u word rows plus
+    per_question score rows per question, all |V| wide; it stays within budget
+    rows unless it holds a single question.
+    """
+    chunk: list = []
+    words: set[int] = set()
+    for item in items:
+        grown = words.union(item[1][:3])
+        if chunk and len(grown) + (len(chunk) + 1) * per_question > budget:
+            yield chunk
+            chunk, grown = [], set(item[1][:3])
+        chunk.append(item)
+        words = grown
+    if chunk:
+        yield chunk
+
+
 def _scored_questions(scorer, table, items, modes, epsilon, shift, exclude_inputs, gold_cache=None):
     """Score resolved questions a chunk at a time under each mode.
 
@@ -223,13 +267,10 @@ def _scored_questions(scorer, table, items, modes, epsilon, shift, exclude_input
     its score row is None.
     """
     n_vocab = len(table)
-    live = max(n_vocab, 1) * sum(_LIVE_ARRAYS[mode] for mode in modes)
-    chunk_size = max(1, _CHUNK_ELEMS // live)
-    for start in range(0, len(items), chunk_size):
-        chunk = items[start : start + chunk_size]
-        idx = np.array([r for _, r in chunk], dtype=int)
-        a_rows, b_rows, x_rows = (table.vectors[idx[:, j]] for j in range(3))
-        per_mode = {m: scorer.scores(m, a_rows, b_rows, x_rows, epsilon, shift) for m in modes}
+    budget = _CHUNK_ELEMS // max(n_vocab, 1)
+    for chunk in _chunks(items, budget, len(modes)):
+        idx = np.array([r[:3] for _, r in chunk], dtype=int)
+        per_mode = scorer.scores(idx, modes, epsilon, shift)
         for k, (q, resolved) in enumerate(chunk):
             gold = _gold_indices(table, q.y, gold_cache)
             allowed = _allowed_mask(n_vocab, resolved, gold, exclude_inputs)
@@ -311,8 +352,13 @@ def _holdout_exclusions(holdout: str, resolved) -> tuple[frozenset[int], frozens
 
 
 def _pool_subspaces(
-    table, head_pool, tail_pool, head_excl, tail_excl, d, center
+    vectors, head_pool, tail_pool, head_excl, tail_excl, d, center, ambient_dim=None
 ) -> tuple[Subspace, Subspace]:
+    """Head and tail subspaces of the pools minus exclusions, from rows of vectors.
+
+    ambient_dim is the embedding dimension when vectors are pool coordinates,
+    so the effective-rank check is the one made on the full rows.
+    """
     head_idx = [i for i in head_pool if i not in head_excl]
     tail_idx = [i for i in tail_pool if i not in tail_excl]
     for label, idx in (("head", head_idx), ("tail", tail_idx)):
@@ -321,9 +367,29 @@ def _pool_subspaces(
                 f"only {len(idx)} usable unique words in the {label} category; "
                 f"use a subspace dimension <= {len(idx)}"
             )
-    head = subspace_from_rows(table.vectors[head_idx], d, center=center)
-    tail = subspace_from_rows(table.vectors[tail_idx], d, center=center)
+    head = subspace_from_rows(vectors[head_idx], d, center=center, ambient_dim=ambient_dim)
+    tail = subspace_from_rows(vectors[tail_idx], d, center=center, ambient_dim=ambient_dim)
     return head, tail
+
+
+def _pool_coords(vectors: np.ndarray, pool: list[int], d: int, n_kernels: int) -> np.ndarray:
+    """The rows of vectors in an orthonormal basis of the pool's span, when that saves work.
+
+    The basis has w = min(D, max(len(pool), 2d)) columns: the pool's right
+    singular vectors, completed by those of zero rows that pad the pool to 2d
+    rows, and none dropped by a rank tolerance. Mapping the vocabulary costs
+    one |V| x D x w product and narrows each of n_kernels |V| x D x 2d kernel
+    projections to w; when that does not pay, as for a single kernel, the
+    vectors are returned unchanged.
+    """
+    big_d = vectors.shape[1]
+    w = min(big_d, max(len(pool), 2 * d))
+    if w * (big_d + 2 * d * n_kernels) >= n_kernels * big_d * 2 * d:
+        return vectors
+    rows = np.zeros((w, big_d))
+    rows[: len(pool)] = vectors[pool]
+    _, _, vt = np.linalg.svd(rows, full_matrices=False)
+    return vectors @ vt.T
 
 
 def relation_subspaces(
@@ -358,7 +424,7 @@ def relation_subspaces(
     else:
         cur = _resolve_question(current, table, strict=True)
         head_excl, tail_excl = _holdout_exclusions(holdout, cur)
-    return _pool_subspaces(table, head_pool, tail_pool, head_excl, tail_excl, d, center)
+    return _pool_subspaces(table.vectors, head_pool, tail_pool, head_excl, tail_excl, d, center)
 
 
 @dataclass
@@ -448,9 +514,21 @@ def evaluate(
     Returns one report per requested measure. Per relation, out-of-vocabulary
     questions are dropped and counted; relations whose word pools cannot
     support the configured subspace dimension are skipped for the kernel
-    measures and reported as such. Under holdout policies, kernels are cached
+    measures and reported as such; an error raised after a relation's pool
+    subspaces are built propagates. Under holdout policies, kernels are cached
     by their excluded-word set, so questions sharing an exclusion reuse one
     kernel.
+
+    Vocabulary-wide work is done once per distinct word and once per relation,
+    not once per question and kernel. Each chunk of questions is scored from
+    one cosine row per distinct input word. For the kernel measures, the
+    vocabulary is mapped once per relation into an orthonormal basis of the
+    span of the relation's whole head+tail pool (width w = min(D, max(pool
+    size, 2d))); every holdout group's subspaces, principal angles, kernel and
+    vocabulary projection are then w wide instead of D. That one-time
+    |V| x D x w product is paid only when it costs less than the D-wide
+    kernel projections it narrows, so a relation with a single kernel (all of
+    them under holdout='none') stays in embedding coordinates.
     """
     measures = measures if measures is not None else config.measures()
     gfk_measures = tuple(m for m in measures if m in GFK_MEASURES)
@@ -489,15 +567,14 @@ def evaluate(
 
         if gfk_measures:
             try:
-                grouped = _evaluate_relation_gfk(
-                    table, resolved_questions, gfk_measures, config, gold_cache
-                )
+                coords, groups = _relation_pool_groups(table, resolved_questions, config)
             except ValueError as err:
                 for m in gfk_measures:
                     reports[m].skipped[relation] = str(err)
-            else:
-                for m in gfk_measures:
-                    reports[m].per_relation[relation] = _tally(grouped[m])
+                continue
+            grouped = _score_relation_gfk(coords, groups, table, gfk_measures, config, gold_cache)
+            for m in gfk_measures:
+                reports[m].per_relation[relation] = _tally(grouped[m])
     return reports
 
 
@@ -511,29 +588,44 @@ def _tally(results) -> RelationResult:
     return tally
 
 
-def _evaluate_relation_gfk(table, resolved_questions, measures, config, gold_cache):
-    """Kernel-measure scoring for one relation, grouped by holdout exclusions."""
+def _relation_pool_groups(table, resolved_questions, config):
+    """The vocabulary's kernel-space rows and every holdout group's subspaces in them.
+
+    Returns (coords, [(head, tail, items)]), one entry per distinct exclusion
+    set; coords are pool coordinates (|V| x w) when _pool_coords finds them
+    cheaper, else the vectors themselves. Raises ValueError when a group's
+    pools cannot support the subspace dimension.
+    """
     head_pool, tail_pool = _category_pools(resolved_questions)
     groups: dict[tuple, list] = {}
     for item in resolved_questions:
         key = _holdout_exclusions(config.holdout, item[1])
         groups.setdefault(key, []).append(item)
-
-    def run_group(key_items):
-        (head_excl, tail_excl), items = key_items
+    pool = list(dict.fromkeys(head_pool + tail_pool))
+    coords = _pool_coords(table.vectors, pool, config.subspace_dim, len(groups))
+    built = []
+    for (head_excl, tail_excl), items in groups.items():
         head, tail = _pool_subspaces(
-            table, head_pool, tail_pool, head_excl, tail_excl,
-            config.subspace_dim, config.center_subspaces,
+            coords, head_pool, tail_pool, head_excl, tail_excl,
+            config.subspace_dim, config.center_subspaces, ambient_dim=table.dim,
         )
-        scorer = _Scorer(table.vectors, gfk(principal_angles(head, tail)))
+        built.append((head, tail, items))
+    return coords, built
+
+
+def _score_relation_gfk(coords, groups, table, measures, config, gold_cache):
+    """Kernel-measure scoring for one relation's holdout groups, in pool coordinates."""
+
+    def run_group(group):
+        head, tail, items = group
+        scorer = _Scorer(coords, gfk(principal_angles(head, tail)))
         return _score_batch(scorer, table, items, measures, config, gold_cache)
 
-    entries = list(groups.items())
-    if config.threads > 1 and len(entries) > 1:
+    if config.threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            group_results = list(pool.map(run_group, entries))
+            group_results = list(pool.map(run_group, groups))
     else:
-        group_results = [run_group(e) for e in entries]
+        group_results = [run_group(g) for g in groups]
 
     merged = {m: [] for m in measures}
     for result in group_results:
@@ -552,8 +644,8 @@ def dimension_sweep(
 
     Kernel measures are re-evaluated at every dimension; the plain measures
     are dimension-independent, so they are computed once and replicated as
-    flat baselines. A cell is None when every relation was skipped at that
-    dimension.
+    flat baselines. A kernel cell is None when 2 * d exceeds the embedding
+    dimension or every relation was skipped at that dimension.
     """
     measures = config.measures()
     plain = tuple(m for m in measures if m not in GFK_MEASURES)
@@ -571,18 +663,13 @@ def dimension_sweep(
     rows: list[tuple[int, str, float | None]] = []
     for d in dims:
         per_d: dict[str, float | None] = dict(baselines)
-        if gfks:
-            cfg = replace(config, subspace_dim=d)
-            try:
-                gfk_reports = evaluate(dataset, table, cfg, measures=gfks)
-            except ValueError:
-                gfk_reports = None
+        if gfks and 2 * d > table.dim:
+            per_d.update(dict.fromkeys(gfks))
+        elif gfks:
+            gfk_reports = evaluate(dataset, table, replace(config, subspace_dim=d), measures=gfks)
             for m in gfks:
-                if gfk_reports is None:
-                    per_d[m] = None
-                else:
-                    rep = gfk_reports[m]
-                    per_d[m] = rep.micro_accuracy if rep.n_questions else None
+                rep = gfk_reports[m]
+                per_d[m] = rep.micro_accuracy if rep.n_questions else None
         for m in measures:
             rows.append((d, m, per_d[m]))
     return rows

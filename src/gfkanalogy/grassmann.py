@@ -62,13 +62,18 @@ class Subspace:
         return self.basis @ self.basis.T
 
 
-def subspace_from_rows(rows: np.ndarray, d: int, center: bool = False) -> Subspace:
+def subspace_from_rows(
+    rows: np.ndarray, d: int, center: bool = False, *, ambient_dim: int | None = None
+) -> Subspace:
     """Dominant d-dimensional span of a stack of row vectors.
 
     Takes the top-d right singular vectors of the (by default uncentered)
     n x D row matrix, ordered by descending singular value. With
     ``center=True`` the row mean is subtracted first, which fits an affine
-    cloud instead of a span.
+    cloud instead of a span. ``d`` must not exceed the effective rank, counted
+    with the tolerance ``sigma_1 * max(n, D) * eps``; for rows given in an
+    orthonormal basis of part of a wider space, ``ambient_dim`` names that
+    space's dimension so the count matches the one on the full rows.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     n, big_d = rows.shape
@@ -79,7 +84,8 @@ def subspace_from_rows(rows: np.ndarray, d: int, center: bool = False) -> Subspa
     if center:
         rows = rows - rows.mean(axis=0)
     _, sigma, vt = np.linalg.svd(rows, full_matrices=False)
-    tol = sigma[0] * max(rows.shape) * np.finfo(np.float64).eps if sigma.size else 0.0
+    width = max(n, big_d if ambient_dim is None else ambient_dim)
+    tol = sigma[0] * width * np.finfo(np.float64).eps if sigma.size else 0.0
     rank = int(np.sum(sigma > tol))
     if d > rank:
         raise ValueError(f"d={d} exceeds effective rank {rank} of the row matrix")

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from gfkanalogy import evaluation
 from gfkanalogy.datasets import AnalogyQuestion, RelationDataset
 from gfkanalogy.embeddings import EmbeddingTable
 from gfkanalogy.evaluation import (
+    GFK_MEASURES,
+    HOLDOUTS,
     EvalConfig,
     EvalReport,
     RelationResult,
@@ -19,6 +22,7 @@ from gfkanalogy.evaluation import (
     write_report_csv,
 )
 from gfkanalogy.grassmann import GfkKernel, gfk, principal_angles, subspace_from_rows
+from gfkanalogy.synth import SynthSpec, generate
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +315,66 @@ def build_rank_fixture():
     return table
 
 
+def _low_rank_relation():
+    """Eight pairs whose head and tail words share one 4-dim span of R^40.
+
+    The pool's rank 4 is below 2d, so most of the pool basis lies outside the
+    pool's numerical span.
+    """
+    rng = np.random.default_rng(21)
+    span = rng.standard_normal((4, 40))
+    pairs = rng.standard_normal((16, 4)) @ span
+    vecs = np.vstack([pairs, rng.standard_normal((12, 40))])
+    words = [f"h{i}" for i in range(8)] + [f"t{i}" for i in range(8)] + [f"z{i}" for i in range(12)]
+    ds = RelationDataset()
+    for i in range(8):
+        for j in (i + 1, i + 3):
+            ds.add(question(f"h{i}", f"t{i}", f"h{j % 8}", f"t{j % 8}"))
+    return EmbeddingTable(words, vecs).normalized(), ds
+
+
+def _same_pools_relation():
+    """Five words chained as w_i : w_i+1, so head and tail pools coincide (theta = 0).
+
+    The pool has fewer than 2d words, so zero rows complete its basis.
+    """
+    rng = np.random.default_rng(22)
+    words = [f"w{i}" for i in range(5)] + [f"z{i}" for i in range(12)]
+    ds = RelationDataset()
+    for i in range(5):
+        for j in range(5):
+            if j != i:
+                ds.add(question(f"w{i}", f"w{(i + 1) % 5}", f"w{j}", f"w{(j + 1) % 5}"))
+    return EmbeddingTable(words, rng.standard_normal((17, 10))).normalized(), ds
+
+
+def _synth_relation():
+    """16 pool words in R^10: no basis narrower than the embedding, D-wide kernels."""
+    table, ds = generate(SynthSpec(n_relations=1, pairs_per_relation=8, dim=10, seed=5))
+    return table.normalized(), ds
+
+
+def _wide_synth_relation():
+    """16 pool words in R^40: kernels are built in pool coordinates except under 'none'."""
+    table, ds = generate(SynthSpec(n_relations=1, pairs_per_relation=8, dim=40, seed=6))
+    return table.normalized(), ds
+
+
+# (holdout, measure, center, input): the plain synthetic GFKCosADD cases keep
+# the bare holdout as their id.
+_API_CASES = [
+    pytest.param(
+        holdout, measure, center, make,
+        id=holdout if (make, measure, center) == (_synth_relation, "GFKCosADD", False)
+        else f"{holdout}-{measure}-{make.__name__.strip('_')}{'-centered' if center else ''}",
+    )
+    for make in (_synth_relation, _wide_synth_relation, _low_rank_relation, _same_pools_relation)
+    for measure in GFK_MEASURES
+    for center in (False, True)
+    for holdout in HOLDOUTS
+]
+
+
 class TestEvaluate:
     def test_perfect_relation(self):
         # y = x - a + b exactly for both questions; distractor orthogonal
@@ -458,6 +522,38 @@ class TestEvaluate:
         assert "r" in reports["GFKCosADD"].skipped
         assert "usable unique words" in reports["GFKCosADD"].skipped["r"]
 
+    def test_skip_decision_matches_embedding_coordinates(self):
+        # The head words span e1 plus a direction 1e-14 as strong: rank 1 under
+        # the tolerance on 300-wide rows, rank 2 under one on 8-wide rows.
+        rng = np.random.default_rng(23)
+        dim, eps = 300, 1e-14
+        heads = np.zeros((4, dim))
+        heads[:, 0] = 1.0
+        heads[:, 1] = eps * np.array([1.0, -1.0, 1.0, -1.0])
+        vecs = np.vstack([heads, rng.standard_normal((4 + 20, dim))])
+        words = [f"h{i}" for i in range(4)] + [f"t{i}" for i in range(4)] + [f"z{i}" for i in range(20)]
+        table = EmbeddingTable(words, vecs)
+        ds = RelationDataset()
+        for i in range(4):
+            for j in range(4):
+                if j != i:
+                    ds.add(question(f"h{i}", f"t{i}", f"h{j}", f"t{j}"))
+        questions = ds.relations["r"]
+        with pytest.raises(ValueError, match="effective rank 1") as err:
+            relation_subspaces(questions, table, 2, "answer", current=questions[0])
+        cfg = EvalConfig(measure="GFKCosADD", subspace_dim=2, holdout="answer")
+        assert evaluate(ds, table, cfg)["GFKCosADD"].skipped == {"r": str(err.value)}
+
+    def test_pool_coordinates_only_when_cheaper(self):
+        rng = np.random.default_rng(24)
+        vecs = rng.standard_normal((50, 40))
+        pool = list(range(10))
+        assert evaluation._pool_coords(vecs, pool, 3, 1) is vecs
+        coords = evaluation._pool_coords(vecs, pool, 3, 8)
+        assert coords.shape == (50, 10)
+        # an orthonormal basis of the pool's span keeps the pool's inner products
+        np.testing.assert_allclose(coords[pool] @ coords.T, vecs[pool] @ vecs.T, atol=1e-12)
+
     def test_gfk_requires_half_dim(self):
         table = random_table(20, 12, 6)
         ds = RelationDataset()
@@ -485,25 +581,64 @@ class TestEvaluate:
                 assert (a.n_correct, a.rank_sum) == (b.n_correct, b.rank_sum)
                 assert (a.n_correct, a.rank_sum) == (c.n_correct, c.rank_sum)
 
-    @pytest.mark.parametrize("holdout", ["none", "answer", "question"])
-    def test_evaluate_matches_per_question_api_under_holdout(self, holdout):
-        from gfkanalogy.synth import SynthSpec, generate
-
-        table, ds = generate(SynthSpec(n_relations=1, pairs_per_relation=8, dim=10, seed=5))
+    def test_kernel_errors_propagate_instead_of_skipping(self, monkeypatch):
+        table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
         table = table.normalized()
+
+        def broken(pa):
+            raise ValueError("kernel coefficients lost PSD-ness")
+
+        monkeypatch.setattr(evaluation, "gfk", broken)
+        with pytest.raises(ValueError, match="PSD"):
+            evaluate(ds, table, EvalConfig(measure="GFKCosADD", subspace_dim=4))
+        with pytest.raises(ValueError, match="PSD"):
+            dimension_sweep(ds, table, EvalConfig(measure="GFKCosADD"), dims=[4])
+
+    @pytest.mark.parametrize("shift", [True, False])
+    def test_chunking_does_not_change_tallies(self, monkeypatch, shift):
+        table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
+        table = table.normalized()
+        runs = []
+        # budget below one |V|-wide row: one question per chunk; then no limit
+        for chunk_elems in (1, 10**12):
+            monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", chunk_elems)
+            run = {}
+            for holdout in HOLDOUTS:
+                cfg = EvalConfig(measure="all", subspace_dim=4, holdout=holdout, shift_cosines=shift)
+                for m, rep in evaluate(ds, table, cfg).items():
+                    assert not rep.skipped
+                    run[holdout, m] = {
+                        rel: (r.n_questions, r.n_correct, r.rank_sum, r.n_null_flags)
+                        for rel, r in rep.per_relation.items()
+                    }
+            runs.append(run)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("holdout,measure,center,make", _API_CASES)
+    def test_evaluate_matches_per_question_api_under_holdout(self, holdout, measure, center, make):
+        """evaluate (pool coordinates, shared word rows) ranks as gfk_answer on full-D kernels."""
+        table, ds = make()
         d = 3
-        cfg = EvalConfig(measure="GFKCosADD", subspace_dim=d, holdout=holdout)
-        report = evaluate(ds, table, cfg)["GFKCosADD"]
+        cfg = EvalConfig(measure=measure, subspace_dim=d, holdout=holdout, center_subspaces=center)
+        report = evaluate(ds, table, cfg)[measure]
         relation = ds.relation_names()[0]
         questions = ds.relations[relation]
+        kernels = []
+        try:
+            for q in questions:
+                head, tail = relation_subspaces(
+                    questions, table, d, holdout,
+                    current=None if holdout == "none" else q, center=center,
+                )
+                kernels.append(gfk(principal_angles(head, tail)))
+        except ValueError as err:
+            assert report.skipped == {relation: str(err)}
+            return
+        assert not report.skipped
         n_correct = 0
         rank_sum = 0.0
-        for q in questions:
-            head, tail = relation_subspaces(
-                questions, table, d, holdout, current=None if holdout == "none" else q
-            )
-            kernel = gfk(principal_angles(head, tail))
-            r = gfk_answer(q, table, kernel, mode="add")
+        for q, kernel in zip(questions, kernels):
+            r = gfk_answer(q, table, kernel, mode="add" if measure == "GFKCosADD" else "mul")
             words = [w.lower() for w in r.words(table)]
             rank = words.index(q.y.lower()) + 1
             n_correct += int(rank == 1)
@@ -540,7 +675,7 @@ class TestDimensionSweep:
         rows = dimension_sweep(ds, table, cfg, dims=[3, 12])
         cells = {d: acc for d, m, acc in rows}
         assert cells[3] is not None
-        assert cells[12] is None  # pools have 10 unique words; d=12 infeasible
+        assert cells[12] is None  # 2 * 12 > 16: no kernel at d=12
 
     def test_dims_must_stay_below_embedding_dim(self, synth):
         table, ds = synth
