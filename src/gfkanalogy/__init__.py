@@ -27,7 +27,6 @@ from .grassmann import (
 from .ppmi import (
     CooccurrenceCounts,
     build_cooccurrence,
-    build_ppmi_embeddings,
     ppmi_transform,
     read_corpus,
     truncated_svd_embed,
@@ -47,7 +46,6 @@ __all__ = [
     "Subspace",
     "SynthSpec",
     "build_cooccurrence",
-    "build_ppmi_embeddings",
     "cos_add_answer",
     "cos_mul_answer",
     "dimension_sweep",

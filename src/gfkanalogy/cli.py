@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -11,6 +12,8 @@ from .datasets import parse_google, parse_msr, write_google
 from .embeddings import load_text_embeddings, save_text_embeddings
 from .evaluation import (
     EvalConfig,
+    _resolve_relation,
+    _slot_pool,
     dimension_sweep,
     evaluate,
     write_report_csv,
@@ -52,6 +55,16 @@ def _parse_dims(spec: str) -> list[int]:
     if not dims or any(d < 1 for d in dims):
         raise argparse.ArgumentTypeError(f"bad dimension list {spec!r}")
     return dims
+
+
+@contextlib.contextmanager
+def _output(path):
+    """The file at path, opened for writing, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as f:
+        yield f
 
 
 def _load_dataset(args):
@@ -119,13 +132,9 @@ def cmd_eval(args) -> int:
     dataset = _load_dataset(args)
     reports = evaluate(dataset, table, config)
     extras = {"embeddings": args.embeddings, "dataset": args.dataset}
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            write_report_csv(reports, config, f, **extras)
-        summary_out = sys.stdout
-    else:
-        write_report_csv(reports, config, sys.stdout, **extras)
-        summary_out = sys.stderr
+    with _output(args.out) as f:
+        write_report_csv(reports, config, f, **extras)
+    summary_out = sys.stdout if args.out else sys.stderr
     for measure, report in reports.items():
         if report.n_questions:
             print(
@@ -145,24 +154,16 @@ def cmd_angles(args) -> int:
     if args.relation not in dataset.relations:
         names = ", ".join(dataset.relation_names())
         raise ValueError(f"unknown relation {args.relation!r}; choose from: {names}")
-    questions = dataset.relations[args.relation]
-
-    pools: dict[str, list[int]] = {"A": [], "X": [], "B": []}
-    seen: dict[str, set[int]] = {k: set() for k in pools}
-    for q in questions:
-        for slot, token in (("A", q.a), ("X", q.x), ("B", q.b)):
-            i = table.resolve(token)
-            if i is not None and i not in seen[slot]:
-                seen[slot].add(i)
-                pools[slot].append(i)
+    resolved, _ = _resolve_relation(dataset.relations[args.relation], table)
+    # the distinct a, b and x words (question slots 0, 1, 2) of the questions evaluate scores
+    pools = {name: _slot_pool(resolved, (slot,)) for slot, name in enumerate("ABX")}
 
     pair_names = [p.strip().upper() for p in args.pairs.split(",") if p.strip()]
     for p in pair_names:
         if p not in ("AX", "AB"):
             raise ValueError(f"unsupported pair {p!r}; choose from AX, AB")
 
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         dims_spec = ",".join(str(d) for d in args.dims)
         out.write(
             f"# relation={args.relation} pairs={','.join(pair_names)} "
@@ -171,26 +172,18 @@ def cmd_angles(args) -> int:
         )
         out.write("pair,subspace_dim,angle_index,theta_degrees\n")
         for pair in pair_names:
-            left = pools["A"]
-            right = pools["X"] if pair == "AX" else pools["B"]
-            max_d = min(len(left), len(right), table.dim // 2)
+            left, right = (table.vectors[pools[name]] for name in pair)
             for d in args.dims:
-                if d > max_d:
-                    print(f"skipping {pair} d={d}: exceeds pool capacity {max_d}",
-                          file=sys.stderr)
-                    continue
                 try:
-                    sub_l = subspace_from_rows(table.vectors[left], d, center=args.center)
-                    sub_r = subspace_from_rows(table.vectors[right], d, center=args.center)
+                    theta = principal_angles(
+                        subspace_from_rows(left, d, center=args.center),
+                        subspace_from_rows(right, d, center=args.center),
+                    ).theta
                 except ValueError as err:
                     print(f"skipping {pair} d={d}: {err}", file=sys.stderr)
                     continue
-                theta = principal_angles(sub_l, sub_r).theta
                 for i, t in enumerate(np.degrees(theta), start=1):
                     out.write(f"{pair},{d},{i},{t:.6f}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -201,11 +194,8 @@ def cmd_sweep(args) -> int:
     rows = dimension_sweep(dataset, table, config, args.dims)
     extras = {"embeddings": args.embeddings, "dataset": args.dataset,
               "dims": ",".join(str(d) for d in args.dims)}
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            write_sweep_csv(rows, config, f, **extras)
-    else:
-        write_sweep_csv(rows, config, sys.stdout, **extras)
+    with _output(args.out) as f:
+        write_sweep_csv(rows, config, f, **extras)
     return 0
 
 

@@ -171,7 +171,16 @@ def load_text_embeddings(path: str, normalize: bool = False) -> EmbeddingTable:
 
 
 def save_text_embeddings(table: EmbeddingTable, path: str) -> None:
-    """Write the text format with 17 significant digits (float64 round-trip)."""
+    """Write the text format with 17 significant digits (float64 round-trip).
+
+    A word the loader could not read back (empty, or containing whitespace)
+    raises ValueError naming it, before the file is opened.
+    """
+    for word in table.words:
+        if word.split() != [word]:
+            raise ValueError(
+                f"cannot save word {word!r}: words must be non-empty with no whitespace"
+            )
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{len(table)} {table.dim}\n")
         for word, row in zip(table.words, table.vectors):

@@ -208,6 +208,16 @@ def _resolve_question(q: AnalogyQuestion, table: EmbeddingTable, strict: bool):
     return tuple(out)
 
 
+def _resolve_relation(questions, table: EmbeddingTable) -> tuple[list, int]:
+    """(question, indices) for each in-vocabulary question, and the number dropped."""
+    resolved = []
+    for q in questions:
+        r = _resolve_question(q, table, strict=False)
+        if r is not None:
+            resolved.append((q, r))
+    return resolved, len(questions) - len(resolved)
+
+
 def _gold_indices(table: EmbeddingTable, y: str, cache: dict | None = None) -> np.ndarray:
     """All vocabulary indices matching the gold answer case-insensitively."""
     key = y.lower()
@@ -219,24 +229,25 @@ def _gold_indices(table: EmbeddingTable, y: str, cache: dict | None = None) -> n
     return hits
 
 
-def _allowed_mask(n_vocab: int, resolved, gold: np.ndarray, exclude_inputs: bool) -> np.ndarray:
-    """Candidate mask: optionally drop a, b, x, but never the gold answer."""
-    mask = np.ones(n_vocab, dtype=bool)
-    if exclude_inputs:
-        ia, ib, ix, _ = resolved
-        drop = {ia, ib, ix} - set(gold.tolist())
-        mask[list(drop)] = False
-    return mask
+def _exclusions(resolved, gold: np.ndarray, exclude_inputs: bool) -> tuple[int, ...]:
+    """Distinct a, b, x indices to drop from the candidates, never a gold index."""
+    if not exclude_inputs:
+        return ()
+    return tuple(set(resolved[:3]).difference(gold.tolist()))
 
 
-def _rank_of_gold(scores: np.ndarray, allowed: np.ndarray, gold: np.ndarray) -> int:
-    """1-based rank of the best gold candidate under stable descending order."""
-    usable = gold[allowed[gold]]
-    best = usable[int(np.argmax(scores[usable]))]
+def _rank_of_gold(scores: np.ndarray, excluded: tuple[int, ...], gold: np.ndarray) -> int:
+    """1-based rank of the best gold candidate under stable descending order.
+
+    Counts the candidates ahead of it (a higher score, or an equal score at a
+    lower index), less the excluded indices among them. There are at most
+    three, so they are checked one by one.
+    """
+    best = int(gold[np.argmax(scores[gold])])
     s = scores[best]
-    higher = int(np.count_nonzero(allowed & (scores > s)))
-    ties_before = int(np.count_nonzero(allowed[:best] & (scores[:best] == s)))
-    return 1 + higher + ties_before
+    ahead = np.count_nonzero(scores > s) + np.count_nonzero(scores[:best] == s)
+    ahead -= sum(1 for i in excluded if scores[i] > s or (i < best and scores[i] == s))
+    return 1 + int(ahead)
 
 
 def _chunks(items, budget: int, per_question: int):
@@ -262,19 +273,17 @@ def _chunks(items, budget: int, per_question: int):
 def _scored_questions(scorer, table, items, modes, epsilon, shift, exclude_inputs, gold_cache=None):
     """Score resolved questions a chunk at a time under each mode.
 
-    Yields (gold indices, candidate mask, mode -> (score row, null flag)) per
-    question, in order. An additive target with no direction has no ranking:
-    its score row is None.
+    Yields (gold indices, excluded indices, mode -> (score row, null flag))
+    per question, in order. An additive target with no direction has no
+    ranking: its score row is None.
     """
-    n_vocab = len(table)
-    budget = _CHUNK_ELEMS // max(n_vocab, 1)
+    budget = _CHUNK_ELEMS // max(len(table), 1)
     for chunk in _chunks(items, budget, len(modes)):
         idx = np.array([r[:3] for _, r in chunk], dtype=int)
         per_mode = scorer.scores(idx, modes, epsilon, shift)
         for k, (q, resolved) in enumerate(chunk):
             gold = _gold_indices(table, q.y, gold_cache)
-            allowed = _allowed_mask(n_vocab, resolved, gold, exclude_inputs)
-            yield gold, allowed, {
+            yield gold, _exclusions(resolved, gold, exclude_inputs), {
                 m: (None if m == "add" and null_q[k] else scores[k], bool(null_q[k]))
                 for m, (scores, null_q) in per_mode.items()
             }
@@ -284,7 +293,7 @@ def _answer(q, table, kernel, mode, epsilon, shift, exclude_inputs) -> Ranking:
     """One question as a batch of one, then a stable full sort."""
     item = (q, _resolve_question(q, table, strict=True))
     scorer = _Scorer(table.vectors, kernel)
-    [(_, allowed, scored)] = _scored_questions(
+    [(_, excluded, scored)] = _scored_questions(
         scorer, table, [item], (mode,), epsilon, shift, exclude_inputs
     )
     scores, null_q = scored[mode]
@@ -293,8 +302,8 @@ def _answer(q, table, kernel, mode, epsilon, shift, exclude_inputs) -> Ranking:
     diagnostics = {"null_queries": 1} if null_q else {}
     if scorer.n_null_candidates:
         diagnostics["null_candidates"] = scorer.n_null_candidates
-    idx = np.flatnonzero(allowed)
-    sel = idx[np.argsort(-scores[idx], kind="stable")]
+    order = np.argsort(-scores, kind="stable")
+    sel = order[~np.isin(order, excluded)]
     return Ranking(indices=sel, scores=scores[sel], diagnostics=diagnostics)
 
 
@@ -329,16 +338,14 @@ def gfk_answer(
     return _answer(q, table, kernel, mode, epsilon, shift_cosines, exclude_inputs)
 
 
+def _slot_pool(resolved_questions, slots) -> list[int]:
+    """Distinct indices at the given slots (0-3: a, b, x, y) in first-occurrence order."""
+    return list(dict.fromkeys(r[s] for _, r in resolved_questions for s in slots))
+
+
 def _category_pools(resolved_questions) -> tuple[list[int], list[int]]:
-    """Deduplicated head (a and x) and tail (b and y) index pools, in order."""
-    head: dict[int, None] = {}
-    tail: dict[int, None] = {}
-    for _, (ia, ib, ix, iy) in resolved_questions:
-        head.setdefault(ia)
-        head.setdefault(ix)
-        tail.setdefault(ib)
-        tail.setdefault(iy)
-    return list(head), list(tail)
+    """Head (a and x) and tail (b and y) index pools."""
+    return _slot_pool(resolved_questions, (0, 2)), _slot_pool(resolved_questions, (1, 3))
 
 
 def _holdout_exclusions(holdout: str, resolved) -> tuple[frozenset[int], frozenset[int]]:
@@ -412,11 +419,7 @@ def relation_subspaces(
         raise ValueError(f"holdout must be one of {HOLDOUTS}, got {holdout!r}")
     if holdout != "none" and current is None:
         raise ValueError(f"holdout={holdout!r} needs the current question")
-    resolved_questions = []
-    for q in questions:
-        r = _resolve_question(q, table, strict=False)
-        if r is not None:
-            resolved_questions.append((q, r))
+    resolved_questions, _ = _resolve_relation(questions, table)
     head_pool, tail_pool = _category_pools(resolved_questions)
     if holdout == "none":
         head_excl: frozenset[int] = frozenset()
@@ -488,7 +491,7 @@ def _score_batch(scorer, table, items, measures, config, gold_cache):
     """
     modes = tuple(dict.fromkeys(_MODES[m] for m in measures))
     out = {m: [] for m in measures}
-    for gold, allowed, scored in _scored_questions(
+    for gold, excluded, scored in _scored_questions(
         scorer, table, items, modes,
         config.epsilon, config.shift_cosines, config.exclude_inputs, gold_cache,
     ):
@@ -496,9 +499,9 @@ def _score_batch(scorer, table, items, measures, config, gold_cache):
             scores, null_q = scored[_MODES[m]]
             if scores is None:
                 # zero target vector: empty ranking, scored as a worst-case miss
-                out[m].append((False, float(np.count_nonzero(allowed)), True))
+                out[m].append((False, float(len(table) - len(excluded)), True))
                 continue
-            rank = _rank_of_gold(scores, allowed, gold)
+            rank = _rank_of_gold(scores, excluded, gold)
             out[m].append((rank == 1, float(rank), null_q))
     return out
 
@@ -543,14 +546,7 @@ def evaluate(
     reports = {m: EvalReport(measure=m) for m in measures}
 
     for relation, questions in dataset.relations.items():
-        resolved_questions = []
-        n_oov = 0
-        for q in questions:
-            r = _resolve_question(q, table, strict=False)
-            if r is None:
-                n_oov += 1
-            else:
-                resolved_questions.append((q, r))
+        resolved_questions, n_oov = _resolve_relation(questions, table)
         for m in measures:
             reports[m].oov_counts[relation] = n_oov
         if not resolved_questions:

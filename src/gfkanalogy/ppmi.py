@@ -189,18 +189,3 @@ def _truncated_svd(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
         u, sigma = u[:, order], sigma[order]
     pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
     return u * np.where(pivots < 0, -1.0, 1.0), sigma
-
-
-def build_ppmi_embeddings(
-    docs: list[list[str]],
-    win: int,
-    positional: bool,
-    min_count: int,
-    dim: int,
-    eigen_weight: float = 0.5,
-) -> tuple[EmbeddingTable, CooccurrenceCounts]:
-    """Full pipeline: counts -> PPMI -> truncated SVD word vectors."""
-    counts = build_cooccurrence(docs, win=win, positional=positional, min_count=min_count)
-    ppmi = ppmi_transform(counts)
-    table = truncated_svd_embed(ppmi, counts.words, dim, eigen_weight)
-    return table, counts

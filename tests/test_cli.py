@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gfkanalogy.cli import _parse_dims, main
-from gfkanalogy.embeddings import load_text_embeddings
+from gfkanalogy.embeddings import EmbeddingTable, load_text_embeddings, save_text_embeddings
+from gfkanalogy.grassmann import principal_angles, subspace_from_rows
 
 
 @pytest.fixture
@@ -167,6 +168,63 @@ class TestAngles:
         assert rc == 2
         err = capsys.readouterr().err
         assert "rotation-0" in err and "rotation-1" in err
+
+
+def write_relation(tmp_path, name, lines, dim=6, n_words=5, seed=5):
+    """Random vectors for a1..an, b1..bn, x1..xn, y1..yn, and a one-relation question file."""
+    rng = np.random.default_rng(seed)
+    words = [f"{c}{i}" for c in "abxy" for i in range(1, n_words + 1)]
+    emb = str(tmp_path / "emb.txt")
+    save_text_embeddings(EmbeddingTable(words, rng.standard_normal((len(words), dim))), emb)
+    data = tmp_path / name
+    data.write_text(": r\n" + "".join(line + "\n" for line in lines), encoding="utf-8")
+    return emb, str(data)
+
+
+def run_angles(emb, data, dims, out):
+    return main([
+        "angles", "--embeddings", emb, "--dataset", data, "--relation", "r",
+        "--pairs", "AX,AB", "--dims", dims, "--normalize", "false", "--out", out,
+    ])
+
+
+class TestAnglesPools:
+    def test_oov_question_contributes_no_words(self, tmp_path):
+        questions = ["a1 b1 x1 y1", "a2 b2 x2 y2", "a3 b3 x3 y3"]
+        emb, with_oov = write_relation(tmp_path, "q1.txt", questions + ["a4 b4 x4 unknown"])
+        _, without = write_relation(tmp_path, "q2.txt", questions)
+        rows = []
+        for data in (with_oov, without):
+            out = str(tmp_path / "angles.csv")
+            assert run_angles(emb, data, "1:3", out) == 0
+            rows.append(open(out).read().splitlines()[1:])
+        assert rows[0] == rows[1]
+        # the in-vocabulary questions' a, x and b words alone give the angles
+        table = load_text_embeddings(emb)
+        a, x = table.stack_rows(["a1", "a2", "a3"]), table.stack_rows(["x1", "x2", "x3"])
+        theta = principal_angles(subspace_from_rows(a, 3), subspace_from_rows(x, 3)).theta
+        want = [f"AX,3,{i},{t:.6f}" for i, t in enumerate(np.degrees(theta), start=1)]
+        assert [r for r in rows[0] if r.startswith("AX,3,")] == want
+
+    def test_dims_past_pool_size_and_half_dim_are_skipped(self, tmp_path, capsys):
+        lines = [f"a{i} b{i} x{i} y{i}" for i in range(1, 6)]
+        emb, data = write_relation(tmp_path, "q.txt", lines)
+        out = str(tmp_path / "angles.csv")
+        assert run_angles(emb, data, "2,3,4,6", out) == 0
+        err = capsys.readouterr().err
+        table = load_text_embeddings(emb)
+        a = table.stack_rows([f"a{i}" for i in range(1, 6)])
+        for d, make in ((4, lambda: principal_angles(subspace_from_rows(a, 4),
+                                                     subspace_from_rows(a, 4))),
+                        (6, lambda: subspace_from_rows(a, 6))):
+            with pytest.raises(ValueError) as reason:
+                make()
+            for pair in ("AX", "AB"):
+                assert f"skipping {pair} d={d}: {reason.value}" in err.splitlines()
+        rows = [l.split(",")[:2] for l in open(out).read().splitlines()[2:]]
+        assert sorted({tuple(r) for r in rows}) == [
+            ("AB", "2"), ("AB", "3"), ("AX", "2"), ("AX", "3")]
+        assert len(rows) == 2 * (2 + 3)
 
 
 class TestSweep:

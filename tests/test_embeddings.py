@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,14 @@ class TestRoundTripAndNormalize:
         save_text_embeddings(table, p1)
         save_text_embeddings(load_text_embeddings(p1), p2)
         assert open(p1).read() == open(p2).read()
+
+    @pytest.mark.parametrize("bad", ["new york", "", "tab\tword", "trailing "])
+    def test_save_rejects_unloadable_word_before_writing(self, tmp_path, bad):
+        table = EmbeddingTable(["ok", bad], np.array([[1.0, 2.0], [3.0, 4.0]]))
+        path = tmp_path / "emb.txt"
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            save_text_embeddings(table, str(path))
+        assert not path.exists()
 
     @given(
         st.lists(

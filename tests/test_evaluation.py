@@ -505,6 +505,25 @@ class TestEvaluate:
         assert table.index["algeria"] not in r.indices
         assert table.index["iraq"] not in r.indices
 
+    @pytest.mark.parametrize("words, rank_with_inputs", [
+        (["a", "x", "z", "y"], 3.0),  # the tied input comes before the gold word
+        (["y", "x", "z", "a"], 2.0),  # ... and after it
+    ])
+    def test_excluded_input_tied_with_gold(self, words, rank_with_inputs):
+        # a == b, so the additive target is x; a has the same vector as the gold
+        # word y, so the two tie, and x itself scores highest
+        rows = {"a": [1.0, 0], "x": [0.8, 0.6], "z": [0, 1.0], "y": [1.0, 0]}
+        table = EmbeddingTable(words, np.array([rows[w] for w in words]))
+        ds = RelationDataset()
+        ds.add(question("a", "a", "x", "y"))
+        for exclude, rank in ((True, 1.0), (False, rank_with_inputs)):
+            cfg = EvalConfig(measure="CosADD,CosMUL", exclude_inputs=exclude)
+            for report in evaluate(ds, table, cfg).values():
+                assert report.per_relation["r"].rank_sum == rank
+        for ranking in (cos_add_answer(ds.relations["r"][0], table),
+                        cos_mul_answer(ds.relations["r"][0], table)):
+            assert ranking.words(table) == ["y", "z"]
+
     def test_case_insensitive_gold_matching(self):
         vecs = np.array([[1.0, 0], [0, 1.0], [1.0, 1.0], [-1.0, 1.0]])
         table = EmbeddingTable(["A", "b", "x", "Y"], vecs)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from gfkanalogy.ppmi import (
     build_cooccurrence,
-    build_ppmi_embeddings,
     ppmi_transform,
     read_corpus,
     truncated_svd_embed,
@@ -216,8 +215,7 @@ class TestCorpusReader:
     def test_pipeline_end_to_end(self):
         rng = np.random.default_rng(1)
         tokens = rng.choice(list("abcdefgh"), size=400).tolist()
-        table, counts = build_ppmi_embeddings(
-            [tokens], win=2, positional=False, min_count=0, dim=4
-        )
+        counts = build_cooccurrence([tokens], win=2, positional=False, min_count=0)
+        table = truncated_svd_embed(ppmi_transform(counts), counts.words, dim=4)
         assert table.dim == 4
         assert set(table.words) == set(counts.word_vocab)
