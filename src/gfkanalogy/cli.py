@@ -128,11 +128,11 @@ def cmd_build_ppmi(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _config_from_args(args)
-    table = load_text_embeddings(args.embeddings, normalize=args.normalize)
-    dataset = _load_dataset(args)
-    reports = evaluate(dataset, table, config)
-    extras = {"embeddings": args.embeddings, "dataset": args.dataset}
-    with _output(args.out) as f:
+    with _output(args.out) as f:  # opened first, so a bad --out fails before the run
+        table = load_text_embeddings(args.embeddings, normalize=args.normalize)
+        dataset = _load_dataset(args)
+        reports = evaluate(dataset, table, config)
+        extras = {"embeddings": args.embeddings, "dataset": args.dataset}
         write_report_csv(reports, config, f, **extras)
     summary_out = sys.stdout if args.out else sys.stderr
     for measure, report in reports.items():
@@ -189,12 +189,12 @@ def cmd_angles(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _config_from_args(args)
-    table = load_text_embeddings(args.embeddings, normalize=args.normalize)
-    dataset = _load_dataset(args)
-    rows = dimension_sweep(dataset, table, config, args.dims)
-    extras = {"embeddings": args.embeddings, "dataset": args.dataset,
-              "dims": ",".join(str(d) for d in args.dims)}
     with _output(args.out) as f:
+        table = load_text_embeddings(args.embeddings, normalize=args.normalize)
+        dataset = _load_dataset(args)
+        rows = dimension_sweep(dataset, table, config, args.dims)
+        extras = {"embeddings": args.embeddings, "dataset": args.dataset,
+                  "dims": ",".join(str(d) for d in args.dims)}
         write_sweep_csv(rows, config, f, **extras)
     return 0
 

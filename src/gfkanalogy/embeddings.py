@@ -181,7 +181,8 @@ def save_text_embeddings(table: EmbeddingTable, path: str) -> None:
             raise ValueError(
                 f"cannot save word {word!r}: words must be non-empty with no whitespace"
             )
+    fmt = " ".join(["%.17g"] * table.dim) + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{len(table)} {table.dim}\n")
         for word, row in zip(table.words, table.vectors):
-            f.write(word + " " + " ".join(format(v, ".17g") for v in row) + "\n")
+            f.write(word + " " + fmt % tuple(row.tolist()))

@@ -6,8 +6,8 @@ cross document boundaries (documents are separated by blank lines).
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +19,13 @@ from .embeddings import EmbeddingTable
 # Below this size a dense SVD is cheaper and more robust than svds.
 DENSE_SVD_LIMIT = 5000
 
+# First scan ordinal of a key that is never scanned.
+_UNSCANNED = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True)
 class CooccurrenceCounts:
-    """Sparse word-by-context counts with both vocabularies in corpus order.
+    """Sparse word-by-context counts with both vocabularies in scan order.
 
     Context keys are plain tokens, or (token, signed offset) pairs when
     positional contexts are enabled.
@@ -70,48 +73,89 @@ def build_cooccurrence(
     Words rarer than ``min_count`` are excluded from both vocabularies; they
     still occupy their corpus positions, so offsets are unchanged and pairs
     that involve them are simply skipped. Raises if no pairs survive.
+
+    The corpus is scanned center by center and, around each center, from
+    offset -win to +win. ``word_vocab`` lists words by the first position at
+    which they are a center with a kept neighbour; ``context_vocab`` lists
+    context keys by the first (center, offset) at which they are scanned.
+    Counting runs on token-id arrays, one offset at a time. Memory is
+    O(tokens + pairs) integers (one int64 key per counted pair) plus a
+    types x (2 win + 1) table, never one Python object per pair.
     """
     if win < 1:
         raise ValueError("window size must be >= 1")
     if isinstance(docs, list) and docs and isinstance(docs[0], str):
         docs = [docs]  # a single token sequence is one document
 
-    freq = Counter()
-    for doc in docs:
-        freq.update(doc)
-    kept = {w for w, n in freq.items() if n >= min_count}
+    types = list(dict.fromkeys(itertools.chain.from_iterable(docs)))
+    index = {t: i for i, t in enumerate(types)}
+    lengths = np.fromiter(map(len, docs), dtype=np.intp, count=len(docs))
+    tok = np.fromiter(map(index.__getitem__, itertools.chain.from_iterable(docs)),
+                      dtype=np.intp, count=int(lengths.sum()))
+    doc = np.repeat(np.arange(len(docs)), lengths)
+    kept = (np.bincount(tok, minlength=len(types)) >= min_count)[tok]
+    # no pair spans more than the longest document, so wider offsets scan nothing
+    win = min(win, int(lengths.max(initial=1)) - 1)
+    span = 2 * win + 1  # scan ordinal of (center p, offset off): p * span + off + win
 
-    word_vocab: dict[str, int] = {}
-    context_vocab: dict = {}
-    pair_counts: Counter = Counter()
-    for doc in docs:
-        n = len(doc)
-        for p, center in enumerate(doc):
-            if center not in kept:
-                continue
-            lo = max(0, p - win)
-            hi = min(n, p + win + 1)
-            for q in range(lo, hi):
-                if q == p:
-                    continue
-                other = doc[q]
-                if other not in kept:
-                    continue
-                key = (other, q - p) if positional else other
-                i = word_vocab.setdefault(center, len(word_vocab))
-                j = context_vocab.setdefault(key, len(context_vocab))
-                pair_counts[i, j] += 1
+    def offset_pairs():
+        """(center positions, context positions, offset) of the counted pairs, per offset."""
+        for d in range(1, win + 1):
+            lo = np.flatnonzero(kept[:-d] & kept[d:] & (doc[:-d] == doc[d:]))
+            yield lo, lo + d, d
+            yield lo + d, lo, -d
 
-    total = sum(pair_counts.values())
+    # First pass: the first scan ordinal of each center type and of each
+    # (context type, offset) cell; both vocabularies follow it.
+    word_first = np.full(len(types), _UNSCANNED)
+    context_first = np.full(len(types) * span, _UNSCANNED)
+    total = 0
+    for center, context, off in offset_pairs():
+        ordinal = center * span + win + off
+        np.minimum.at(word_first, tok[center], ordinal)
+        np.minimum.at(context_first, tok[context] * span + win + off, ordinal)
+        total += center.size
     if total == 0:
         raise ValueError("no co-occurrence pairs after filtering; corpus too small")
-    rows, cols, vals = zip(*((i, j, v) for (i, j), v in pair_counts.items()))
+
+    if not positional:  # a plain token is first scanned at its earliest offset
+        token_first = context_first.reshape(len(types), span).min(axis=1)
+        context_first = np.repeat(token_first, span)
+    word_types, row_of = _scan_order(word_first)
+    key_cells, col_of = _scan_order(context_first)
+    n_rows, n_cols = word_types.size, key_cells.size
+    word_vocab = {types[t]: i for i, t in enumerate(word_types.tolist())}
+    context_vocab = {
+        (types[c // span], c % span - win) if positional else types[c // span]: j
+        for j, c in enumerate(key_cells.tolist())
+    }
+
+    # Second pass: one int64 key row * n_cols + col per pair, counted at once.
+    pair_keys = np.empty(total, dtype=np.int64)
+    filled = 0
+    for center, context, off in offset_pairs():
+        pair_keys[filled:filled + center.size] = (
+            row_of[tok[center]] * n_cols + col_of[tok[context] * span + win + off]
+        )
+        filled += center.size
+    cells, data = np.unique(pair_keys, return_counts=True)
+    rows, cols = np.divmod(cells, n_cols)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
     counts = scipy.sparse.csr_matrix(
-        (vals, (rows, cols)),
-        shape=(len(word_vocab), len(context_vocab)),
-        dtype=np.int64,
+        (data, cols, indptr), shape=(n_rows, n_cols), dtype=np.int64
     )
     return CooccurrenceCounts(word_vocab, context_vocab, counts, total)
+
+
+def _scan_order(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scanned keys in order of their first scan ordinal, and every key's rank.
+
+    ``first`` holds each key's first ordinal, or ``_UNSCANNED``. Keys with equal
+    ordinals share one rank and are listed once, by the lowest key.
+    """
+    ordinals, keys = np.unique(first, return_index=True)
+    return keys[: np.searchsorted(ordinals, _UNSCANNED)], np.searchsorted(ordinals, first)
 
 
 def ppmi_transform(c: CooccurrenceCounts) -> scipy.sparse.csr_matrix:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gfkanalogy import cli
 from gfkanalogy.cli import _parse_dims, main
 from gfkanalogy.embeddings import EmbeddingTable, load_text_embeddings, save_text_embeddings
 from gfkanalogy.grassmann import principal_angles, subspace_from_rows
@@ -136,6 +137,18 @@ class TestEval:
             outputs.append(open(out).read())
         assert f"holdout=none" in outputs[0] and f"holdout=answer" in outputs[1]
 
+    def test_unwritable_out_fails_before_evaluating(self, synth_files, tmp_path,
+                                                    monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "evaluate", lambda *a, **k: calls.append(a))
+        emb, data = synth_files
+        rc = main([
+            "eval", "--embeddings", emb, "--dataset", data, "--subspace-dim", "4",
+            "--out", str(tmp_path / "missing" / "report.csv"),
+        ])
+        assert rc == 2 and calls == []
+        assert "error" in capsys.readouterr().err
+
 
 class TestAngles:
     def test_angle_csv_in_range(self, synth_files, tmp_path):
@@ -242,6 +255,18 @@ class TestSweep:
         assert len(rows) == 2 * 4
         baseline = {r[2] for r in rows if r[1] == "CosADD"}
         assert len(baseline) == 1  # flat across d
+
+    def test_unwritable_out_fails_before_sweeping(self, synth_files, tmp_path,
+                                                  monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "dimension_sweep", lambda *a, **k: calls.append(a))
+        emb, data = synth_files
+        rc = main([
+            "sweep", "--embeddings", emb, "--dataset", data, "--dims", "3:5:2",
+            "--out", str(tmp_path / "missing" / "sweep.csv"),
+        ])
+        assert rc == 2 and calls == []
+        assert "error" in capsys.readouterr().err
 
 
 class TestDimsParsing:

@@ -139,6 +139,21 @@ class TestRoundTripAndNormalize:
         save_text_embeddings(load_text_embeddings(p1), p2)
         assert open(p1).read() == open(p2).read()
 
+    def test_save_bytes_match_per_value_format(self, tmp_path):
+        extremes = [0.1, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308, -1e-300]
+        vecs = np.array([extremes, extremes[::-1],
+                         np.random.default_rng(8).standard_normal(6) * 1e-5])
+        table = EmbeddingTable(["a", "b", "c"], vecs)
+        path = tmp_path / "emb.txt"
+        save_text_embeddings(table, str(path))
+        expected = "3 6\n" + "".join(
+            word + " " + " ".join(format(v, ".17g") for v in row) + "\n"
+            for word, row in zip(table.words, vecs)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        back = load_text_embeddings(str(path))
+        assert back.vectors.tobytes() == vecs.tobytes()  # bit-exact, -0.0 included
+
     @pytest.mark.parametrize("bad", ["new york", "", "tab\tword", "trailing "])
     def test_save_rejects_unloadable_word_before_writing(self, tmp_path, bad):
         table = EmbeddingTable(["ok", bad], np.array([[1.0, 2.0], [3.0, 4.0]]))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfkanalogy.ppmi import (
+    CooccurrenceCounts,
     build_cooccurrence,
     ppmi_transform,
     read_corpus,
@@ -16,6 +19,106 @@ def cell(counts, word, key):
     i = counts.word_vocab[word]
     j = counts.context_vocab[key]
     return counts.counts[i, j]
+
+
+def _reference_cooccurrence(docs, win, positional=False, min_count=0):
+    """Per-pair loop over the corpus, the oracle for ``build_cooccurrence``."""
+    if win < 1:
+        raise ValueError("window size must be >= 1")
+    if isinstance(docs, list) and docs and isinstance(docs[0], str):
+        docs = [docs]
+
+    freq = Counter()
+    for doc in docs:
+        freq.update(doc)
+    kept = {w for w, n in freq.items() if n >= min_count}
+
+    word_vocab = {}
+    context_vocab = {}
+    pair_counts = Counter()
+    for doc in docs:
+        n = len(doc)
+        for p, center in enumerate(doc):
+            if center not in kept:
+                continue
+            for q in range(max(0, p - win), min(n, p + win + 1)):
+                if q == p:
+                    continue
+                other = doc[q]
+                if other not in kept:
+                    continue
+                key = (other, q - p) if positional else other
+                i = word_vocab.setdefault(center, len(word_vocab))
+                j = context_vocab.setdefault(key, len(context_vocab))
+                pair_counts[i, j] += 1
+
+    total = sum(pair_counts.values())
+    if total == 0:
+        raise ValueError("no co-occurrence pairs after filtering; corpus too small")
+    rows, cols, vals = zip(*((i, j, v) for (i, j), v in pair_counts.items()))
+    counts = scipy.sparse.csr_matrix(
+        (vals, (rows, cols)),
+        shape=(len(word_vocab), len(context_vocab)),
+        dtype=np.int64,
+    )
+    return CooccurrenceCounts(word_vocab, context_vocab, counts, total)
+
+
+def assert_matches_reference(docs, win, positional, min_count):
+    """Same vocabularies (items in order), CSR arrays and total, or the same error."""
+    try:
+        ref = _reference_cooccurrence(docs, win, positional, min_count)
+    except ValueError as err:
+        with pytest.raises(ValueError) as raised:
+            build_cooccurrence(docs, win, positional, min_count)
+        assert str(raised.value) == str(err)
+        return
+    got = build_cooccurrence(docs, win, positional, min_count)
+    assert list(got.word_vocab.items()) == list(ref.word_vocab.items())
+    assert list(got.context_vocab.items()) == list(ref.context_vocab.items())
+    assert got.counts.shape == ref.counts.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.counts, name), getattr(ref.counts, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert type(got.total) is int and got.total == ref.total
+
+
+class TestCooccurrenceMatchesReference:
+    doc_lists = st.lists(st.lists(st.sampled_from("abcdef"), max_size=12), max_size=6)
+
+    @given(doc_lists, st.integers(1, 14), st.booleans(), st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_documents(self, docs, win, positional, min_count):
+        assert_matches_reference(docs, win, positional, min_count)
+
+    @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=30),
+           st.integers(1, 32), st.booleans(), st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_bare_token_list(self, tokens, win, positional, min_count):
+        assert_matches_reference(tokens, win, positional, min_count)
+
+    @pytest.mark.parametrize("positional", [False, True])
+    @pytest.mark.parametrize("min_count", [0, 3])
+    def test_zipf_corpus(self, positional, min_count):
+        rng = np.random.default_rng(4)
+        words = [f"w{i}" for i in rng.zipf(1.3, size=3000) % 400]
+        docs = [words[i:i + n] for i, n in zip(range(0, 3000, 150), rng.integers(0, 150, 20))]
+        assert_matches_reference(docs, 5, positional, min_count)
+
+    @pytest.mark.parametrize("docs", [[], [[]], [["a"]], [[], ["a"], []], [["a", "b"]]])
+    def test_too_small_raises_like_reference(self, docs):
+        assert_matches_reference(docs, 2, False, 2)
+        with pytest.raises(ValueError, match="no co-occurrence pairs"):
+            build_cooccurrence(docs, 2, min_count=2)
+
+    def test_contexts_in_scan_order_not_corpus_order(self):
+        # center a scans b (+1) and c (+2) before center b scans a (-1)
+        counts = build_cooccurrence([["a", "b", "c"]], win=2)
+        assert list(counts.context_vocab) == ["b", "c", "a"]
+        assert list(counts.word_vocab) == ["a", "b", "c"]
+        assert_matches_reference([["a", "b", "c"]], 2, False, 0)
+        assert_matches_reference([["a", "b", "c"]], 2, True, 0)
 
 
 class TestCooccurrence:
