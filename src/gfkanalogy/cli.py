@@ -114,6 +114,8 @@ def _config_from_args(args) -> EvalConfig:
 
 
 def cmd_build_ppmi(args) -> int:
+    # a bad --out fails before the corpus is read; appending truncates nothing
+    open(args.out, "a").close()
     docs = read_corpus(args.corpus)
     counts = build_cooccurrence(
         docs, win=args.window, positional=args.positional, min_count=args.min_count
@@ -149,21 +151,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_angles(args) -> int:
-    table = load_text_embeddings(args.embeddings, normalize=args.normalize)
+    # every argument is checked and --out opened before the embeddings load
     dataset = _load_dataset(args)
     if args.relation not in dataset.relations:
         names = ", ".join(dataset.relation_names())
         raise ValueError(f"unknown relation {args.relation!r}; choose from: {names}")
-    resolved, _ = _resolve_relation(dataset.relations[args.relation], table)
-    # the distinct a, b and x words (question slots 0, 1, 2) of the questions evaluate scores
-    pools = {name: _slot_pool(resolved, (slot,)) for slot, name in enumerate("ABX")}
-
     pair_names = [p.strip().upper() for p in args.pairs.split(",") if p.strip()]
     for p in pair_names:
         if p not in ("AX", "AB"):
             raise ValueError(f"unsupported pair {p!r}; choose from AX, AB")
 
     with _output(args.out) as out:
+        table = load_text_embeddings(args.embeddings, normalize=args.normalize)
+        resolved, _ = _resolve_relation(dataset.relations[args.relation], table)
+        # the distinct a, b and x words (question slots 0, 1, 2) of the questions evaluate scores
+        pools = {name: _slot_pool(resolved, (slot,)) for slot, name in enumerate("ABX")}
         dims_spec = ",".join(str(d) for d in args.dims)
         out.write(
             f"# relation={args.relation} pairs={','.join(pair_names)} "

@@ -44,7 +44,7 @@ class EmbeddingTable:
         self.index = index
         self.vectors = vectors
         self.vectors.setflags(write=False)
-        self._lower_index: dict[str, int] | None = None
+        self._case_index: dict[str, list[int]] | None = None
         self._lower_words: np.ndarray | None = None
 
     @property
@@ -71,12 +71,20 @@ class EmbeddingTable:
         i = self.index.get(word)
         if i is not None:
             return i
-        if self._lower_index is None:
-            lower: dict[str, int] = {}
-            for j, w in enumerate(self.words):
-                lower.setdefault(w.lower(), j)
-            self._lower_index = lower
-        return self._lower_index.get(word.lower())
+        matches = self.case_matches(word)
+        return int(matches[0]) if matches.size else None
+
+    def case_matches(self, word: str) -> np.ndarray:
+        """Ascending row indices of every word equal to ``word`` ignoring case.
+
+        The lowercase index behind it is built on first use.
+        """
+        if self._case_index is None:
+            index: dict[str, list[int]] = {}
+            for i, w in enumerate(self.words):
+                index.setdefault(w.lower(), []).append(i)
+            self._case_index = index
+        return np.array(self._case_index.get(word.lower(), ()), dtype=np.intp)
 
     def lowercase_words(self) -> np.ndarray:
         """Lowercased vocabulary as an object array (cached)."""

@@ -116,24 +116,23 @@ class Ranking:
 
 
 class _Scorer:
-    """Cosine scoring, plain or in a kernel's coordinates.
+    """Cosine scoring over one set of word rows, one row per vocabulary word.
 
-    Holds the rows to score from (the vocabulary, or its coordinates in a
-    relation's pool basis) and the unit-normalized projected candidates.
-    Candidates whose norm is below NULL_SPACE_NORM have no direction; their
-    cosine against any query is pinned to -1 so they sink to the bottom of
-    every ranking. Questions are scored from one cosine row per distinct word,
-    shared by every question and rule of a chunk.
+    The rows are the vocabulary itself for the plain measures, or one kernel's
+    projection of it (``kernel.project(coords)``) for the kernel measures, so
+    each kernel projects the vocabulary once. Query words and candidates are
+    both read from these rows. Candidates whose norm is below NULL_SPACE_NORM
+    have no direction; their cosine against any query is pinned to -1 so they
+    sink to the bottom of every ranking. Questions are scored from one cosine
+    row per distinct word, shared by every question and rule of a chunk.
     """
 
-    def __init__(self, vectors: np.ndarray, kernel: GfkKernel | None = None):
-        self.vectors = vectors
-        self.project = (lambda rows: rows) if kernel is None else kernel.project
-        candidates = np.asarray(self.project(vectors), dtype=np.float64)
-        norms = np.linalg.norm(candidates, axis=1)
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        norms = np.linalg.norm(rows, axis=1)
         self.null_mask = norms < NULL_SPACE_NORM
         safe = np.where(self.null_mask, 1.0, norms)
-        self.unit = candidates / safe[:, None]
+        self.unit = rows / safe[:, None]
         self.unit[self.null_mask] = 0.0
         self.n_null_candidates = int(self.null_mask.sum())
 
@@ -143,16 +142,17 @@ class _Scorer:
         """mode -> (scores k x |V|, null-query mask) for a k x 3 block of (a, b, x) indices.
 
         Each of the block's u distinct words gets one cosine row against the
-        unit candidates. The additive numerator (x - a + b).v is a signed sum
-        of those rows scaled by the word norms, taken as one k x u coefficient
-        product, and is divided by |x - a + b|. The multiplicative rule then
-        clips and shifts the word cosines in place, once per word, and forms
-        s_b * s_x / (s_a + eps). Null queries and null candidates score -1 in
-        every cosine; a NaN score becomes -inf.
+        unit candidates, from its slice of the scorer's rows. The additive
+        numerator (x - a + b).v is a signed sum of those rows scaled by the
+        word norms, taken as one k x u coefficient product, and is divided by
+        |x - a + b|. The multiplicative rule then clips and shifts the word
+        cosines in place, once per word, and forms s_b * s_x / (s_a + eps).
+        Null queries and null candidates score -1 in every cosine; a NaN score
+        becomes -inf.
         """
         words, pos = np.unique(idx, return_inverse=True)
         a, b, x = pos.reshape(idx.shape).T
-        rows = np.asarray(self.project(self.vectors[words]), dtype=np.float64)
+        rows = self.rows[words]
         norms = np.linalg.norm(rows, axis=1)
         null_w = norms < NULL_SPACE_NORM
         safe = np.where(null_w, 1.0, norms)
@@ -218,17 +218,6 @@ def _resolve_relation(questions, table: EmbeddingTable) -> tuple[list, int]:
     return resolved, len(questions) - len(resolved)
 
 
-def _gold_indices(table: EmbeddingTable, y: str, cache: dict | None = None) -> np.ndarray:
-    """All vocabulary indices matching the gold answer case-insensitively."""
-    key = y.lower()
-    if cache is not None and key in cache:
-        return cache[key]
-    hits = np.flatnonzero(table.lowercase_words() == key)
-    if cache is not None:
-        cache[key] = hits
-    return hits
-
-
 def _exclusions(resolved, gold: np.ndarray, exclude_inputs: bool) -> tuple[int, ...]:
     """Distinct a, b, x indices to drop from the candidates, never a gold index."""
     if not exclude_inputs:
@@ -270,29 +259,30 @@ def _chunks(items, budget: int, per_question: int):
         yield chunk
 
 
-def _scored_questions(scorer, table, items, modes, epsilon, shift, exclude_inputs, gold_cache=None):
+def _scored_questions(scorer, table, items, modes, epsilon, shift, exclude_inputs):
     """Score resolved questions a chunk at a time under each mode.
 
     Yields (gold indices, excluded indices, mode -> (score row, null flag))
-    per question, in order. An additive target with no direction has no
-    ranking: its score row is None.
+    per question, in order. The gold indices are every case variant of y in
+    the vocabulary. An additive target with no direction has no ranking: its
+    score row is None.
     """
     budget = _CHUNK_ELEMS // max(len(table), 1)
     for chunk in _chunks(items, budget, len(modes)):
         idx = np.array([r[:3] for _, r in chunk], dtype=int)
         per_mode = scorer.scores(idx, modes, epsilon, shift)
         for k, (q, resolved) in enumerate(chunk):
-            gold = _gold_indices(table, q.y, gold_cache)
+            gold = table.case_matches(q.y)
             yield gold, _exclusions(resolved, gold, exclude_inputs), {
                 m: (None if m == "add" and null_q[k] else scores[k], bool(null_q[k]))
                 for m, (scores, null_q) in per_mode.items()
             }
 
 
-def _answer(q, table, kernel, mode, epsilon, shift, exclude_inputs) -> Ranking:
-    """One question as a batch of one, then a stable full sort."""
+def _answer(q, table, rows, mode, epsilon, shift, exclude_inputs) -> Ranking:
+    """One question scored over rows as a batch of one, then a stable full sort."""
     item = (q, _resolve_question(q, table, strict=True))
-    scorer = _Scorer(table.vectors, kernel)
+    scorer = _Scorer(rows)
     [(_, excluded, scored)] = _scored_questions(
         scorer, table, [item], (mode,), epsilon, shift, exclude_inputs
     )
@@ -309,7 +299,7 @@ def _answer(q, table, kernel, mode, epsilon, shift, exclude_inputs) -> Ranking:
 
 def cos_add_answer(q: AnalogyQuestion, table: EmbeddingTable, exclude_inputs: bool = True) -> Ranking:
     """Rank the vocabulary by cosine against the combined vector x - a + b."""
-    return _answer(q, table, None, "add", 0.0, False, exclude_inputs)
+    return _answer(q, table, table.vectors, "add", 0.0, False, exclude_inputs)
 
 
 def cos_mul_answer(
@@ -320,7 +310,7 @@ def cos_mul_answer(
     shift_cosines: bool = True,
 ) -> Ranking:
     """Rank the vocabulary by the multiplicative rule cos(y,b) cos(y,x) / (cos(y,a) + eps)."""
-    return _answer(q, table, None, "mul", epsilon, shift_cosines, exclude_inputs)
+    return _answer(q, table, table.vectors, "mul", epsilon, shift_cosines, exclude_inputs)
 
 
 def gfk_answer(
@@ -335,7 +325,9 @@ def gfk_answer(
     """Additive or multiplicative ranking with cosines taken in kernel space."""
     if mode not in ("add", "mul"):
         raise ValueError(f"mode must be 'add' or 'mul', got {mode!r}")
-    return _answer(q, table, kernel, mode, epsilon, shift_cosines, exclude_inputs)
+    return _answer(
+        q, table, kernel.project(table.vectors), mode, epsilon, shift_cosines, exclude_inputs
+    )
 
 
 def _slot_pool(resolved_questions, slots) -> list[int]:
@@ -484,7 +476,7 @@ class EvalReport:
         return sum(r.rank_sum for r in self.per_relation.values()) / n
 
 
-def _score_batch(scorer, table, items, measures, config, gold_cache):
+def _score_batch(scorer, table, items, measures, config):
     """Score a batch of resolved questions under each measure.
 
     Returns measure -> list of (correct, rank, null_flag) aligned with items.
@@ -492,8 +484,7 @@ def _score_batch(scorer, table, items, measures, config, gold_cache):
     modes = tuple(dict.fromkeys(_MODES[m] for m in measures))
     out = {m: [] for m in measures}
     for gold, excluded, scored in _scored_questions(
-        scorer, table, items, modes,
-        config.epsilon, config.shift_cosines, config.exclude_inputs, gold_cache,
+        scorer, table, items, modes, config.epsilon, config.shift_cosines, config.exclude_inputs
     ):
         for m in measures:
             scores, null_q = scored[_MODES[m]]
@@ -507,18 +498,15 @@ def _score_batch(scorer, table, items, measures, config, gold_cache):
 
 
 def evaluate(
-    dataset: RelationDataset,
-    table: EmbeddingTable,
-    config: EvalConfig,
-    measures: tuple[str, ...] | None = None,
+    dataset: RelationDataset, table: EmbeddingTable, config: EvalConfig
 ) -> dict[str, EvalReport]:
     """Run the analogy benchmark and report per-relation and micro metrics.
 
-    Returns one report per requested measure. Per relation, out-of-vocabulary
-    questions are dropped and counted; relations whose word pools cannot
-    support the configured subspace dimension are skipped for the kernel
-    measures and reported as such; an error raised after a relation's pool
-    subspaces are built propagates. Under holdout policies, kernels are cached
+    Returns one report per measure that config.measure names. Per relation,
+    out-of-vocabulary questions are dropped and counted; relations whose word
+    pools cannot support the configured subspace dimension are skipped for the
+    kernel measures and reported as such; an error raised after a relation's
+    pool subspaces are built propagates. Under holdout policies, kernels are cached
     by their excluded-word set, so questions sharing an exclusion reuse one
     kernel.
 
@@ -531,9 +519,11 @@ def evaluate(
     vocabulary projection are then w wide instead of D. That one-time
     |V| x D x w product is paid only when it costs less than the D-wide
     kernel projections it narrows, so a relation with a single kernel (all of
-    them under holdout='none') stays in embedding coordinates.
+    them under holdout='none') stays in embedding coordinates. Each kernel
+    projects the vocabulary once, and its scorer reads every question's word
+    rows from that projection.
     """
-    measures = measures if measures is not None else config.measures()
+    measures = config.measures()
     gfk_measures = tuple(m for m in measures if m in GFK_MEASURES)
     plain_measures = tuple(m for m in measures if m not in GFK_MEASURES)
     if gfk_measures and 2 * config.subspace_dim > table.dim:
@@ -542,7 +532,6 @@ def evaluate(
             f"2 * subspace_dim <= embedding dim (2*d = {2 * config.subspace_dim} > {table.dim})"
         )
     plain_scorer = _Scorer(table.vectors) if plain_measures else None
-    gold_cache: dict[str, np.ndarray] = {}
     reports = {m: EvalReport(measure=m) for m in measures}
 
     for relation, questions in dataset.relations.items():
@@ -555,9 +544,7 @@ def evaluate(
             continue
 
         if plain_measures:
-            results = _score_batch(
-                plain_scorer, table, resolved_questions, plain_measures, config, gold_cache
-            )
+            results = _score_batch(plain_scorer, table, resolved_questions, plain_measures, config)
             for m in plain_measures:
                 reports[m].per_relation[relation] = _tally(results[m])
 
@@ -568,7 +555,7 @@ def evaluate(
                 for m in gfk_measures:
                     reports[m].skipped[relation] = str(err)
                 continue
-            grouped = _score_relation_gfk(coords, groups, table, gfk_measures, config, gold_cache)
+            grouped = _score_relation_gfk(coords, groups, table, gfk_measures, config)
             for m in gfk_measures:
                 reports[m].per_relation[relation] = _tally(grouped[m])
     return reports
@@ -609,13 +596,13 @@ def _relation_pool_groups(table, resolved_questions, config):
     return coords, built
 
 
-def _score_relation_gfk(coords, groups, table, measures, config, gold_cache):
+def _score_relation_gfk(coords, groups, table, measures, config):
     """Kernel-measure scoring for one relation's holdout groups, in pool coordinates."""
 
     def run_group(group):
         head, tail, items = group
-        scorer = _Scorer(coords, gfk(principal_angles(head, tail)))
-        return _score_batch(scorer, table, items, measures, config, gold_cache)
+        scorer = _Scorer(gfk(principal_angles(head, tail)).project(coords))
+        return _score_batch(scorer, table, items, measures, config)
 
     if config.threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -651,7 +638,7 @@ def dimension_sweep(
 
     baselines: dict[str, float | None] = {}
     if plain:
-        plain_reports = evaluate(dataset, table, config, measures=plain)
+        plain_reports = evaluate(dataset, table, replace(config, measure=",".join(plain)))
         for m in plain:
             rep = plain_reports[m]
             baselines[m] = rep.micro_accuracy if rep.n_questions else None
@@ -662,7 +649,8 @@ def dimension_sweep(
         if gfks and 2 * d > table.dim:
             per_d.update(dict.fromkeys(gfks))
         elif gfks:
-            gfk_reports = evaluate(dataset, table, replace(config, subspace_dim=d), measures=gfks)
+            gfk_config = replace(config, subspace_dim=d, measure=",".join(gfks))
+            gfk_reports = evaluate(dataset, table, gfk_config)
             for m in gfks:
                 rep = gfk_reports[m]
                 per_d[m] = rep.micro_accuracy if rep.n_questions else None

@@ -51,6 +51,20 @@ class TestBuildPpmi:
         assert rc == 0
         assert load_text_embeddings(out).dim == 4
 
+    def test_unwritable_out_fails_before_counting(self, toy_corpus, tmp_path,
+                                                  monkeypatch, capsys):
+        calls = []
+        for name in ("read_corpus", "build_cooccurrence"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+        rc = main([
+            "build-ppmi", "--corpus", toy_corpus,
+            "--out", str(tmp_path / "missing" / "emb.txt"), "--dim", "4",
+        ])
+        assert rc == 2 and calls == []
+        assert "No such file" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
     def test_missing_corpus_exits_2(self, tmp_path, capsys):
         rc = main([
             "build-ppmi", "--corpus", str(tmp_path / "nope.txt"),
@@ -181,6 +195,26 @@ class TestAngles:
         assert rc == 2
         err = capsys.readouterr().err
         assert "rotation-0" in err and "rotation-1" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--pairs", "AX,XY"], "unsupported pair 'XY'"),
+        (["--relation", "nope"], "unknown relation"),
+        (["--out", "{missing}"], "No such file"),
+    ], ids=["bad-pair", "unknown-relation", "unwritable-out"])
+    def test_bad_arguments_fail_before_loading(self, synth_files, tmp_path, monkeypatch,
+                                               capsys, flags, message):
+        calls = []
+        real = cli.load_text_embeddings
+        monkeypatch.setattr(cli, "load_text_embeddings",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        emb, data = synth_files
+        defaults = {"--relation": "rotation-0", "--pairs": "AX", "--dims": "1:2"}
+        defaults.update(zip(flags[::2], flags[1::2]))
+        argv = ["angles", "--embeddings", emb, "--dataset", data]
+        for flag, value in defaults.items():
+            argv += [flag, value.format(missing=tmp_path / "missing" / "angles.csv")]
+        assert main(argv) == 2 and calls == []
+        assert message in capsys.readouterr().err
 
 
 def write_relation(tmp_path, name, lines, dim=6, n_words=5, seed=5):

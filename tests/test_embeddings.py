@@ -107,6 +107,16 @@ class TestLookupAndStack:
         assert table.resolve("ATHENS") == 0  # first case-insensitive hit
         assert table.resolve("zzz") is None
 
+    def test_case_matches_lists_every_variant_in_order(self):
+        table = EmbeddingTable(["athens", "b", "ATHENS", "Athens"], np.eye(4))
+        for word in ("athens", "Athens", "aThEnS"):
+            assert table.case_matches(word).tolist() == [0, 2, 3]
+        assert table.case_matches("B").tolist() == [1]
+        assert table.case_matches("zzz").size == 0
+        assert table.resolve("Athens") == 3  # exact match first
+        assert table.resolve("ATHENS") == 2
+        assert table.resolve("aTHENS") == 0  # then the first variant
+
     def test_vectors_are_read_only(self, table):
         with pytest.raises(ValueError):
             table.vectors[0, 0] = 5.0

@@ -532,6 +532,37 @@ class TestEvaluate:
         report = evaluate(ds, table, EvalConfig(measure="CosADD"))["CosADD"]
         assert report.per_relation["r"].n_questions == 1
 
+    def test_later_case_variant_of_gold_counts(self):
+        # y resolves exactly to "queen", but its later variant "Queen" is the
+        # target itself; a rule matching only "queen" would give rank 3
+        vecs = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0],
+                         [0, 0, -1.0], [-1.0, 1.0, 0], [-1.0, 1.0, 1.0]])
+        table = EmbeddingTable(["a", "b", "x", "queen", "z", "Queen"], vecs)
+        ds = RelationDataset()
+        ds.add(question("a", "b", "x", "queen"))
+        res = evaluate(ds, table, EvalConfig(measure="CosADD"))["CosADD"].per_relation["r"]
+        assert (res.n_correct, res.rank_sum) == (1, 1.0)
+        assert cos_add_answer(ds.relations["r"][0], table).words(table)[:3] == ["Queen", "z", "queen"]
+
+    @pytest.mark.parametrize("holdout", HOLDOUTS)
+    def test_each_kernel_projects_the_vocabulary_once(self, monkeypatch, holdout):
+        table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
+        table = table.normalized()
+        calls = {"gfk": 0, "project": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(evaluation, "gfk", counted("gfk", gfk))
+        monkeypatch.setattr(GfkKernel, "project", counted("project", GfkKernel.project))
+        monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", 1)  # one question per chunk
+        reports = evaluate(ds, table, EvalConfig(measure="all", subspace_dim=4, holdout=holdout))
+        assert not any(rep.skipped for rep in reports.values())
+        assert calls["gfk"] >= 2 and calls["project"] == calls["gfk"]
+
     def test_relation_too_small_skipped_for_gfk_only(self):
         table = random_table(19, 12, 8)
         ds = RelationDataset()
