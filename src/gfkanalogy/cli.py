@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 import numpy as np
@@ -57,12 +58,24 @@ def _parse_dims(spec: str) -> list[int]:
     return dims
 
 
+def _refuse_input_as_output(out, *inputs):
+    """Raise ValueError when ``out`` is the same file as one of ``inputs``."""
+    for path in inputs:
+        with contextlib.suppress(OSError):  # a missing file is no input to protect
+            if os.path.samefile(out, path):
+                raise ValueError(f"--out {out} is the input file {path}; refusing to overwrite it")
+
+
 @contextlib.contextmanager
-def _output(path):
-    """The file at path, opened for writing, or stdout when no path is given."""
+def _output(path, *inputs):
+    """The file at path, opened for writing, or stdout when no path is given.
+
+    A path that is one of ``inputs`` is refused before anything is opened.
+    """
     if not path:
         yield sys.stdout
         return
+    _refuse_input_as_output(path, *inputs)
     with open(path, "w", encoding="utf-8") as f:
         yield f
 
@@ -115,6 +128,7 @@ def _config_from_args(args) -> EvalConfig:
 
 def cmd_build_ppmi(args) -> int:
     # a bad --out fails before the corpus is read; appending truncates nothing
+    _refuse_input_as_output(args.out, args.corpus)
     open(args.out, "a").close()
     docs = read_corpus(args.corpus)
     counts = build_cooccurrence(
@@ -130,7 +144,8 @@ def cmd_build_ppmi(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _config_from_args(args)
-    with _output(args.out) as f:  # opened first, so a bad --out fails before the run
+    # opened first, so a bad --out fails before the run
+    with _output(args.out, args.embeddings, args.dataset) as f:
         table = load_text_embeddings(args.embeddings, normalize=args.normalize)
         dataset = _load_dataset(args)
         reports = evaluate(dataset, table, config)
@@ -161,7 +176,7 @@ def cmd_angles(args) -> int:
         if p not in ("AX", "AB"):
             raise ValueError(f"unsupported pair {p!r}; choose from AX, AB")
 
-    with _output(args.out) as out:
+    with _output(args.out, args.embeddings, args.dataset) as out:
         table = load_text_embeddings(args.embeddings, normalize=args.normalize)
         resolved, _ = _resolve_relation(dataset.relations[args.relation], table)
         # the distinct a, b and x words (question slots 0, 1, 2) of the questions evaluate scores
@@ -191,7 +206,7 @@ def cmd_angles(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _config_from_args(args)
-    with _output(args.out) as f:
+    with _output(args.out, args.embeddings, args.dataset) as f:
         table = load_text_embeddings(args.embeddings, normalize=args.normalize)
         dataset = _load_dataset(args)
         rows = dimension_sweep(dataset, table, config, args.dims)

@@ -6,6 +6,8 @@ read-only), so they can be shared freely across evaluation workers.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import warnings
 
 import numpy as np
@@ -130,21 +132,79 @@ def load_text_embeddings(path: str, normalize: bool = False) -> EmbeddingTable:
     header is warned about. Structural problems (bad header, wrong number of
     values on a line, a nan or infinite value) raise ValueError with the
     offending line number.
+
+    A regular file (good header, D parseable values on every non-blank line,
+    all finite, no duplicate word, no zero row, as many words as declared)
+    is parsed in one streaming pass by numpy's C reader. Any other file is
+    re-read line by line, which gives the same table and the same
+    line-numbered errors and warnings as reading every file that way.
     """
+    table = _load_regular(path)
+    if table is None:
+        table = _load_lines(path)
+    return table.normalized() if normalize else table
+
+
+def _read_header(f, path: str) -> tuple[int, int]:
+    """The declared word count and dimension on line 1 of the open file."""
+    header = f.readline()
+    parts = header.split()
+    if len(parts) == 2:
+        with contextlib.suppress(ValueError):
+            declared, dim = int(parts[0]), int(parts[1])
+            if declared >= 0 and dim >= 1:
+                return declared, dim
+    raise ValueError(f"{path}: line 1: malformed header {header.strip()!r}")
+
+
+def _load_regular(path: str) -> EmbeddingTable | None:
+    """The table of a regular file, or None when the file needs ``_load_lines``.
+
+    A malformed header raises at once, with the line loop's message.
+    """
+    words: list[str] = []
+
+    def value_texts(lines):
+        # iterate the file, not str.splitlines(): that also splits on \x0c, \x1c, \x85 ...
+        for line in lines:
+            fields = line.split(None, 1)
+            if fields:
+                words.append(fields[0])
+            if len(fields) == 2:
+                yield fields[1]
+
+    with open(path, encoding="utf-8") as f:
+        declared, dim = _read_header(f, path)
+        texts = value_texts(f)
+        try:
+            first = next(texts, None)
+            if first is None:  # header only; loadtxt would warn of no data
+                return None
+            vectors = np.loadtxt(
+                itertools.chain([first], texts), dtype=np.float64, comments=None, ndmin=2
+            )
+        except ValueError:
+            return None
+    # a word with no values leaves more words than rows, and loadtxt accepts
+    # any row width the rows agree on: the shape check catches both
+    if (
+        vectors.shape != (len(words), dim)
+        or declared != len(words)
+        or not np.isfinite(vectors).all()
+        or not vectors.any(axis=1).all()
+        or len(set(words)) != len(words)
+    ):
+        return None
+    return EmbeddingTable(words, vectors)
+
+
+def _load_lines(path: str) -> EmbeddingTable:
+    """Read any file one line at a time, applying the dirty-input policy per line."""
     words: list[str] = []
     rows: list[np.ndarray] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as f:
-        header = f.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: line 1: malformed header {header.strip()!r}")
-        try:
-            declared, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"{path}: line 1: malformed header {header.strip()!r}") from None
-        if declared < 0 or dim < 1:
-            raise ValueError(f"{path}: line 1: malformed header {header.strip()!r}")
+        declared, dim = _read_header(f, path)
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
@@ -174,8 +234,7 @@ def load_text_embeddings(path: str, normalize: bool = False) -> EmbeddingTable:
         raise ValueError(f"{path}: no usable embedding rows")
     if len(words) != declared:
         warnings.warn(f"{path}: header declares {declared} words, loaded {len(words)}")
-    table = EmbeddingTable(words, np.vstack(rows))
-    return table.normalized() if normalize else table
+    return EmbeddingTable(words, np.vstack(rows))
 
 
 def save_text_embeddings(table: EmbeddingTable, path: str) -> None:

@@ -65,6 +65,13 @@ class TestBuildPpmi:
         assert "No such file" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
 
+    def test_out_that_is_the_corpus_is_refused(self, toy_corpus, capsys):
+        before = open(toy_corpus, "rb").read()
+        rc = main(["build-ppmi", "--corpus", toy_corpus, "--out", toy_corpus, "--dim", "4"])
+        assert rc == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert open(toy_corpus, "rb").read() == before
+
     def test_missing_corpus_exits_2(self, tmp_path, capsys):
         rc = main([
             "build-ppmi", "--corpus", str(tmp_path / "nope.txt"),
@@ -163,6 +170,19 @@ class TestEval:
         assert rc == 2 and calls == []
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["embeddings", "dataset"])
+    def test_out_that_is_an_input_is_refused(self, synth_files, tmp_path, target, capsys):
+        emb, data = synth_files
+        path = emb if target == "embeddings" else data
+        before = open(path, "rb").read()
+        (tmp_path / "sub").mkdir()
+        out = path.replace(str(tmp_path), str(tmp_path / "sub" / ".."))  # another spelling
+        rc = main(["eval", "--embeddings", emb, "--dataset", data, "--subspace-dim", "4",
+                   "--out", out])
+        assert rc == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert open(path, "rb").read() == before
+
 
 class TestAngles:
     def test_angle_csv_in_range(self, synth_files, tmp_path):
@@ -215,6 +235,15 @@ class TestAngles:
             argv += [flag, value.format(missing=tmp_path / "missing" / "angles.csv")]
         assert main(argv) == 2 and calls == []
         assert message in capsys.readouterr().err
+
+    def test_out_that_is_the_dataset_is_refused(self, synth_files, capsys):
+        emb, data = synth_files
+        before = open(data, "rb").read()
+        rc = main(["angles", "--embeddings", emb, "--dataset", data,
+                   "--relation", "rotation-0", "--dims", "1:4", "--out", data])
+        assert rc == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert open(data, "rb").read() == before
 
 
 def write_relation(tmp_path, name, lines, dim=6, n_words=5, seed=5):
@@ -301,6 +330,15 @@ class TestSweep:
         ])
         assert rc == 2 and calls == []
         assert "error" in capsys.readouterr().err
+
+    def test_out_that_is_the_embeddings_is_refused(self, synth_files, capsys):
+        emb, data = synth_files
+        before = open(emb, "rb").read()
+        rc = main(["sweep", "--embeddings", emb, "--dataset", data, "--dims", "3:5:2",
+                   "--out", emb])
+        assert rc == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert open(emb, "rb").read() == before
 
 
 class TestDimsParsing:

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from gfkanalogy.embeddings import (
     EmbeddingTable,
+    _load_lines,
+    _load_regular,
     load_text_embeddings,
     save_text_embeddings,
 )
@@ -77,6 +80,123 @@ class TestLoad:
     def test_header_count_mismatch_warns(self, tmp_path):
         with pytest.warns(UserWarning, match="declares 5"):
             load_text_embeddings(write(tmp_path, "5 2\na 1 2\n"))
+
+
+def outcome(load, path):
+    """The words and vector bytes, or the ValueError, plus every warning in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = load(path)
+        except ValueError as err:
+            result = ("error", type(err), str(err))
+        else:
+            result = ("table", table.words, table.vectors.shape, table.vectors.tobytes())
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_matches_line_loop(path):
+    assert outcome(load_text_embeddings, path) == outcome(_load_lines, path)
+
+
+# whitespace inside a line that str.split() splits on but str.splitlines() would break at
+SEPARATORS = [" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028"]
+VALUES = ["1", "-2.5", "0", "-0.0", "1e-3", "0.1", "1_0", "\uff11", "nan", "inf",
+          "-Infinity", "x", "1\x00", "+.5", "0x1p3"]
+
+
+@st.composite
+def embedding_files(draw, regular):
+    """File text: a header, then rows of words and values, blank lines and endings mixed.
+
+    ``regular`` files have a correct header and distinct words with finite,
+    non-zero rows of exactly ``dim`` values.
+    """
+    dim = draw(st.integers(1, 4))
+    finite = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+    if regular:
+        n = draw(st.integers(1, 6))
+        lines = []
+        for i in range(n):
+            row = draw(st.lists(finite, min_size=dim, max_size=dim)
+                       .filter(lambda r: any(float(v) for v in r)))
+            lines.append(f"w{i} " + " ".join(row))
+        lines += draw(st.lists(st.sampled_from(["", " \t "]), max_size=2))
+        lines = draw(st.permutations(lines))
+        header = f"{n} {dim}"
+    else:
+        value = st.one_of(finite, st.sampled_from(VALUES))
+        row = st.tuples(
+            st.sampled_from(["a", "b", "Cat", "\u00e9", "1"]),
+            st.lists(value, min_size=max(dim - 1, 0), max_size=dim + 1),
+            st.lists(st.sampled_from(SEPARATORS), min_size=dim + 1, max_size=dim + 1),
+        ).map(lambda t: t[0] + "".join(s + v for s, v in zip(t[2], t[1])))
+        line = st.one_of(row, st.sampled_from(["", " ", "\t \t", "a", "b ", "a 0 0 0 0"]))
+        lines = draw(st.lists(line, max_size=6))
+        header = draw(st.sampled_from([f"{len(lines)} {dim}", f"{len(lines) - 1} {dim}",
+                                       f"2 {dim}", f"{dim}", "x 2", f"-1 {dim}", "2 0", ""]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    last = draw(st.sampled_from(["", ending]))
+    return ending.join([header] + lines) + last
+
+
+class TestLoadMatchesLineLoop:
+    """The public loader against the line loop it falls back to, on any file."""
+
+    @given(embedding_files(regular=False))
+    @settings(max_examples=400, deadline=None)
+    def test_irregular_files(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("emb") / "emb.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert_matches_line_loop(str(path))
+
+    @given(embedding_files(regular=True))
+    @settings(max_examples=200, deadline=None)
+    def test_regular_files_take_the_array_path(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("emb") / "emb.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _load_regular(str(path)) is not None
+        assert_matches_line_loop(str(path))
+
+    def test_saved_table_is_bit_identical(self, tmp_path):
+        vecs = np.random.default_rng(5).standard_normal((50, 7)) * np.logspace(-300, 300, 7)
+        table = EmbeddingTable([f"w{i}" for i in range(50)], vecs)
+        path = str(tmp_path / "emb.txt")
+        save_text_embeddings(table, path)
+        assert _load_regular(path).vectors.tobytes() == vecs.tobytes()
+        assert_matches_line_loop(path)
+
+    def test_extra_value_on_a_later_row_reports_line(self, tmp_path):
+        # numpy accepts any row width the rows agree on; the header decides
+        path = write(tmp_path, "2 3\na 1 0 0\nb 0 1 0 7\n")
+        with pytest.raises(ValueError, match="line 3: expected 3 values"):
+            load_text_embeddings(path)
+        path = write(tmp_path, "2 3\na 1 0 0 7\nb 0 1 0 7\n")
+        with pytest.raises(ValueError, match="line 2: expected 3 values"):
+            load_text_embeddings(path)
+
+    def test_word_without_values_reports_line(self, tmp_path):
+        path = write(tmp_path, "1 2\na 1 2\nb\n")
+        with pytest.raises(ValueError, match="line 3: expected 2 values for word 'b', got 0"):
+            load_text_embeddings(path)
+
+    def test_form_feed_inside_a_line_is_not_a_line_break(self, tmp_path):
+        path = write(tmp_path, "2 1\na 1\x0cb 2\n")
+        message = "line 2: expected 1 values for word 'a', got 3"
+        with pytest.raises(ValueError, match=message):
+            _load_lines(path)
+        with pytest.raises(ValueError, match=message):
+            load_text_embeddings(path)
+
+    def test_header_only_raises_without_other_warnings(self, tmp_path):
+        path = write(tmp_path, "3 2\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no usable embedding rows"):
+                load_text_embeddings(path)
+        assert caught == []
 
 
 class TestLookupAndStack:
