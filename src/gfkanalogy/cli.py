@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -294,14 +295,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a library warning as one 'warning: <message>' line, without source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = warnings.showwarning
+    warnings.showwarning = _show_warning
     try:
         return args.func(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        warnings.showwarning = previous
 
 
 def entrypoint() -> None:

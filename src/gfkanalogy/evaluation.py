@@ -17,6 +17,7 @@ builds every subspace, kernel and projection in those narrow coordinates.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -41,8 +42,8 @@ _CANONICAL = {m.lower(): m for m in MEASURES}
 # The cosine rule behind each measure; kernel measures apply it in kernel coordinates.
 _MODES = {"CosADD": "add", "CosMUL": "mul", "GFKCosADD": "add", "GFKCosMUL": "mul"}
 # Cap on |V|-wide elements alive per scoring chunk (40 MB), to bound memory on
-# big vocabularies: one k x |V| score array per rule for a chunk of k
-# questions, plus the cosine rows of the chunk's u distinct words.
+# big vocabularies: the cosine rows of a chunk's u distinct words, one additive
+# score row per question, and one multiplicative row with its denominator.
 _CHUNK_ELEMS = 5_000_000
 
 
@@ -115,6 +116,33 @@ class Ranking:
         return [table.words[i] for i in self.indices]
 
 
+class _Workspace(threading.local):
+    """Reused buffers for one evaluate call, one set per thread.
+
+    get(name, shape) returns the leading shape[0] rows of the named buffer,
+    which is reallocated only when it has fewer rows or another row shape, so
+    the |V|-wide arrays of scoring are allocated a few times per call instead
+    of once per kernel, chunk or question. A view is valid until the next get
+    of its name. Each worker thread of evaluate sees its own buffers
+    (threading.local).
+    """
+
+    def __init__(self):
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        buf = self._bufs[name] if name in self._bufs else None
+        if buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != shape[1:]:
+            buf = self._bufs[name] = np.empty(shape, dtype=dtype)
+        return buf[: shape[0]]
+
+
+def _row_norms(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norm of each row, in one pass with no rows-sized temporary."""
+    norms = np.einsum("ij,ij->i", rows, rows, out=out)
+    return np.sqrt(norms, out=norms)
+
+
 class _Scorer:
     """Cosine scoring over one set of word rows, one row per vocabulary word.
 
@@ -125,70 +153,89 @@ class _Scorer:
     have no direction; their cosine against any query is pinned to -1 so they
     sink to the bottom of every ranking. Questions are scored from one cosine
     row per distinct word, shared by every question and rule of a chunk.
+
+    unit receives the unit candidate rows and must stay untouched while the
+    scorer is in use; the plain scorer, which outlives every kernel scorer of
+    an evaluate call, gets a buffer of its own. Per-chunk arrays come from the
+    workspace ws, fetched once per chunk.
     """
 
-    def __init__(self, rows: np.ndarray):
+    def __init__(self, rows: np.ndarray, unit: np.ndarray, ws: _Workspace):
         self.rows = rows
-        norms = np.linalg.norm(rows, axis=1)
-        self.null_mask = norms < NULL_SPACE_NORM
-        safe = np.where(self.null_mask, 1.0, norms)
-        self.unit = rows / safe[:, None]
-        self.unit[self.null_mask] = 0.0
-        self.n_null_candidates = int(self.null_mask.sum())
+        self.unit = unit
+        self.ws = ws
+        n = len(rows)
+        norms = _row_norms(rows, out=ws.get("norms", (n,)))
+        null = np.less(norms, NULL_SPACE_NORM, out=ws.get("mask", (n,), bool))
+        self.null_idx = null.nonzero()[0]
+        norms[self.null_idx] = 1.0
+        np.divide(rows, norms[:, None], out=unit)
+        unit[self.null_idx] = 0.0
+        self.n_null_candidates = len(self.null_idx)
 
-    def scores(
-        self, idx: np.ndarray, modes, epsilon: float, shift: bool
-    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """mode -> (scores k x |V|, null-query mask) for a k x 3 block of (a, b, x) indices.
+    def scores(self, idx: np.ndarray, modes, epsilon: float, shift: bool):
+        """Yield mode -> (score row, null flag) per question of a k x 3 block of (a, b, x) indices.
 
         Each of the block's u distinct words gets one cosine row against the
         unit candidates, from its slice of the scorer's rows. The additive
         numerator (x - a + b).v is a signed sum of those rows scaled by the
         word norms, taken as one k x u coefficient product, and is divided by
-        |x - a + b|. The multiplicative rule then clips and shifts the word
-        cosines in place, once per word, and forms s_b * s_x / (s_a + eps).
-        Null queries and null candidates score -1 in every cosine; a NaN score
-        becomes -inf.
+        |x - a + b|; an additive row is None when that target has no
+        direction. The multiplicative rule then clips and shifts the word
+        cosines in place, once per word, and builds each question's row
+        s_b * s_x / (s_a + eps) just before yielding it, in one row buffer
+        that the next question overwrites. Null queries and null candidates
+        score -1 in every cosine; a NaN score, possible only without a
+        positive shifted denominator, becomes -inf.
         """
+        ws, n, k = self.ws, len(self.unit), len(idx)
         words, pos = np.unique(idx, return_inverse=True)
-        a, b, x = pos.reshape(idx.shape).T
+        pos = pos.reshape(idx.shape)
+        a, b, x = pos.T
         rows = self.rows[words]
-        norms = np.linalg.norm(rows, axis=1)
+        norms = _row_norms(rows)
         null_w = norms < NULL_SPACE_NORM
         safe = np.where(null_w, 1.0, norms)
-        cos = (rows / safe[:, None]) @ self.unit.T
-        out = {}
+        cos = np.matmul(rows / safe[:, None], self.unit.T, out=ws.get("cos", (len(words), n)))
+        add = mul = None
         if "add" in modes:
-            tnorms = np.linalg.norm(rows[x] - rows[a] + rows[b], axis=1)
+            tnorms = _row_norms(rows[x] - rows[a] + rows[b])
             null_t = tnorms < NULL_SPACE_NORM
             scale = np.where(null_t, 1.0, tnorms)
-            coef = np.zeros((len(idx), len(words)))
-            k = np.arange(len(idx))
+            coef = np.zeros((k, len(words)))
+            rk = np.arange(k)
             for col, sign in ((x, 1.0), (a, -1.0), (b, 1.0)):
-                np.add.at(coef, (k, col), sign * safe[col] / scale)
-            add = coef @ cos
+                np.add.at(coef, (rk, col), sign * safe[col] / scale)
+            add = np.matmul(coef, cos, out=ws.get("add", (k, n)))
             np.clip(add, -1.0, 1.0, out=add)
-            add[:, self.null_mask] = -1.0
-            add[null_t, :] = -1.0
-            out["add"] = (add, null_t)
+            add[:, self.null_idx] = -1.0
+            add[null_t] = -1.0
+            null_t = null_t.tolist()
         if "mul" in modes:
             np.clip(cos, -1.0, 1.0, out=cos)
-            cos[:, self.null_mask] = -1.0
-            cos[null_w, :] = -1.0
+            cos[:, self.null_idx] = -1.0
+            cos[null_w] = -1.0
             if shift:
                 cos += 1.0
-                cos /= 2.0
-            # row by row from views of the word rows: no k x |V| gathers
-            mul = np.empty((len(idx), cos.shape[1]))
-            den = np.empty(cos.shape[1])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for row, ia, ib, ix in zip(mul, a, b, x):
-                    np.multiply(cos[ib], cos[ix], out=row)
-                    np.add(cos[ia], epsilon, out=den)
-                    row /= den
-            mul[np.isnan(mul)] = -np.inf
-            out["mul"] = (mul, null_w[a] | null_w[b] | null_w[x])
-        return out
+                cos *= 0.5  # exact, as dividing by 2 is
+            mul, den = ws.get("mul", (2, n))
+            nan = None if shift and epsilon > 0 else ws.get("mask", (n,), bool)
+            null_m = (null_w[a] | null_w[b] | null_w[x]).tolist()
+        for q, (ia, ib, ix) in enumerate(pos.tolist()):
+            scored = {}
+            if add is not None:
+                scored["add"] = (None if null_t[q] else add[q], null_t[q])
+            if mul is not None:
+                np.multiply(cos[ib], cos[ix], out=mul)
+                np.add(cos[ia], epsilon, out=den)
+                if nan is None:
+                    mul /= den
+                else:
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        mul /= den
+                    mul[np.isnan(mul, out=nan)] = -np.inf
+                scored["mul"] = (mul, null_m[q])
+            yield scored
 
 
 def _resolve_question(q: AnalogyQuestion, table: EmbeddingTable, strict: bool):
@@ -229,12 +276,12 @@ def _rank_of_gold(scores: np.ndarray, excluded: tuple[int, ...], gold: np.ndarra
     """1-based rank of the best gold candidate under stable descending order.
 
     Counts the candidates ahead of it (a higher score, or an equal score at a
-    lower index), less the excluded indices among them. There are at most
-    three, so they are checked one by one.
+    lower index) in one pass, less the excluded indices among them. There are
+    at most three, so they are checked one by one.
     """
     best = int(gold[np.argmax(scores[gold])])
     s = scores[best]
-    ahead = np.count_nonzero(scores > s) + np.count_nonzero(scores[:best] == s)
+    ahead = np.count_nonzero(scores[:best] >= s) + np.count_nonzero(scores[best:] > s)
     ahead -= sum(1 for i in excluded if scores[i] > s or (i < best and scores[i] == s))
     return 1 + int(ahead)
 
@@ -242,9 +289,10 @@ def _rank_of_gold(scores: np.ndarray, excluded: tuple[int, ...], gold: np.ndarra
 def _chunks(items, budget: int, per_question: int):
     """Split resolved questions into consecutive runs that fit a row budget.
 
-    A run of k questions over u distinct input words holds u word rows plus
+    A run of k questions over u distinct input words holds u cosine rows plus
     per_question score rows per question, all |V| wide; it stays within budget
-    rows unless it holds a single question.
+    rows unless it holds a single question. The caller takes the rows that do
+    not grow with k (CosMUL's one row and its denominator) out of budget.
     """
     chunk: list = []
     words: set[int] = set()
@@ -265,24 +313,25 @@ def _scored_questions(scorer, table, items, modes, epsilon, shift, exclude_input
     Yields (gold indices, excluded indices, mode -> (score row, null flag))
     per question, in order. The gold indices are every case variant of y in
     the vocabulary. An additive target with no direction has no ranking: its
-    score row is None.
+    score row is None. Score rows are workspace views, valid only until the
+    next question is drawn. A chunk budgets u cosine rows, one additive row
+    per question, and two rows for the multiplicative rule.
     """
-    budget = _CHUNK_ELEMS // max(len(table), 1)
-    for chunk in _chunks(items, budget, len(modes)):
+    budget = _CHUNK_ELEMS // max(len(table), 1) - 2 * ("mul" in modes)
+    for chunk in _chunks(items, budget, int("add" in modes)):
         idx = np.array([r[:3] for _, r in chunk], dtype=int)
-        per_mode = scorer.scores(idx, modes, epsilon, shift)
-        for k, (q, resolved) in enumerate(chunk):
+        for (q, resolved), scored in zip(chunk, scorer.scores(idx, modes, epsilon, shift)):
             gold = table.case_matches(q.y)
-            yield gold, _exclusions(resolved, gold, exclude_inputs), {
-                m: (None if m == "add" and null_q[k] else scores[k], bool(null_q[k]))
-                for m, (scores, null_q) in per_mode.items()
-            }
+            yield gold, _exclusions(resolved, gold, exclude_inputs), scored
 
 
 def _answer(q, table, rows, mode, epsilon, shift, exclude_inputs) -> Ranking:
-    """One question scored over rows as a batch of one, then a stable full sort."""
+    """One question scored over rows as a batch of one, then a stable full sort.
+
+    The returned arrays are the ranking's own: scores[sel] copies the row.
+    """
     item = (q, _resolve_question(q, table, strict=True))
-    scorer = _Scorer(rows)
+    scorer = _Scorer(rows, np.empty_like(rows), _Workspace())
     [(_, excluded, scored)] = _scored_questions(
         scorer, table, [item], (mode,), epsilon, shift, exclude_inputs
     )
@@ -522,6 +571,14 @@ def evaluate(
     them under holdout='none') stays in embedding coordinates. Each kernel
     projects the vocabulary once, and its scorer reads every question's word
     rows from that projection.
+
+    The |V|-wide arrays of scoring live in one workspace for the whole call:
+    each kernel's projected and unit rows, each chunk's cosine rows and
+    additive block, and the one multiplicative row that each question fills
+    just before it is ranked. The buffers are reused, not reallocated, from
+    kernel to kernel and chunk to chunk. The plain scorer's unit rows are a
+    separate array, since they outlive every kernel; with threads > 1 each
+    worker thread has its own workspace.
     """
     measures = config.measures()
     gfk_measures = tuple(m for m in measures if m in GFK_MEASURES)
@@ -531,7 +588,10 @@ def evaluate(
             f"subspace_dim {config.subspace_dim} too large: kernel measures need "
             f"2 * subspace_dim <= embedding dim (2*d = {2 * config.subspace_dim} > {table.dim})"
         )
-    plain_scorer = _Scorer(table.vectors) if plain_measures else None
+    ws = _Workspace()
+    plain_scorer = (
+        _Scorer(table.vectors, np.empty_like(table.vectors), ws) if plain_measures else None
+    )
     reports = {m: EvalReport(measure=m) for m in measures}
 
     for relation, questions in dataset.relations.items():
@@ -555,7 +615,7 @@ def evaluate(
                 for m in gfk_measures:
                     reports[m].skipped[relation] = str(err)
                 continue
-            grouped = _score_relation_gfk(coords, groups, table, gfk_measures, config)
+            grouped = _score_relation_gfk(coords, groups, table, gfk_measures, config, ws)
             for m in gfk_measures:
                 reports[m].per_relation[relation] = _tally(grouped[m])
     return reports
@@ -596,12 +656,20 @@ def _relation_pool_groups(table, resolved_questions, config):
     return coords, built
 
 
-def _score_relation_gfk(coords, groups, table, measures, config):
-    """Kernel-measure scoring for one relation's holdout groups, in pool coordinates."""
+def _score_relation_gfk(coords, groups, table, measures, config, ws):
+    """Kernel-measure scoring for one relation's holdout groups, in pool coordinates.
+
+    Each group's kernel projects coords into the workspace's row buffer and
+    its scorer normalizes them into the unit buffer; a worker thread gets its
+    own buffers from ws.
+    """
 
     def run_group(group):
         head, tail, items = group
-        scorer = _Scorer(gfk(principal_angles(head, tail)).project(coords))
+        kernel = gfk(principal_angles(head, tail))
+        shape = (len(coords), kernel.f.shape[1])
+        rows = kernel.project(coords, out=ws.get("rows", shape))
+        scorer = _Scorer(rows, ws.get("unit", shape), ws)
         return _score_batch(scorer, table, items, measures, config)
 
     if config.threads > 1 and len(groups) > 1:

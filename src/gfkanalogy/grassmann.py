@@ -238,7 +238,8 @@ class GfkKernel:
     f is D x 2d with orthonormal columns (source directions next to
     complement directions); lam is the symmetric PSD 2d x 2d coefficient
     matrix and lam_sqrt its symmetric square root. The evaluation path never
-    materializes the D x D kernel.
+    materializes the D x D kernel; it maps rows through the D x 2d product
+    f lam_sqrt, formed once per kernel.
     """
 
     f: np.ndarray
@@ -256,23 +257,26 @@ class GfkKernel:
             raise ValueError("kernel factor columns not orthonormal")
         if np.linalg.norm(lam - lam.T) > ORTHONORMAL_TOL:
             raise ValueError("lam not symmetric")
-        for arr in (f, lam, lam_sqrt):
+        proj = f @ lam_sqrt
+        for arr in (f, lam, lam_sqrt, proj):
             arr.setflags(write=False)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "lam_sqrt", lam_sqrt)
+        object.__setattr__(self, "_proj", proj)
 
     @property
     def ambient_dim(self) -> int:
         return self.f.shape[0]
 
-    def project(self, vectors: np.ndarray) -> np.ndarray:
+    def project(self, vectors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Map vectors (rows, shape ... x D) into kernel coordinates (... x 2d).
 
         Cosines between projected vectors equal the kernel similarity, since
-        x^T G y = (proj x)^T (proj y) and |sqrt(G) x| = |proj x|.
+        x^T G y = (proj x)^T (proj y) and |sqrt(G) x| = |proj x|. One product
+        with f lam_sqrt; out, when given, receives it.
         """
-        return np.asarray(vectors, dtype=np.float64) @ self.f @ self.lam_sqrt
+        return np.matmul(np.asarray(vectors, dtype=np.float64), self._proj, out=out)
 
     def materialize(self) -> np.ndarray:
         """Dense D x D kernel, for diagnostics and tests only."""

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,21 @@ class TestEval:
         ])
         assert rc == 2 and calls == []
         assert "error" in capsys.readouterr().err
+
+    def test_library_warning_is_one_plain_line(self, synth_files, tmp_path, capsys):
+        emb, data = synth_files
+        lines = open(emb, encoding="utf-8").read().splitlines(keepends=True)
+        dup = tmp_path / "dup.txt"
+        dup.write_text("".join(lines + [lines[2]]), encoding="utf-8")
+        previous = warnings.showwarning
+        rc = main(["eval", "--embeddings", str(dup), "--dataset", data, "--subspace-dim", "4"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        word = lines[2].split()[0]
+        expected = f"warning: {dup}: line {len(lines) + 1}: duplicate word {word!r}, keeping first"
+        assert [l for l in err.splitlines() if "warn" in l.lower()] == [expected]
+        assert "embeddings.py" not in err
+        assert warnings.showwarning is previous
 
     @pytest.mark.parametrize("target", ["embeddings", "dataset"])
     def test_out_that_is_an_input_is_refused(self, synth_files, tmp_path, target, capsys):

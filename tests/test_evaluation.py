@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gfkanalogy.embeddings import EmbeddingTable
 from gfkanalogy.evaluation import (
     GFK_MEASURES,
     HOLDOUTS,
+    MEASURES,
     EvalConfig,
     EvalReport,
     RelationResult,
@@ -172,6 +174,31 @@ class TestCosMul:
         }
         expected = sorted(prods, key=lambda i: (-prods[i], i))
         np.testing.assert_array_equal(big.indices, expected)
+
+    @pytest.mark.parametrize("epsilon,shift,vectors", [
+        # raw cosines: cos(v, a) = -1/2 cancels epsilon, cos(v, b) = 0
+        (0.5, False, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                      [0, 0, 0, 1, 0], [-1, 0, 1, 1, 1]]),
+        # shifted cosines, no epsilon: v opposes a and x, which share a direction
+        (0.0, True, [[1, 0, 0, 0], [0, 1, 0, 0], [2, 0, 0, 0],
+                     [0, 0, 1, 0], [-1, 0, 0, 0]]),
+    ])
+    def test_zero_over_zero_scores_minus_inf_and_ranks_last(self, epsilon, shift, vectors):
+        table = EmbeddingTable(["a", "b", "x", "y", "v"], np.array(vectors, dtype=float))
+        r = cos_mul_answer(question("a", "b", "x", "y"), table, epsilon=epsilon,
+                           shift_cosines=shift)
+        assert r.words(table)[-1] == "v"
+        assert r.scores[-1] == -np.inf
+        assert not np.isnan(r.scores).any()
+
+    def test_rankings_own_their_arrays(self):
+        table = random_table(6, 30, 6)
+        first = cos_mul_answer(question("w0", "w1", "w2", "w3"), table)
+        indices, scores = first.indices.copy(), first.scores.copy()
+        cos_mul_answer(question("w4", "w5", "w6", "w7"), table)
+        gfk_answer(question("w8", "w9", "w10", "w11"), table, GfkKernel.identity(6), mode="mul")
+        np.testing.assert_array_equal(first.indices, indices)
+        np.testing.assert_array_equal(first.scores, scores)
 
 
 class TestGfkAnswer:
@@ -663,6 +690,27 @@ class TestEvaluate:
                     }
             runs.append(run)
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("chunk_elems", [1, 10**12])
+    def test_all_measures_match_one_measure_at_a_time(self, monkeypatch, chunk_elems):
+        # D = 2d: plain and kernel unit rows have one shape, so a buffer the
+        # kernel scorers shared with the plain scorer would change its tallies
+        table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=8, seed=3))
+        table = table.normalized()
+        monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", chunk_elems)
+
+        def tallies(rep):
+            assert not rep.skipped
+            return {rel: (r.n_questions, r.n_correct, r.rank_sum, r.n_null_flags)
+                    for rel, r in rep.per_relation.items()}
+
+        for holdout in HOLDOUTS:
+            for shift in (True, False):
+                cfg = EvalConfig(measure="all", subspace_dim=4, holdout=holdout, shift_cosines=shift)
+                together = evaluate(ds, table, cfg)
+                for m in MEASURES:
+                    alone = evaluate(ds, table, replace(cfg, measure=m))[m]
+                    assert tallies(alone) == tallies(together[m]), (holdout, shift, m)
 
     @pytest.mark.parametrize("holdout,measure,center,make", _API_CASES)
     def test_evaluate_matches_per_question_api_under_holdout(self, holdout, measure, center, make):
