@@ -17,7 +17,9 @@ builds every subspace, kernel and projection in those narrow coordinates.
 
 from __future__ import annotations
 
+import contextlib
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -25,12 +27,14 @@ import numpy as np
 
 from .datasets import AnalogyQuestion, RelationDataset
 from .embeddings import EmbeddingTable
+# subspace_from_rows is not called here, but perfbench/tracing.py wraps this module's name for it
 from .grassmann import (
     NULL_SPACE_NORM,
     GfkKernel,
     Subspace,
     gfk,
     principal_angles,
+    row_spectrum,
     subspace_from_rows,
 )
 
@@ -265,11 +269,19 @@ def _resolve_relation(questions, table: EmbeddingTable) -> tuple[list, int]:
     return resolved, len(questions) - len(resolved)
 
 
-def _exclusions(resolved, gold: np.ndarray, exclude_inputs: bool) -> tuple[int, ...]:
-    """Distinct a, b, x indices to drop from the candidates, never a gold index."""
-    if not exclude_inputs:
-        return ()
-    return tuple(set(resolved[:3]).difference(gold.tolist()))
+def _scoring_items(resolved_questions, table: EmbeddingTable, exclude_inputs: bool) -> list:
+    """(indices, gold indices, excluded indices) per resolved question.
+
+    The gold indices are every case variant of y in the vocabulary; the
+    excluded ones are the distinct a, b, x indices dropped from the
+    candidates, never a gold index.
+    """
+    items = []
+    for q, resolved in resolved_questions:
+        gold = table.case_matches(q.y)
+        excluded = tuple(set(resolved[:3]).difference(gold.tolist())) if exclude_inputs else ()
+        items.append((resolved, gold, excluded))
+    return items
 
 
 def _rank_of_gold(scores: np.ndarray, excluded: tuple[int, ...], gold: np.ndarray) -> int:
@@ -287,7 +299,7 @@ def _rank_of_gold(scores: np.ndarray, excluded: tuple[int, ...], gold: np.ndarra
 
 
 def _chunks(items, budget: int, per_question: int):
-    """Split resolved questions into consecutive runs that fit a row budget.
+    """Split scoring items into consecutive runs of questions that fit a row budget.
 
     A run of k questions over u distinct input words holds u cosine rows plus
     per_question score rows per question, all |V| wide; it stays within budget
@@ -297,32 +309,30 @@ def _chunks(items, budget: int, per_question: int):
     chunk: list = []
     words: set[int] = set()
     for item in items:
-        grown = words.union(item[1][:3])
+        grown = words.union(item[0][:3])
         if chunk and len(grown) + (len(chunk) + 1) * per_question > budget:
             yield chunk
-            chunk, grown = [], set(item[1][:3])
+            chunk, grown = [], set(item[0][:3])
         chunk.append(item)
         words = grown
     if chunk:
         yield chunk
 
 
-def _scored_questions(scorer, table, items, modes, epsilon, shift, exclude_inputs):
-    """Score resolved questions a chunk at a time under each mode.
+def _scored_questions(scorer, table, items, modes, epsilon, shift):
+    """Score _scoring_items a chunk at a time under each mode.
 
     Yields (gold indices, excluded indices, mode -> (score row, null flag))
-    per question, in order. The gold indices are every case variant of y in
-    the vocabulary. An additive target with no direction has no ranking: its
-    score row is None. Score rows are workspace views, valid only until the
-    next question is drawn. A chunk budgets u cosine rows, one additive row
-    per question, and two rows for the multiplicative rule.
+    per question, in order. An additive target with no direction has no
+    ranking: its score row is None. Score rows are workspace views, valid
+    only until the next question is drawn. A chunk budgets u cosine rows, one
+    additive row per question, and two rows for the multiplicative rule.
     """
     budget = _CHUNK_ELEMS // max(len(table), 1) - 2 * ("mul" in modes)
     for chunk in _chunks(items, budget, int("add" in modes)):
-        idx = np.array([r[:3] for _, r in chunk], dtype=int)
-        for (q, resolved), scored in zip(chunk, scorer.scores(idx, modes, epsilon, shift)):
-            gold = table.case_matches(q.y)
-            yield gold, _exclusions(resolved, gold, exclude_inputs), scored
+        idx = np.array([item[0][:3] for item in chunk], dtype=int)
+        for (_, gold, excluded), scored in zip(chunk, scorer.scores(idx, modes, epsilon, shift)):
+            yield gold, excluded, scored
 
 
 def _answer(q, table, rows, mode, epsilon, shift, exclude_inputs) -> Ranking:
@@ -330,11 +340,9 @@ def _answer(q, table, rows, mode, epsilon, shift, exclude_inputs) -> Ranking:
 
     The returned arrays are the ranking's own: scores[sel] copies the row.
     """
-    item = (q, _resolve_question(q, table, strict=True))
+    items = _scoring_items([(q, _resolve_question(q, table, strict=True))], table, exclude_inputs)
     scorer = _Scorer(rows, np.empty_like(rows), _Workspace())
-    [(_, excluded, scored)] = _scored_questions(
-        scorer, table, [item], (mode,), epsilon, shift, exclude_inputs
-    )
+    [(_, excluded, scored)] = _scored_questions(scorer, table, items, (mode,), epsilon, shift)
     scores, null_q = scored[mode]
     if scores is None:
         return Ranking(np.empty(0, dtype=int), np.empty(0), {"empty_ranking": 1, "null_queries": 1})
@@ -399,45 +407,58 @@ def _holdout_exclusions(holdout: str, resolved) -> tuple[frozenset[int], frozens
     return frozenset({ia, ib, ix, iy}), frozenset({ia, ib, ix, iy})
 
 
-def _pool_subspaces(
-    vectors, head_pool, tail_pool, head_excl, tail_excl, d, center, ambient_dim=None
-) -> tuple[Subspace, Subspace]:
-    """Head and tail subspaces of the pools minus exclusions, from rows of vectors.
+def _kept(pool: list[int], excluded: frozenset[int]) -> tuple[int, ...]:
+    return tuple(i for i in pool if i not in excluded)
 
-    ambient_dim is the embedding dimension when vectors are pool coordinates,
-    so the effective-rank check is the one made on the full rows.
+
+def _pool_subspaces(
+    coords, head_idx, tail_idx, d, center, ambient_dim=None, spectra=None, keep=None
+) -> tuple[Subspace, Subspace]:
+    """Head and tail subspaces of dimension d, from the rows of coords at the pools' indices.
+
+    ambient_dim is the embedding dimension when coords are pool coordinates,
+    so the effective-rank check is the one made on the full rows. spectra,
+    when given, keeps each pool's row_spectrum (with at most keep right
+    singular vectors) under its index tuple, so another holdout group or
+    subspace dimension with the same rows reuses that SVD.
     """
-    head_idx = [i for i in head_pool if i not in head_excl]
-    tail_idx = [i for i in tail_pool if i not in tail_excl]
     for label, idx in (("head", head_idx), ("tail", tail_idx)):
         if len(idx) < d:
             raise ValueError(
                 f"only {len(idx)} usable unique words in the {label} category; "
                 f"use a subspace dimension <= {len(idx)}"
             )
-    head = subspace_from_rows(vectors[head_idx], d, center=center, ambient_dim=ambient_dim)
-    tail = subspace_from_rows(vectors[tail_idx], d, center=center, ambient_dim=ambient_dim)
+    spectra = {} if spectra is None else spectra
+    subspaces = []
+    for idx in (head_idx, tail_idx):
+        if idx not in spectra:
+            spectra[idx] = row_spectrum(coords[list(idx)], center, ambient_dim=ambient_dim, keep=keep)
+        subspaces.append(spectra[idx].subspace(d))
+    head, tail = subspaces
     return head, tail
 
 
-def _pool_coords(vectors: np.ndarray, pool: list[int], d: int, n_kernels: int) -> np.ndarray:
-    """The rows of vectors in an orthonormal basis of the pool's span, when that saves work.
+def _pool_width(big_d: int, pool_size: int, d: int, n_kernels: int) -> int | None:
+    """Width w of a relation's pool coordinates, or None when they do not save work.
 
-    The basis has w = min(D, max(len(pool), 2d)) columns: the pool's right
-    singular vectors, completed by those of zero rows that pad the pool to 2d
-    rows, and none dropped by a rank tolerance. Mapping the vocabulary costs
-    one |V| x D x w product and narrows each of n_kernels |V| x D x 2d kernel
-    projections to w; when that does not pay, as for a single kernel, the
-    vectors are returned unchanged.
+    w = min(D, max(pool size, 2d)). Mapping the vocabulary into pool
+    coordinates costs one |V| x D x w product and narrows each of n_kernels
+    |V| x D x 2d kernel projections to w; when that does not pay, as for a
+    single kernel, the kernels stay in embedding coordinates.
     """
-    big_d = vectors.shape[1]
-    w = min(big_d, max(len(pool), 2 * d))
-    if w * (big_d + 2 * d * n_kernels) >= n_kernels * big_d * 2 * d:
-        return vectors
-    rows = np.zeros((w, big_d))
+    w = min(big_d, max(pool_size, 2 * d))
+    return None if w * (big_d + 2 * d * n_kernels) >= n_kernels * big_d * 2 * d else w
+
+
+def _pool_basis(vectors: np.ndarray, pool: list[int], w: int) -> np.ndarray:
+    """A w x D orthonormal basis (as rows) of a space holding the pool's span.
+
+    The pool's right singular vectors, completed by those of the zero rows
+    that pad the pool to w rows, and none dropped by a rank tolerance.
+    """
+    rows = np.zeros((w, vectors.shape[1]))
     rows[: len(pool)] = vectors[pool]
-    _, _, vt = np.linalg.svd(rows, full_matrices=False)
-    return vectors @ vt.T
+    return np.linalg.svd(rows, full_matrices=False)[2]
 
 
 def relation_subspaces(
@@ -468,7 +489,8 @@ def relation_subspaces(
     else:
         cur = _resolve_question(current, table, strict=True)
         head_excl, tail_excl = _holdout_exclusions(holdout, cur)
-    return _pool_subspaces(table.vectors, head_pool, tail_pool, head_excl, tail_excl, d, center)
+    head_idx, tail_idx = _kept(head_pool, head_excl), _kept(tail_pool, tail_excl)
+    return _pool_subspaces(table.vectors, head_idx, tail_idx, d, center)
 
 
 @dataclass
@@ -533,7 +555,7 @@ def _score_batch(scorer, table, items, measures, config):
     modes = tuple(dict.fromkeys(_MODES[m] for m in measures))
     out = {m: [] for m in measures}
     for gold, excluded, scored in _scored_questions(
-        scorer, table, items, modes, config.epsilon, config.shift_cosines, config.exclude_inputs
+        scorer, table, items, modes, config.epsilon, config.shift_cosines
     ):
         for m in measures:
             scores, null_q = scored[_MODES[m]]
@@ -546,8 +568,91 @@ def _score_batch(scorer, table, items, measures, config):
     return out
 
 
+class _Relation:
+    """One relation's evaluation state that does not depend on the subspace dimension.
+
+    Holds the in-vocabulary questions as scoring items (with gold and
+    excluded indices) and the number dropped, and the holdout groups: per
+    distinct exclusion set, the head and tail pool indices left and the
+    group's items. Per pool-coordinate width w (None for embedding
+    coordinates) it caches, on first use, the w x D pool basis and the row
+    spectrum of every distinct group pool. No array here is |V| wide: the
+    vocabulary is mapped into pool coordinates anew at each dimension.
+    """
+
+    def __init__(self, questions, table: EmbeddingTable, holdout: str, exclude_inputs: bool):
+        resolved, self.n_oov = _resolve_relation(questions, table)
+        self.items = _scoring_items(resolved, table, exclude_inputs)
+        head_pool, tail_pool = _category_pools(resolved)
+        self.pool = list(dict.fromkeys(head_pool + tail_pool))
+        groups: dict[tuple, list] = {}
+        for item in self.items:
+            groups.setdefault(_holdout_exclusions(holdout, item[0]), []).append(item)
+        self.groups = [
+            (_kept(head_pool, head_excl), _kept(tail_pool, tail_excl), items)
+            for (head_excl, tail_excl), items in groups.items()
+        ]
+        self.frames: dict[int | None, tuple[np.ndarray | None, dict]] = {}
+
+    def kernel_groups(self, table: EmbeddingTable, d: int, center: bool, keep: int):
+        """The vocabulary's kernel-space rows and every holdout group's subspaces in them.
+
+        Returns (coords, [(head, tail, items)]), one entry per holdout group;
+        coords are pool coordinates (|V| x w) when _pool_width finds them
+        cheaper, else the vectors themselves. Raises ValueError when a group's
+        pools cannot support d, with the checks and messages of
+        subspace_from_rows on the group's full rows.
+        """
+        w = _pool_width(table.dim, len(self.pool), d, len(self.groups))
+        if w not in self.frames:
+            basis = None if w is None else _pool_basis(table.vectors, self.pool, w)
+            self.frames[w] = (basis, {})
+        basis, spectra = self.frames[w]
+        coords = table.vectors if basis is None else table.vectors @ basis.T
+        built = []
+        for head_idx, tail_idx, items in self.groups:
+            head, tail = _pool_subspaces(
+                coords, head_idx, tail_idx, d, center, table.dim, spectra, keep
+            )
+            built.append((head, tail, items))
+        return coords, built
+
+
+class _SweepState:
+    """The _Relation of every relation, shared by the evaluate calls of one sweep.
+
+    It belongs to one dataset and table, one holdout, exclude_inputs and
+    center_subspaces setting, and kernels of subspace dimension up to
+    max_dim; evaluate refuses it for anything else.
+    """
+
+    def __init__(
+        self, dataset: RelationDataset, table: EmbeddingTable, config: EvalConfig, max_dim: int
+    ):
+        self._inputs = (weakref.ref(dataset), weakref.ref(table))
+        self._settings = (config.holdout, config.exclude_inputs, config.center_subspaces)
+        self.max_dim = max_dim
+        self.relations: dict[str, _Relation] = {}
+
+    def check(self, dataset, table, config: EvalConfig, kernels: bool) -> None:
+        same = self._inputs[0]() is dataset and self._inputs[1]() is table
+        settings = (config.holdout, config.exclude_inputs, config.center_subspaces)
+        if not same or settings != self._settings or (kernels and config.subspace_dim > self.max_dim):
+            raise ValueError("sweep_state was built for other inputs, settings or dimensions")
+
+    def relation(self, name: str, questions, table: EmbeddingTable) -> _Relation:
+        if name not in self.relations:
+            holdout, exclude_inputs, _ = self._settings
+            self.relations[name] = _Relation(questions, table, holdout, exclude_inputs)
+        return self.relations[name]
+
+
 def evaluate(
-    dataset: RelationDataset, table: EmbeddingTable, config: EvalConfig
+    dataset: RelationDataset,
+    table: EmbeddingTable,
+    config: EvalConfig,
+    *,
+    sweep_state: _SweepState | None = None,
 ) -> dict[str, EvalReport]:
     """Run the analogy benchmark and report per-relation and micro metrics.
 
@@ -568,17 +673,24 @@ def evaluate(
     vocabulary projection are then w wide instead of D. That one-time
     |V| x D x w product is paid only when it costs less than the D-wide
     kernel projections it narrows, so a relation with a single kernel (all of
-    them under holdout='none') stays in embedding coordinates. Each kernel
-    projects the vocabulary once, and its scorer reads every question's word
-    rows from that projection.
+    them under holdout='none') stays in embedding coordinates. Each pool is
+    factored by one SVD, which holdout groups with the same pool share. Each
+    kernel projects the vocabulary once, and its scorer reads every
+    question's word rows from that projection.
 
     The |V|-wide arrays of scoring live in one workspace for the whole call:
     each kernel's projected and unit rows, each chunk's cosine rows and
     additive block, and the one multiplicative row that each question fills
     just before it is ranked. The buffers are reused, not reallocated, from
     kernel to kernel and chunk to chunk. The plain scorer's unit rows are a
-    separate array, since they outlive every kernel; with threads > 1 each
-    worker thread has its own workspace.
+    separate array, since they outlive every kernel. With threads > 1 one
+    pool of worker threads serves every relation, and each worker thread
+    has its own workspace.
+
+    sweep_state is not a tuning option: dimension_sweep passes the state it
+    builds once for all its dimensions (see there), and the reports equal
+    those of a call without it. Without it, each relation's state is
+    dropped once the relation is scored.
     """
     measures = config.measures()
     gfk_measures = tuple(m for m in measures if m in GFK_MEASURES)
@@ -588,36 +700,47 @@ def evaluate(
             f"subspace_dim {config.subspace_dim} too large: kernel measures need "
             f"2 * subspace_dim <= embedding dim (2*d = {2 * config.subspace_dim} > {table.dim})"
         )
+    if sweep_state is not None:
+        sweep_state.check(dataset, table, config, bool(gfk_measures))
+    keep = config.subspace_dim if sweep_state is None else sweep_state.max_dim
     ws = _Workspace()
     plain_scorer = (
         _Scorer(table.vectors, np.empty_like(table.vectors), ws) if plain_measures else None
     )
     reports = {m: EvalReport(measure=m) for m in measures}
-
-    for relation, questions in dataset.relations.items():
-        resolved_questions, n_oov = _resolve_relation(questions, table)
-        for m in measures:
-            reports[m].oov_counts[relation] = n_oov
-        if not resolved_questions:
+    threaded = config.threads > 1 and bool(gfk_measures)
+    with ThreadPoolExecutor(config.threads) if threaded else contextlib.nullcontext() as executor:
+        for relation, questions in dataset.relations.items():
+            if sweep_state is None:
+                rel = _Relation(questions, table, config.holdout, config.exclude_inputs)
+            else:
+                rel = sweep_state.relation(relation, questions, table)
             for m in measures:
-                reports[m].skipped[relation] = "no in-vocabulary questions"
-            continue
-
-        if plain_measures:
-            results = _score_batch(plain_scorer, table, resolved_questions, plain_measures, config)
-            for m in plain_measures:
-                reports[m].per_relation[relation] = _tally(results[m])
-
-        if gfk_measures:
-            try:
-                coords, groups = _relation_pool_groups(table, resolved_questions, config)
-            except ValueError as err:
-                for m in gfk_measures:
-                    reports[m].skipped[relation] = str(err)
+                reports[m].oov_counts[relation] = rel.n_oov
+            if not rel.items:
+                for m in measures:
+                    reports[m].skipped[relation] = "no in-vocabulary questions"
                 continue
-            grouped = _score_relation_gfk(coords, groups, table, gfk_measures, config, ws)
-            for m in gfk_measures:
-                reports[m].per_relation[relation] = _tally(grouped[m])
+
+            if plain_measures:
+                results = _score_batch(plain_scorer, table, rel.items, plain_measures, config)
+                for m in plain_measures:
+                    reports[m].per_relation[relation] = _tally(results[m])
+
+            if gfk_measures:
+                try:
+                    coords, groups = rel.kernel_groups(
+                        table, config.subspace_dim, config.center_subspaces, keep
+                    )
+                except ValueError as err:
+                    for m in gfk_measures:
+                        reports[m].skipped[relation] = str(err)
+                    continue
+                grouped = _score_relation_gfk(
+                    coords, groups, table, gfk_measures, config, ws, executor
+                )
+                for m in gfk_measures:
+                    reports[m].per_relation[relation] = _tally(grouped[m])
     return reports
 
 
@@ -631,37 +754,12 @@ def _tally(results) -> RelationResult:
     return tally
 
 
-def _relation_pool_groups(table, resolved_questions, config):
-    """The vocabulary's kernel-space rows and every holdout group's subspaces in them.
-
-    Returns (coords, [(head, tail, items)]), one entry per distinct exclusion
-    set; coords are pool coordinates (|V| x w) when _pool_coords finds them
-    cheaper, else the vectors themselves. Raises ValueError when a group's
-    pools cannot support the subspace dimension.
-    """
-    head_pool, tail_pool = _category_pools(resolved_questions)
-    groups: dict[tuple, list] = {}
-    for item in resolved_questions:
-        key = _holdout_exclusions(config.holdout, item[1])
-        groups.setdefault(key, []).append(item)
-    pool = list(dict.fromkeys(head_pool + tail_pool))
-    coords = _pool_coords(table.vectors, pool, config.subspace_dim, len(groups))
-    built = []
-    for (head_excl, tail_excl), items in groups.items():
-        head, tail = _pool_subspaces(
-            coords, head_pool, tail_pool, head_excl, tail_excl,
-            config.subspace_dim, config.center_subspaces, ambient_dim=table.dim,
-        )
-        built.append((head, tail, items))
-    return coords, built
-
-
-def _score_relation_gfk(coords, groups, table, measures, config, ws):
+def _score_relation_gfk(coords, groups, table, measures, config, ws, executor):
     """Kernel-measure scoring for one relation's holdout groups, in pool coordinates.
 
     Each group's kernel projects coords into the workspace's row buffer and
-    its scorer normalizes them into the unit buffer; a worker thread gets its
-    own buffers from ws.
+    its scorer normalizes them into the unit buffer. With an executor the
+    groups run on its worker threads, each with its own buffers from ws.
     """
 
     def run_group(group):
@@ -672,9 +770,8 @@ def _score_relation_gfk(coords, groups, table, measures, config, ws):
         scorer = _Scorer(rows, ws.get("unit", shape), ws)
         return _score_batch(scorer, table, items, measures, config)
 
-    if config.threads > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            group_results = list(pool.map(run_group, groups))
+    if executor is not None and len(groups) > 1:
+        group_results = list(executor.map(run_group, groups))
     else:
         group_results = [run_group(g) for g in groups]
 
@@ -693,20 +790,31 @@ def dimension_sweep(
 ) -> list[tuple[int, str, float | None]]:
     """Micro accuracy per (subspace dimension, measure).
 
-    Kernel measures are re-evaluated at every dimension; the plain measures
-    are dimension-independent, so they are computed once and replicated as
-    flat baselines. A kernel cell is None when 2 * d exceeds the embedding
-    dimension or every relation was skipped at that dimension.
+    Kernel measures are re-evaluated at every dimension, by one evaluate call
+    per dimension; the plain measures are dimension-independent, so they are
+    computed once and replicated as flat baselines. A kernel cell is None when
+    2 * d exceeds the embedding dimension or every relation was skipped at
+    that dimension.
+
+    What does not depend on d is built once per sweep and handed to each
+    evaluate call: question resolution with gold and excluded indices, holdout
+    grouping, the pool basis (per basis width) and one SVD per holdout
+    group's pool, from whose leading max(dims) right singular vectors each d
+    takes its subspace after the same checks as subspace_from_rows. Nothing
+    |V|-wide is kept across dimensions: each d maps the vocabulary into pool
+    coordinates again.
     """
     measures = config.measures()
     plain = tuple(m for m in measures if m not in GFK_MEASURES)
     gfks = tuple(m for m in measures if m in GFK_MEASURES)
     if any(d >= table.dim for d in dims):
         raise ValueError("every swept dimension must be below the embedding dimension")
+    state = _SweepState(dataset, table, config, max(dims, default=1))
 
     baselines: dict[str, float | None] = {}
     if plain:
-        plain_reports = evaluate(dataset, table, replace(config, measure=",".join(plain)))
+        plain_config = replace(config, measure=",".join(plain))
+        plain_reports = evaluate(dataset, table, plain_config, sweep_state=state)
         for m in plain:
             rep = plain_reports[m]
             baselines[m] = rep.micro_accuracy if rep.n_questions else None
@@ -718,7 +826,7 @@ def dimension_sweep(
             per_d.update(dict.fromkeys(gfks))
         elif gfks:
             gfk_config = replace(config, subspace_dim=d, measure=",".join(gfks))
-            gfk_reports = evaluate(dataset, table, gfk_config)
+            gfk_reports = evaluate(dataset, table, gfk_config, sweep_state=state)
             for m in gfks:
                 rep = gfk_reports[m]
                 per_d[m] = rep.micro_accuracy if rep.n_questions else None

@@ -62,34 +62,72 @@ class Subspace:
         return self.basis @ self.basis.T
 
 
+@dataclass(frozen=True)
+class RowSpectrum:
+    """One SVD of an n x D row matrix, enough to take its dominant span at any d.
+
+    vt holds the right singular vectors as rows, by descending singular value
+    (all of them unless row_spectrum was told to keep fewer), and rank the
+    effective rank that subspace() checks d against.
+    """
+
+    vt: np.ndarray
+    n: int
+    rank: int
+
+    def subspace(self, d: int) -> Subspace:
+        """The span of the top-d right singular vectors, after the checks on d."""
+        big_d = self.vt.shape[1]
+        if d < 1:
+            raise ValueError("subspace dimension must be >= 1")
+        if d > min(self.n, big_d):
+            raise ValueError(f"d={d} exceeds min(n={self.n}, D={big_d})")
+        if d > self.rank:
+            raise ValueError(f"d={d} exceeds effective rank {self.rank} of the row matrix")
+        if d > len(self.vt):
+            raise ValueError(f"d={d} exceeds the {len(self.vt)} singular vectors kept")
+        return Subspace(self.vt[:d].T)
+
+
+def row_spectrum(
+    rows: np.ndarray,
+    center: bool = False,
+    *,
+    ambient_dim: int | None = None,
+    keep: int | None = None,
+) -> RowSpectrum:
+    """SVD of a stack of row vectors, with its effective rank.
+
+    With ``center=True`` the row mean is subtracted first, which fits an
+    affine cloud instead of a span. The effective rank counts singular values
+    above ``sigma_1 * max(n, D) * eps``; for rows given in an orthonormal
+    basis of part of a wider space, ``ambient_dim`` names that space's
+    dimension so the count matches the one on the full rows. ``keep`` limits
+    the right singular vectors held to the leading ``keep``.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    n, big_d = rows.shape
+    if center and n:
+        rows = rows - rows.mean(axis=0)
+    _, sigma, vt = np.linalg.svd(rows, full_matrices=False)
+    width = max(n, big_d if ambient_dim is None else ambient_dim)
+    tol = sigma[0] * width * np.finfo(np.float64).eps if sigma.size else 0.0
+    if keep is not None:
+        vt = vt[:keep].copy()
+    return RowSpectrum(vt=vt, n=n, rank=int(np.sum(sigma > tol)))
+
+
 def subspace_from_rows(
     rows: np.ndarray, d: int, center: bool = False, *, ambient_dim: int | None = None
 ) -> Subspace:
     """Dominant d-dimensional span of a stack of row vectors.
 
     Takes the top-d right singular vectors of the (by default uncentered)
-    n x D row matrix, ordered by descending singular value. With
-    ``center=True`` the row mean is subtracted first, which fits an affine
-    cloud instead of a span. ``d`` must not exceed the effective rank, counted
-    with the tolerance ``sigma_1 * max(n, D) * eps``; for rows given in an
-    orthonormal basis of part of a wider space, ``ambient_dim`` names that
-    space's dimension so the count matches the one on the full rows.
+    n x D row matrix, ordered by descending singular value (see row_spectrum
+    for ``center`` and ``ambient_dim``). ``d`` must not exceed min(n, D) or
+    the effective rank.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    n, big_d = rows.shape
-    if d < 1:
-        raise ValueError("subspace dimension must be >= 1")
-    if d > min(n, big_d):
-        raise ValueError(f"d={d} exceeds min(n={n}, D={big_d})")
-    if center:
-        rows = rows - rows.mean(axis=0)
-    _, sigma, vt = np.linalg.svd(rows, full_matrices=False)
-    width = max(n, big_d if ambient_dim is None else ambient_dim)
-    tol = sigma[0] * width * np.finfo(np.float64).eps if sigma.size else 0.0
-    rank = int(np.sum(sigma > tol))
-    if d > rank:
-        raise ValueError(f"d={d} exceeds effective rank {rank} of the row matrix")
-    return Subspace(vt[:d].T)
+    return row_spectrum(rows, center, ambient_dim=ambient_dim).subspace(d)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import io
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from gfkanalogy.evaluation import (
     relation_subspaces,
     write_report_csv,
 )
-from gfkanalogy.grassmann import GfkKernel, gfk, principal_angles, subspace_from_rows
+from gfkanalogy.grassmann import GfkKernel, gfk, principal_angles, row_spectrum, subspace_from_rows
 from gfkanalogy.synth import SynthSpec, generate
 
 
@@ -625,8 +626,9 @@ class TestEvaluate:
         rng = np.random.default_rng(24)
         vecs = rng.standard_normal((50, 40))
         pool = list(range(10))
-        assert evaluation._pool_coords(vecs, pool, 3, 1) is vecs
-        coords = evaluation._pool_coords(vecs, pool, 3, 8)
+        assert evaluation._pool_width(40, len(pool), 3, 1) is None
+        w = evaluation._pool_width(40, len(pool), 3, 8)
+        coords = vecs @ evaluation._pool_basis(vecs, pool, w).T
         assert coords.shape == (50, 10)
         # an orthonormal basis of the pool's span keeps the pool's inner products
         np.testing.assert_allclose(coords[pool] @ coords.T, vecs[pool] @ vecs.T, atol=1e-12)
@@ -657,6 +659,24 @@ class TestEvaluate:
                 )
                 assert (a.n_correct, a.rank_sum) == (b.n_correct, b.rank_sum)
                 assert (a.n_correct, a.rank_sum) == (c.n_correct, c.rank_sum)
+
+    def test_one_thread_pool_per_call(self, monkeypatch):
+        # each worker thread sets up its own workspace once: one pool per
+        # evaluate call, not one per relation
+        table, ds = generate(SynthSpec(n_relations=3, pairs_per_relation=8, dim=12, seed=3))
+        table = table.normalized()
+        init = evaluation._Workspace.__init__
+        setups = []
+
+        def counted(self):
+            setups.append(threading.get_ident())
+            init(self)
+
+        monkeypatch.setattr(evaluation._Workspace, "__init__", counted)
+        cfg = EvalConfig(measure="all", subspace_dim=4, holdout="answer", threads=2)
+        reports = evaluate(ds, table, cfg)
+        assert len(reports["GFKCosADD"].per_relation) == 3
+        assert len(setups) <= 1 + cfg.threads
 
     def test_kernel_errors_propagate_instead_of_skipping(self, monkeypatch):
         table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
@@ -779,6 +799,157 @@ class TestDimensionSweep:
         table, ds = synth
         with pytest.raises(ValueError, match="below the embedding dimension"):
             dimension_sweep(ds, table, EvalConfig(measure="CosADD"), dims=[16])
+
+
+def _sweep_fixture():
+    """One D = 300 table whose relations reach every per-dimension branch of a sweep.
+
+    rank: the head words span e1 plus a direction 1e-14 as strong, effective
+    rank 1 on 300-wide rows (rank 2 on 8-wide pool coordinates). chain: the
+    one-hot words c0 -> c1 -> ... -> c7, whose head and tail pools share six
+    words, so the 8-word pool is smaller than 2d from d = 5 on; under
+    holdout='question' a question's own words are orthogonal to its kernel,
+    giving null queries. rot: rotated pairs, 4 usable head words under
+    holdout='question', plus one out-of-vocabulary question.
+    """
+    rng = np.random.default_rng(31)
+    dim = 300
+    rank_heads = np.zeros((4, dim))
+    rank_heads[:, 0] = 1.0
+    rank_heads[:, 1] = 1e-14 * np.array([1.0, -1.0, 1.0, -1.0])
+    rot_heads = rng.standard_normal((6, dim))
+    rotation = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    vecs = np.vstack([
+        rank_heads, rng.standard_normal((4, dim)), np.eye(dim)[10:18],
+        rot_heads, rot_heads @ rotation.T, rng.standard_normal((20, dim)),
+    ])
+    words = ([f"h{i}" for i in range(4)] + [f"t{i}" for i in range(4)] + [f"c{i}" for i in range(8)]
+             + [f"a{i}" for i in range(6)] + [f"b{i}" for i in range(6)] + [f"z{i}" for i in range(20)])
+    ds = RelationDataset()
+    for i in range(4):
+        for j in range(4):
+            if j != i:
+                ds.add(question(f"h{i}", f"t{i}", f"h{j}", f"t{j}", "rank"))
+    for i in range(7):
+        for j in range(7):
+            if j != i:
+                ds.add(question(f"c{i}", f"c{i + 1}", f"c{j}", f"c{j + 1}", "chain"))
+    for i in range(6):
+        for j in range(6):
+            if j != i:
+                ds.add(question(f"a{i}", f"b{i}", f"a{j}", f"b{j}", "rot"))
+    ds.add(question("a0", "b0", "unknown", "b1", "rot"))
+    return EmbeddingTable(words, vecs), ds
+
+
+def _report_facts(reports):
+    return {
+        m: ({rel: (r.n_questions, r.n_correct, r.rank_sum, r.n_null_flags)
+             for rel, r in rep.per_relation.items()}, rep.skipped, rep.oov_counts)
+        for m, rep in reports.items()
+    }
+
+
+def _arrays_in(obj, seen=None):
+    """Every numpy array reachable from obj through containers and instance attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _arrays_in(key, seen)
+            yield from _arrays_in(value, seen)
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        for value in obj:
+            yield from _arrays_in(value, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays_in(vars(obj), seen)
+
+
+class TestSweepState:
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("holdout", HOLDOUTS)
+    def test_sweep_evaluates_equal_fresh_evaluates(self, monkeypatch, holdout, center):
+        table, ds = _sweep_fixture()
+        cfg = EvalConfig(measure="all", holdout=holdout, center_subspaces=center)
+        dims = [1, 2, 3, 5, 151]
+        original = evaluation.evaluate
+        calls = []
+
+        def capturing(dataset, table_, config, **kwargs):
+            reports = original(dataset, table_, config, **kwargs)
+            calls.append((config, kwargs["sweep_state"], reports))
+            return reports
+
+        monkeypatch.setattr(evaluation, "evaluate", capturing)
+        rows = dimension_sweep(ds, table, cfg, dims)
+        # one plain call, then one kernel call per d with 2d <= D
+        assert [c.subspace_dim for c, _, _ in calls[1:]] == [1, 2, 3, 5]
+        state = calls[0][1]
+        assert all(s is state for _, s, _ in calls)
+        fresh = {}
+        for config, _, reports in calls:
+            fresh[config.subspace_dim, config.measure] = alone = original(ds, table, config)
+            assert _report_facts(reports) == _report_facts(alone)
+        plain = fresh[cfg.subspace_dim, "CosADD,CosMUL"]
+        for d, m, acc in rows:
+            if m in GFK_MEASURES:
+                rep = fresh[d, "GFKCosADD,GFKCosMUL"][m] if d != 151 else None
+            else:
+                rep = plain[m]
+            assert acc == (rep.micro_accuracy if rep is not None and rep.n_questions else None), (d, m)
+        # the fixture reaches the branches it is meant to reach
+        skips = {d: fresh[d, "GFKCosADD,GFKCosMUL"]["GFKCosADD"].skipped for d in (1, 2, 3, 5)}
+        assert "effective rank 1" in skips[2]["rank"]
+        if holdout == "question":
+            assert "usable unique words" in skips[5]["rot"]
+            assert fresh[1, "GFKCosADD,GFKCosMUL"]["GFKCosADD"].per_relation["chain"].n_null_flags
+        else:
+            assert set(state.relations["chain"].frames) == ({8, 10} if holdout == "answer" else {None})
+        assert fresh[1, "GFKCosADD,GFKCosMUL"]["GFKCosADD"].oov_counts["rot"] == 1
+
+    def test_each_pool_is_factored_once_per_sweep(self, monkeypatch):
+        table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=40, seed=3))
+        table = table.normalized()
+        factored = []
+
+        def counted(rows, *args, **kwargs):
+            factored.append(len(rows))
+            return row_spectrum(rows, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "row_spectrum", counted)
+        original = evaluation.evaluate
+        states = []
+
+        def capturing(dataset, table_, config, **kwargs):
+            states.append(kwargs["sweep_state"])
+            return original(dataset, table_, config, **kwargs)
+
+        monkeypatch.setattr(evaluation, "evaluate", capturing)
+        cfg = EvalConfig(measure="GFKCosADD,GFKCosMUL", holdout="question")
+        rows = dimension_sweep(ds, table, cfg, dims=[2, 3, 4])
+        assert all(acc is not None for _, _, acc in rows)
+        [state] = set(states)
+        relations = state.relations.values()
+        # the pool basis is shared by all three dimensions
+        assert all(len(rel.frames) == 1 for rel in relations)
+        n_groups = sum(len(rel.groups) for rel in relations)
+        assert len(factored) == 2 * n_groups
+        assert not [a.shape for a in _arrays_in(state) if a.ndim and len(a) == len(table)]
+
+    def test_state_refused_for_other_inputs(self):
+        table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
+        cfg = EvalConfig(measure="GFKCosADD", subspace_dim=4, holdout="answer")
+        state = evaluation._SweepState(ds, table, cfg, 4)
+        evaluate(ds, table, cfg, sweep_state=state)
+        for other in (replace(cfg, holdout="question"), replace(cfg, subspace_dim=5)):
+            with pytest.raises(ValueError, match="sweep_state"):
+                evaluate(ds, table, other, sweep_state=state)
+        with pytest.raises(ValueError, match="sweep_state"):
+            evaluate(ds, table.normalized(), cfg, sweep_state=state)
 
 
 class TestConfig:

@@ -11,6 +11,7 @@ from gfkanalogy.grassmann import (
     gfk_numeric_oracle,
     gfk_similarity,
     principal_angles,
+    row_spectrum,
     subspace_from_rows,
 )
 
@@ -88,6 +89,17 @@ class TestSubspace:
         rows = np.array([[1.0, 0, 0], [2.0, 0, 0]])
         with pytest.raises(ValueError, match="rank 1"):
             subspace_from_rows(rows, 2)
+
+    def test_one_spectrum_serves_every_kept_dimension(self):
+        rng = np.random.default_rng(22)
+        rows = rng.standard_normal((7, 9))
+        for center in (False, True):
+            spectrum = row_spectrum(rows, center, keep=4)
+            for d in range(1, 5):
+                expected = subspace_from_rows(rows, d, center=center).basis
+                np.testing.assert_array_equal(spectrum.subspace(d).basis, expected)
+            with pytest.raises(ValueError, match="4 singular vectors kept"):
+                spectrum.subspace(5)
 
     def test_centering_flag(self):
         rows = np.array([[1.0, 1.0, 0], [1.0, -1.0, 0], [1.0, 0.5, 0]])
