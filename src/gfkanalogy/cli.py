@@ -21,7 +21,7 @@ from .evaluation import (
     write_report_csv,
     write_sweep_csv,
 )
-from .grassmann import principal_angles, subspace_from_rows
+from .grassmann import principal_angles, row_spectrum
 from .ppmi import build_cooccurrence, ppmi_transform, read_corpus, truncated_svd_embed
 from .synth import SynthSpec, generate
 
@@ -189,14 +189,19 @@ def cmd_angles(args) -> int:
             f"embeddings={args.embeddings} dataset={args.dataset}\n"
         )
         out.write("pair,subspace_dim,angle_index,theta_degrees\n")
+        # one SVD per pool; each d takes its span with the checks of subspace_from_rows
+        spectra = {}
+
+        def subspace(name, d):
+            if name not in spectra:
+                spectra[name] = row_spectrum(table.vectors[pools[name]], args.center)
+            return spectra[name].subspace(d)
+
         for pair in pair_names:
-            left, right = (table.vectors[pools[name]] for name in pair)
+            left, right = pair
             for d in args.dims:
                 try:
-                    theta = principal_angles(
-                        subspace_from_rows(left, d, center=args.center),
-                        subspace_from_rows(right, d, center=args.center),
-                    ).theta
+                    theta = principal_angles(subspace(left, d), subspace(right, d)).theta
                 except ValueError as err:
                     print(f"skipping {pair} d={d}: {err}", file=sys.stderr)
                     continue

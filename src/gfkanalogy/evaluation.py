@@ -49,6 +49,10 @@ _MODES = {"CosADD": "add", "CosMUL": "mul", "GFKCosADD": "add", "GFKCosMUL": "mu
 # big vocabularies: the cosine rows of a chunk's u distinct words, one additive
 # score row per question, and one multiplicative row with its denominator.
 _CHUNK_ELEMS = 5_000_000
+# Cap on the elements of one stacked batch of kernels (1 MB). A few dozen small
+# kernels already share each LAPACK call's overhead; bigger batches only raise
+# peak memory (kernel-sweep: 120-kernel batches of 32 x 12 bases, +7% peak RSS).
+_KERNEL_BATCH_ELEMS = 131_072
 
 
 @dataclass(frozen=True)
@@ -674,9 +678,13 @@ def evaluate(
     |V| x D x w product is paid only when it costs less than the D-wide
     kernel projections it narrows, so a relation with a single kernel (all of
     them under holdout='none') stays in embedding coordinates. Each pool is
-    factored by one SVD, which holdout groups with the same pool share. Each
-    kernel projects the vocabulary once, and its scorer reads every
-    question's word rows from that projection.
+    factored by one SVD, which holdout groups with the same pool share. A
+    relation's kernels are built as a stack: one principal_angles and one gfk
+    call for each sub-batch of its holdout groups (as many as fit the 1 MB
+    _KERNEL_BATCH_ELEMS), whose stacked LAPACK and BLAS calls give each
+    kernel the bits it gets alone. Each kernel is taken from
+    its batch just before it is scored, projects the vocabulary once, and
+    its scorer reads every question's word rows from that projection.
 
     The |V|-wide arrays of scoring live in one workspace for the whole call:
     each kernel's projected and unit rows, each chunk's cosine rows and
@@ -757,23 +765,35 @@ def _tally(results) -> RelationResult:
 def _score_relation_gfk(coords, groups, table, measures, config, ws, executor):
     """Kernel-measure scoring for one relation's holdout groups, in pool coordinates.
 
-    Each group's kernel projects coords into the workspace's row buffer and
-    its scorer normalizes them into the unit buffer. With an executor the
-    groups run on its worker threads, each with its own buffers from ws.
+    The groups' kernels are built in sub-batches, one principal_angles and
+    one gfk call each. Building a batch peaks at about twelve w x d arrays
+    per kernel (the stacked bases, factors, 2d x 2d coefficients and their
+    temporaries), so a sub-batch holds as many kernels as fit
+    _KERNEL_BATCH_ELEMS, and at least one.
+    Each group takes its kernel from the batch just before it is scored: the
+    kernel projects coords into the workspace's row buffer and its scorer
+    normalizes them into the unit buffer. With an executor the groups of a
+    sub-batch run on its worker threads, each with its own buffers from ws.
     """
+    d = groups[0][0].dim
+    size = max(1, _KERNEL_BATCH_ELEMS // (12 * coords.shape[1] * d))
+    group_results = []
+    for start in range(0, len(groups), size):
+        heads, tails, batch_items = zip(*groups[start : start + size])
+        kernels = gfk(principal_angles(heads, tails))
 
-    def run_group(group):
-        head, tail, items = group
-        kernel = gfk(principal_angles(head, tail))
-        shape = (len(coords), kernel.f.shape[1])
-        rows = kernel.project(coords, out=ws.get("rows", shape))
-        scorer = _Scorer(rows, ws.get("unit", shape), ws)
-        return _score_batch(scorer, table, items, measures, config)
+        def run_group(i):
+            kernel = kernels[i]
+            shape = (len(coords), kernel.f.shape[1])
+            rows = kernel.project(coords, out=ws.get("rows", shape))
+            scorer = _Scorer(rows, ws.get("unit", shape), ws)
+            return _score_batch(scorer, table, batch_items[i], measures, config)
 
-    if executor is not None and len(groups) > 1:
-        group_results = list(executor.map(run_group, groups))
-    else:
-        group_results = [run_group(g) for g in groups]
+        indices = range(len(batch_items))
+        if executor is not None and len(indices) > 1:
+            group_results.extend(executor.map(run_group, indices))
+        else:
+            group_results.extend(run_group(i) for i in indices)
 
     merged = {m: [] for m in measures}
     for result in group_results:

@@ -18,6 +18,7 @@ Conventions, fixed here and relied on by the tests:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,44 +135,74 @@ def subspace_from_rows(
 class PrincipalAngleDecomposition:
     """Principal angles and matched directions linking two equal-dim subspaces.
 
-    theta:  d ascending angles in [0, pi/2]
-    u1, v:  d x d orthogonal factors with ``source^T target = U1 diag(cos theta) V^T``
-    b:      D x d orthonormal complement directions, orthogonal to the source,
-            with ``target V = source U1 diag(cos theta) - b diag(sin theta)``
+    theta:      d ascending angles in [0, pi/2]
+    u1, v:      d x d orthogonal factors with ``source^T target = U1 diag(cos theta) V^T``
+    directions: D x 2d, the source directions ``source U1`` next to the
+                orthonormal complement directions b, orthogonal to the source,
+                with ``target V = source U1 diag(cos theta) - b diag(sin theta)``
 
-    No field is wider than D x d; principal_angles builds them in O(D d^2).
+    directions is the flow kernel's factor, which gfk takes as it is. A batch
+    of pairs carries one more leading axis on every field (theta is B x d,
+    and so on). No field is wider than D x 2d; principal_angles builds them
+    in O(D d^2) per pair.
     """
 
     theta: np.ndarray
     u1: np.ndarray
     v: np.ndarray
-    b: np.ndarray
-    source: Subspace
-    target: Subspace
+    directions: np.ndarray
 
     def __post_init__(self):
-        for name in ("theta", "u1", "v", "b"):
+        for name in ("theta", "u1", "v", "directions"):
             getattr(self, name).setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.theta.size
+        return self.theta.shape[-1]
 
     @property
     def ambient_dim(self) -> int:
-        return self.source.ambient_dim
+        return self.directions.shape[-2]
 
     def source_directions(self) -> np.ndarray:
         """Principal directions in the source subspace (D x d)."""
-        return self.source.basis @ self.u1
+        return self.directions[..., : self.dim]
 
     def complement_directions(self) -> np.ndarray:
         """Matching directions in the source's complement (D x d)."""
-        return self.b
+        return self.directions[..., self.dim :]
 
 
-def principal_angles(ph: Subspace, pt: Subspace) -> PrincipalAngleDecomposition:
+def _t(a: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack transposed (a view)."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _columns(a: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Columns idx[j] (G x k) of the matrices a[rows[j]], as a G x n x k stack.
+
+    Each result matrix is column-major, as the 2-d gather a[:, idx] leaves
+    it. Products read that layout, and BLAS may round a transposed operand
+    differently, so a batch keeps the bits of one pair only in this layout.
+    """
+    # the two index arrays broadcast to G x k and lead the indexed shape: G x k x n
+    return _t(a[rows[:, None], :, idx])
+
+
+def _set_columns(a: np.ndarray, rows: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """Write values (G x n x k) into columns idx[j] (G x k) of the matrices a[rows[j]]."""
+    a[rows[:, None], :, idx] = _t(values)
+
+
+def principal_angles(
+    ph: Subspace | Sequence[Subspace], pt: Subspace | Sequence[Subspace]
+) -> PrincipalAngleDecomposition:
     """Decompose the pair (ph, pt) into principal angles and matched directions.
+
+    ph and pt are Subspaces, or two equally long sequences of Subspaces that
+    share one basis shape: a batch, decomposed pair by pair into fields with
+    a leading batch axis. A single pair is the batch of one, so both take one
+    path and a batch gives the same bits as its pairs one at a time.
 
     With ``U1 Gamma V^T`` the SVD of ``ph^T pt``, the columns of
     ``W = pt V - ph U1 Gamma = (I - ph ph^T) pt V`` have norms sin(theta);
@@ -179,65 +210,82 @@ def principal_angles(ph: Subspace, pt: Subspace) -> PrincipalAngleDecomposition:
     from ``arctan2(sin, cos)``, accurate to ~1e-15 even where cos rounds to 1.
     Below pi/4 the cosines no longer separate the singular vectors, so those
     columns are re-split by a thin SVD of their part of W (the sine/cosine
-    split of Knyazev & Argentati 2002). Directions with sine at most
-    DEGENERATE_ANGLE get an orthonormal completion. Cost is O(D d^2): no
-    factor is wider than D x 2d and no D x D matrix is factorized.
+    split of Knyazev & Argentati 2002), one stacked SVD for the pairs with
+    the same number of such columns. Directions with sine at most
+    DEGENERATE_ANGLE get an orthonormal completion, pair by pair. Cost is
+    O(D d^2) per pair: no factor is wider than D x 2d and no D x D matrix is
+    factorized. Every step is one stacked LAPACK or BLAS call per batch, and
+    stacked calls factor each matrix as the 2-d call would. Gathered
+    columns keep the memory layout of the 2-d gather (see _columns), as BLAS
+    may round an operand differently in another layout.
     """
-    if ph.ambient_dim != pt.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {ph.ambient_dim} vs {pt.ambient_dim}"
-        )
-    if ph.dim != pt.dim:
-        raise ValueError(f"subspace dimensions differ: {ph.dim} vs {pt.dim}")
-    big_d, d = ph.basis.shape
+    single = isinstance(ph, Subspace) and isinstance(pt, Subspace)
+    heads, tails = ([ph], [pt]) if single else (list(ph), list(pt))
+    if not heads or len(heads) != len(tails):
+        raise ValueError(f"need as many targets as sources, got {len(heads)} and {len(tails)}")
+    for h, t in zip(heads, tails):
+        if h.ambient_dim != t.ambient_dim:
+            raise ValueError(f"ambient dimensions differ: {h.ambient_dim} vs {t.ambient_dim}")
+        if h.dim != t.dim:
+            raise ValueError(f"subspace dimensions differ: {h.dim} vs {t.dim}")
+    if len({h.basis.shape for h in heads}) > 1:
+        raise ValueError("the pairs of a batch need one basis shape")
+    big_d, d = heads[0].basis.shape
     if 2 * d > big_d:
         raise ValueError(
             f"need 2d <= D for the flow kernel factors, got d={d}, D={big_d}"
         )
 
-    src, tgt = ph.basis, pt.basis
-    m = src.T @ tgt
+    src = np.stack([h.basis for h in heads])
+    u1, cos, sin, v, b = _split_angles(src, np.stack([t.basis for t in tails]))
+    theta = np.arctan2(sin, cos)
+    order = np.argsort(theta, axis=1, kind="stable")
+    theta = np.take_along_axis(theta, order, axis=1)
+    every = np.arange(len(heads))
+    u1, v = _columns(u1, every, order), _columns(v, every, order)
+    directions = np.concatenate([src @ u1, _columns(b, every, order)], axis=2)
+    fields = (theta, u1, v, directions)
+    return PrincipalAngleDecomposition(*(a[0] if single else a for a in fields))
+
+
+def _split_angles(src: np.ndarray, tgt: np.ndarray):
+    """(u1, cos, sin, v, b) of principal_angles for B x D x d stacks of bases, unsorted."""
+    big_d, d = src.shape[1:]
+    m = _t(src) @ tgt
     u1, cos, vt = np.linalg.svd(m)
-    v = vt.T
-    w = tgt @ v - src @ (u1 * cos)
-    sin = np.linalg.norm(w, axis=0)
+    v = _t(vt)
+    w = tgt @ v - src @ (u1 * cos[:, None, :])
+    sin = np.linalg.norm(w, axis=1)
     small = sin < cos
-    b = np.empty_like(w)
-    b[:, ~small] = -w[:, ~small] / sin[~small]
-    if small.any():
+    b = np.divide(-w, sin[:, None, :], out=np.empty_like(w), where=~small[:, None, :])
+    n_small = small.sum(axis=1)
+    for k in np.unique(n_small[n_small > 0]).tolist():
+        sel = np.flatnonzero(n_small == k)
+        cols = small[sel].nonzero()[1].reshape(len(sel), k)
+        rest = (~small[sel]).nonzero()[1].reshape(len(sel), d - k)
         # The part of W along ph and the large-angle directions is roundoff,
         # yet it would dominate a column whose sine is near zero.
-        known = np.hstack([src, b[:, ~small]])
-        w_small = w[:, small]
-        w_small -= known @ (known.T @ w_small)
+        known = np.concatenate([src[sel], _columns(b, sel, rest)], axis=2)
+        w_small = _columns(w, sel, cols)
+        w_small -= known @ (_t(known) @ w_small)
         q, sin_small, rt = np.linalg.svd(w_small, full_matrices=False)
-        v_small = v[:, small] @ rt.T
-        mv = m @ v_small
-        cos_small = np.linalg.norm(mv, axis=0)
+        v_small = _columns(v, sel, cols) @ _t(rt)
+        mv = m[sel] @ v_small
+        cos_small = np.linalg.norm(mv, axis=1)
         degenerate = sin_small <= DEGENERATE_ANGLE
-        if degenerate.any():
+        for j in np.flatnonzero(degenerate.any(axis=1)).tolist():
             # n + k coordinate axes projected off the n accepted columns keep
             # k singular values of exactly 1: a well-conditioned completion
-            accepted = np.hstack([known, q[:, ~degenerate]])
-            n, k = accepted.shape[1], int(degenerate.sum())
-            resid = np.eye(big_d, n + k) - accepted @ accepted[: n + k].T
-            q[:, degenerate] = np.linalg.svd(resid, full_matrices=False)[0][:, :k]
-        v[:, small] = v_small
-        u1[:, small] = mv / cos_small
-        cos[small] = cos_small
-        sin[small] = sin_small
-        b[:, small] = -q
-
-    theta = np.arctan2(sin, cos)
-    order = np.argsort(theta, kind="stable")
-    return PrincipalAngleDecomposition(
-        theta=theta[order],
-        u1=u1[:, order],
-        v=v[:, order],
-        b=b[:, order],
-        source=ph,
-        target=pt,
-    )
+            accepted = np.hstack([known[j], q[j][:, ~degenerate[j]]])
+            n, n_deg = accepted.shape[1], int(degenerate[j].sum())
+            resid = np.eye(big_d, n + n_deg) - accepted @ accepted[: n + n_deg].T
+            q[j][:, degenerate[j]] = np.linalg.svd(resid, full_matrices=False)[0][:, :n_deg]
+        _set_columns(v, sel, cols, v_small)
+        _set_columns(u1, sel, cols, mv / cos_small[:, None, :])
+        cos[sel[:, None], cols] = cos_small
+        sin[sel[:, None], cols] = sin_small
+        _set_columns(b, sel, cols, -q)
+    return u1, cos, sin, v, b
 
 
 def geodesic_point(pa: PrincipalAngleDecomposition, t: float) -> Subspace:
@@ -278,6 +326,11 @@ class GfkKernel:
     matrix and lam_sqrt its symmetric square root. The evaluation path never
     materializes the D x D kernel; it maps rows through the D x 2d product
     f lam_sqrt, formed once per kernel.
+
+    A batch of kernels carries a leading batch axis on f, lam and lam_sqrt
+    and is validated in a few stacked calls. kernel[i] is its i-th kernel: it
+    shares the batch's arrays and forms its own product with f lam_sqrt, so
+    the batch never holds all of them at once.
     """
 
     f: np.ndarray
@@ -288,24 +341,36 @@ class GfkKernel:
         f = np.ascontiguousarray(self.f, dtype=np.float64)
         lam = np.ascontiguousarray(self.lam, dtype=np.float64)
         lam_sqrt = np.ascontiguousarray(self.lam_sqrt, dtype=np.float64)
-        m = f.shape[1]
-        if lam.shape != (m, m) or lam_sqrt.shape != (m, m):
+        m = f.shape[-1]
+        if f.ndim not in (2, 3) or lam.shape != f.shape[:-2] + (m, m) or lam_sqrt.shape != lam.shape:
             raise ValueError("lam/lam_sqrt shapes do not match the factor width")
-        if np.linalg.norm(f.T @ f - np.eye(m)) > ORTHONORMAL_TOL:
+        if np.max(np.linalg.norm(_t(f) @ f - np.eye(m), axis=(-2, -1))) > ORTHONORMAL_TOL:
             raise ValueError("kernel factor columns not orthonormal")
-        if np.linalg.norm(lam - lam.T) > ORTHONORMAL_TOL:
+        if np.max(np.linalg.norm(lam - _t(lam), axis=(-2, -1))) > ORTHONORMAL_TOL:
             raise ValueError("lam not symmetric")
-        proj = f @ lam_sqrt
+        self._set(f, lam, lam_sqrt)
+
+    def _set(self, f, lam, lam_sqrt) -> None:
+        proj = f @ lam_sqrt if f.ndim == 2 else None
         for arr in (f, lam, lam_sqrt, proj):
-            arr.setflags(write=False)
+            if arr is not None:
+                arr.setflags(write=False)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "lam_sqrt", lam_sqrt)
         object.__setattr__(self, "_proj", proj)
 
+    def __getitem__(self, i: int) -> "GfkKernel":
+        """Kernel i of a batch, validated with the batch."""
+        if self.f.ndim != 3:
+            raise TypeError("only a batch of kernels can be indexed")
+        kernel = object.__new__(GfkKernel)
+        kernel._set(self.f[i], self.lam[i], self.lam_sqrt[i])
+        return kernel
+
     @property
     def ambient_dim(self) -> int:
-        return self.f.shape[0]
+        return self.f.shape[-2]
 
     def project(self, vectors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Map vectors (rows, shape ... x D) into kernel coordinates (... x 2d).
@@ -318,7 +383,7 @@ class GfkKernel:
 
     def materialize(self) -> np.ndarray:
         """Dense D x D kernel, for diagnostics and tests only."""
-        return self.f @ self.lam @ self.f.T
+        return self.f @ self.lam @ _t(self.f)
 
     @classmethod
     def identity(cls, ambient_dim: int) -> "GfkKernel":
@@ -338,26 +403,27 @@ def gfk(pa: PrincipalAngleDecomposition) -> GfkKernel:
 
     Assembles the 2d x 2d coefficient matrix [[L1, L2], [L2, L3]] from the
     per-angle lambdas, clamps any negative eigenvalues from roundoff at zero,
-    and stores the symmetric square root alongside.
+    and stores the symmetric square root alongside. The factor f is
+    pa.directions itself. A batch of pairs gives a batch of kernels, from one
+    stacked eigh.
     """
     lam1, lam2, lam3 = _lambda_coefficients(pa.theta)
     d = pa.dim
-    lam = np.zeros((2 * d, 2 * d))
+    lam = np.zeros(pa.theta.shape[:-1] + (2 * d, 2 * d))
     idx = np.arange(d)
-    lam[idx, idx] = lam1
-    lam[idx + d, idx + d] = lam3
-    lam[idx, idx + d] = lam2
-    lam[idx + d, idx] = lam2
+    lam[..., idx, idx] = lam1
+    lam[..., idx + d, idx + d] = lam3
+    lam[..., idx, idx + d] = lam2
+    lam[..., idx + d, idx] = lam2
 
     eigvals, eigvecs = np.linalg.eigh(lam)
     if eigvals.min() < -ORTHONORMAL_TOL:
         raise ValueError(f"kernel coefficients lost PSD-ness (min eig {eigvals.min():.2e})")
     eigvals = np.clip(eigvals, 0.0, None)
-    lam_sqrt = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-    lam_sqrt = 0.5 * (lam_sqrt + lam_sqrt.T)
+    lam_sqrt = (eigvecs * np.sqrt(eigvals)[..., None, :]) @ _t(eigvecs)
+    lam_sqrt = 0.5 * (lam_sqrt + _t(lam_sqrt))
 
-    f = np.hstack([pa.source_directions(), pa.complement_directions()])
-    return GfkKernel(f=f, lam=lam, lam_sqrt=lam_sqrt)
+    return GfkKernel(f=pa.directions, lam=lam, lam_sqrt=lam_sqrt)
 
 
 def gfk_similarity(kernel: GfkKernel, x: np.ndarray, y: np.ndarray) -> float:

@@ -6,7 +6,7 @@ import pytest
 from gfkanalogy import cli
 from gfkanalogy.cli import _parse_dims, main
 from gfkanalogy.embeddings import EmbeddingTable, load_text_embeddings, save_text_embeddings
-from gfkanalogy.grassmann import principal_angles, subspace_from_rows
+from gfkanalogy.grassmann import principal_angles, row_spectrum, subspace_from_rows
 
 
 @pytest.fixture
@@ -318,6 +318,36 @@ class TestAnglesPools:
         assert sorted({tuple(r) for r in rows}) == [
             ("AB", "2"), ("AB", "3"), ("AX", "2"), ("AX", "3")]
         assert len(rows) == 2 * (2 + 3)
+
+    def test_one_row_svd_per_pool(self, tmp_path, capsys, monkeypatch):
+        lines = [f"a{i} b{i} x{i} y{i}" for i in range(1, 7)]
+        emb, data = write_relation(tmp_path, "q.txt", lines, dim=12, n_words=6)
+        svds = []
+
+        def counted(rows, *args, **kwargs):
+            svds.append(len(rows))
+            return row_spectrum(rows, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "row_spectrum", counted)
+        out = str(tmp_path / "angles.csv")
+        assert run_angles(emb, data, "1:7", out) == 0
+        assert svds == [6, 6, 6]  # the A, X and B pools, once each
+        # every row and skip line equals one from fresh per-d subspaces
+        table = load_text_embeddings(emb)
+        pools = {c: table.stack_rows([f"{c.lower()}{i}" for i in range(1, 7)]) for c in "AXB"}
+        want, skips = [], []
+        for pair in ("AX", "AB"):
+            for d in range(1, 8):
+                try:
+                    theta = principal_angles(
+                        *(subspace_from_rows(pools[c], d) for c in pair)).theta
+                except ValueError as err:
+                    skips.append(f"skipping {pair} d={d}: {err}")
+                    continue
+                want += [f"{pair},{d},{i},{t:.6f}" for i, t in enumerate(np.degrees(theta), start=1)]
+        assert open(out).read().splitlines()[2:] == want
+        assert capsys.readouterr().err.splitlines() == skips == [
+            f"skipping {pair} d=7: d=7 exceeds min(n=6, D=12)" for pair in ("AX", "AB")]
 
 
 class TestSweep:

@@ -576,20 +576,61 @@ class TestEvaluate:
     def test_each_kernel_projects_the_vocabulary_once(self, monkeypatch, holdout):
         table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
         table = table.normalized()
-        calls = {"gfk": 0, "project": 0}
+        project = GfkKernel.project
+        calls = {"kernels": 0, "project": 0}
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def built(pa):
+            calls["kernels"] += len(pa.theta)  # one gfk call per batch of kernels
+            return gfk(pa)
 
-        monkeypatch.setattr(evaluation, "gfk", counted("gfk", gfk))
-        monkeypatch.setattr(GfkKernel, "project", counted("project", GfkKernel.project))
-        monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", 1)  # one question per chunk
-        reports = evaluate(ds, table, EvalConfig(measure="all", subspace_dim=4, holdout=holdout))
-        assert not any(rep.skipped for rep in reports.values())
-        assert calls["gfk"] >= 2 and calls["project"] == calls["gfk"]
+        def projected(kernel, *args, **kwargs):
+            calls["project"] += 1
+            return project(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "gfk", built)
+        monkeypatch.setattr(GfkKernel, "project", projected)
+        # the default budgets, then one question per chunk and one kernel per batch
+        for budget in (None, 1):
+            if budget is not None:
+                monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", budget)
+                monkeypatch.setattr(evaluation, "_KERNEL_BATCH_ELEMS", budget)
+            calls.update(kernels=0, project=0)
+            reports = evaluate(ds, table, EvalConfig(measure="all", subspace_dim=4, holdout=holdout))
+            assert not any(rep.skipped for rep in reports.values())
+            assert calls["kernels"] >= 2 and calls["project"] == calls["kernels"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_kernel_sub_batches_leave_tallies_unchanged(self, monkeypatch, threads):
+        table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
+        table = table.normalized()
+        batches = []
+
+        def built(pa):
+            batches.append(len(pa.theta))
+            return gfk(pa)
+
+        monkeypatch.setattr(evaluation, "gfk", built)
+        runs = []
+        # the default budget builds a relation's kernels in one batch; 1,200
+        # elements hold two kernels of 12 x 4 bases; 1 holds one
+        for batch_elems in (evaluation._KERNEL_BATCH_ELEMS, 1200, 1):
+            monkeypatch.setattr(evaluation, "_KERNEL_BATCH_ELEMS", batch_elems)
+            batches.clear()
+            run = {}
+            for holdout in ("answer", "question"):
+                cfg = EvalConfig(measure="all", subspace_dim=4, holdout=holdout, threads=threads)
+                for m, rep in evaluate(ds, table, cfg).items():
+                    assert not rep.skipped
+                    run[holdout, m] = {
+                        rel: (r.n_questions, r.n_correct, r.rank_sum, r.n_null_flags)
+                        for rel, r in rep.per_relation.items()
+                    }
+            runs.append((run, list(batches)))
+        (whole, whole_sizes), (pairs, pair_sizes), (ones, one_sizes) = runs
+        assert whole == pairs == ones
+        assert sum(whole_sizes) == sum(pair_sizes) == sum(one_sizes)
+        assert len(whole_sizes) == 4  # one batch per relation and holdout
+        assert set(pair_sizes) == {2} and set(one_sizes) == {1}
 
     def test_relation_too_small_skipped_for_gfk_only(self):
         table = random_table(19, 12, 8)

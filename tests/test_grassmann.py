@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfkanalogy.grassmann import (
+    DEGENERATE_ANGLE,
     GfkKernel,
     Subspace,
     geodesic_point,
@@ -395,6 +396,75 @@ class TestSimilarity:
         assert gfk_similarity(kernel, x, y) == pytest.approx(plain, abs=1e-15)
         with pytest.raises(ValueError, match="even"):
             GfkKernel.identity(5)
+
+
+def pair_with_angles(rng, big_d, angles):
+    """A subspace pair in generic position whose principal angles are the given ones."""
+    d = len(angles)
+    q, _ = np.linalg.qr(rng.standard_normal((big_d, big_d)))
+    r1, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    r2, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    tail = q[:, :d] * np.cos(angles) + q[:, d : 2 * d] * np.sin(angles)
+    return Subspace(q[:, :d] @ r1), Subspace(tail @ r2)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatch:
+    def assert_batch_stacks_pairs(self, pairs):
+        heads, tails = zip(*pairs)
+        batch = principal_angles(heads, tails)
+        kernels = gfk(batch)
+        singles = [principal_angles(ph, pt) for ph, pt in pairs]
+        single_kernels = [gfk(pa) for pa in singles]
+        for name in ("theta", "u1", "v", "directions"):
+            assert_same_bits(getattr(batch, name), np.stack([getattr(pa, name) for pa in singles]))
+        for name in ("f", "lam", "lam_sqrt"):
+            assert_same_bits(getattr(kernels, name), np.stack([getattr(k, name) for k in single_kernels]))
+        x = np.random.default_rng(1).standard_normal((5, heads[0].ambient_dim))
+        for i, one in enumerate(single_kernels):
+            assert_same_bits(kernels[i].project(x), one.project(x))
+        return batch
+
+    def test_no_small_angles(self):
+        rng = np.random.default_rng(3)
+        pairs = [pair_with_angles(rng, 10, rng.uniform(0.9, 1.5, 3)) for _ in range(4)]
+        batch = self.assert_batch_stacks_pairs(pairs)
+        assert np.all(batch.theta > np.pi / 4)
+
+    def test_pairs_with_different_small_column_counts(self):
+        rng = np.random.default_rng(4)
+        pairs = [
+            pair_with_angles(rng, 12, np.sort(np.r_[rng.uniform(1e-7, 0.6, k), rng.uniform(0.9, 1.5, 4 - k)]))
+            for k in (2, 0, 4, 1, 3, 2)
+        ]
+        batch = self.assert_batch_stacks_pairs(pairs)
+        assert (batch.theta < np.pi / 4).sum(axis=1).tolist() == [2, 0, 4, 1, 3, 2]
+
+    def test_degenerate_completion(self):
+        rng = np.random.default_rng(5)
+        same = random_subspace(rng, 9, 3)
+        pairs = [
+            (same, Subspace(same.basis.copy())),
+            pair_with_angles(rng, 9, np.array([0.0, 0.3, 1.2])),
+            pair_with_angles(rng, 9, np.array([0.2, 0.5, 1.0])),
+        ]
+        batch = self.assert_batch_stacks_pairs(pairs)
+        assert np.all(batch.theta[0] <= DEGENERATE_ANGLE) and batch.theta[1, 0] <= DEGENERATE_ANGLE
+
+    def test_batch_validation(self):
+        rng = np.random.default_rng(6)
+        a, b = random_subspace(rng, 8, 2), random_subspace(rng, 8, 3)
+        with pytest.raises(ValueError, match="as many targets"):
+            principal_angles([a, a], [a])
+        with pytest.raises(ValueError, match="as many targets"):
+            principal_angles([], [])
+        with pytest.raises(ValueError, match="one basis shape"):
+            principal_angles([a, b], [a, b])
+        with pytest.raises(TypeError, match="batch"):
+            gfk(principal_angles(a, a))[0]
 
 
 @given(st.integers(0, 10_000), st.floats(0.0, 1.0))
