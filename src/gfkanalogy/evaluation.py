@@ -22,6 +22,8 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .embeddings import EmbeddingTable
 from .grassmann import (
     NULL_SPACE_NORM,
     GfkKernel,
+    RowSpectrum,
     Subspace,
     gfk,
     principal_angles,
@@ -146,104 +149,164 @@ class _Workspace(threading.local):
 
 
 def _row_norms(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean norm of each row, in one pass with no rows-sized temporary."""
-    norms = np.einsum("ij,ij->i", rows, rows, out=out)
+    """Euclidean norm of each row (last axis), in one pass with no rows-sized temporary."""
+    norms = np.einsum("...i,...i->...", rows, rows, out=out)
     return np.sqrt(norms, out=norms)
 
 
-class _Scorer:
-    """Cosine scoring over one set of word rows, one row per vocabulary word.
+class _Block(NamedTuple):
+    """The questions of G lists of scoring items, one list per row set, as padded index arrays.
 
-    The rows are the vocabulary itself for the plain measures, or one kernel's
-    projection of it (``kernel.project(coords)``) for the kernel measures, so
-    each kernel projects the vocabulary once. Query words and candidates are
-    both read from these rows. Candidates whose norm is below NULL_SPACE_NORM
-    have no direction; their cosine against any query is pinned to -1 so they
-    sink to the bottom of every ranking. Questions are scored from one cosine
-    row per distinct word, shared by every question and rule of a chunk.
-
-    unit receives the unit candidate rows and must stay untouched while the
-    scorer is in use; the plain scorer, which outlives every kernel scorer of
-    an evaluate call, gets a buffer of its own. Per-chunk arrays come from the
-    workspace ws, fetched once per chunk.
+    words (G x U) holds each list's distinct a, b, x indices in ascending
+    order, padded with its first; pos (G x K x 3) the positions of each
+    question's a, b, x in its list's words; gold (G x K x L) its gold indices
+    and excluded (G x K x 3) its excluded ones, padded with -1; real (G x K)
+    marks the slots that hold a question. A padding slot repeats its list's
+    first question, so it adds no distinct word, and gold rows are padded
+    with their first index, which never changes their argmax.
     """
 
-    def __init__(self, rows: np.ndarray, unit: np.ndarray, ws: _Workspace):
+    words: np.ndarray
+    pos: np.ndarray
+    gold: np.ndarray
+    excluded: np.ndarray
+    real: np.ndarray
+
+    @classmethod
+    def of(cls, entries) -> "_Block":
+        k = max(len(e) for e in entries)
+        real = np.array([[True] * len(e) + [False] * (k - len(e)) for e in entries])
+        slots = [e + e[:1] * (k - len(e)) for e in entries]
+        most = max(len(item[1]) for e in entries for item in e)
+        gold = [[[*item[1]] + [item[1][0]] * (most - len(item[1])) for item in e] for e in slots]
+        excluded = [[[*item[2]] + [-1] * (3 - len(item[2])) for item in e] for e in slots]
+        idx = np.array([[item[0][:3] for item in e] for e in slots], dtype=np.intp)
+        # distinct words per list: sort each list's indices and number the runs
+        flat = idx.reshape(len(entries), -1)
+        order = np.argsort(flat, axis=1, kind="stable")
+        ordered = np.take_along_axis(flat, order, axis=1)
+        first = np.ones(flat.shape, dtype=bool)
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
+        run = np.cumsum(first, axis=1) - 1
+        pos = np.empty_like(flat)
+        np.put_along_axis(pos, order, run, axis=1)
+        words = np.repeat(ordered[:, :1], int(run[:, -1].max()) + 1, axis=1)
+        words[first.nonzero()[0], run[first]] = ordered[first]
+        return cls(words, pos.reshape(idx.shape), np.array(gold, dtype=np.intp),
+                   np.array(excluded, dtype=np.intp), real)
+
+    def take(self, lo: int, hi: int) -> "_Block":
+        """The lists lo to hi - 1, with the block's padding."""
+        return _Block(*(a[lo:hi] for a in self))
+
+
+def _slices(n: int, size: int) -> list[slice]:
+    """Consecutive slices of at most size items covering range(n)."""
+    return [slice(i, i + size) for i in range(0, n, size)]
+
+
+class _Scorer:
+    """Cosine scoring over a stack of G row sets, each one row per vocabulary word.
+
+    rows (G x |V| x m) is the vocabulary itself (G = 1) for the plain
+    measures, or the projections of G kernels (``kernel.project(coords)``)
+    for the kernel measures, so each kernel projects the vocabulary once.
+    Query words and candidates are both read from a row set. A cosine is
+    (unit query row . raw candidate row) / |candidate row|: the block of
+    query-candidate products is divided by the candidate norms, so no scorer
+    keeps a unit copy of its rows. Candidates whose norm is below
+    NULL_SPACE_NORM have no direction; their cosine against any query is
+    pinned to -1 so they sink to the bottom of every ranking.
+
+    The candidate norms and null mask live in the workspace ws, unless fresh:
+    the plain scorer, which outlives every kernel scorer of an evaluate call,
+    owns its arrays. Per-block arrays come from ws.
+    """
+
+    def __init__(self, rows: np.ndarray, ws: _Workspace, fresh: bool = False):
         self.rows = rows
-        self.unit = unit
         self.ws = ws
-        n = len(rows)
-        norms = _row_norms(rows, out=ws.get("norms", (n,)))
-        null = np.less(norms, NULL_SPACE_NORM, out=ws.get("mask", (n,), bool))
-        self.null_idx = null.nonzero()[0]
-        norms[self.null_idx] = 1.0
-        np.divide(rows, norms[:, None], out=unit)
-        unit[self.null_idx] = 0.0
-        self.n_null_candidates = len(self.null_idx)
+        shape = rows.shape[:2]
+        norms = np.empty(shape) if fresh else ws.get("norms", shape)
+        null = np.empty(shape, dtype=bool) if fresh else ws.get("null", shape, bool)
+        np.less(_row_norms(rows, out=norms), NULL_SPACE_NORM, out=null)
+        norms[null] = 1.0
+        self.norms = norms
+        self.null = null
+        self.any_null = bool(null.any())
 
-    def scores(self, idx: np.ndarray, modes, epsilon: float, shift: bool):
-        """Yield mode -> (score row, null flag) per question of a k x 3 block of (a, b, x) indices.
+    def scores(self, block: _Block, modes, epsilon: float, shift: bool, slab: int):
+        """Yield (mode, slots, scores, null flags) per slab of a block's question slots.
 
-        Each of the block's u distinct words gets one cosine row against the
-        unit candidates, from its slice of the scorer's rows. The additive
-        numerator (x - a + b).v is a signed sum of those rows scaled by the
-        word norms, taken as one k x u coefficient product, and is divided by
-        |x - a + b|; an additive row is None when that target has no
-        direction. The multiplicative rule then clips and shifts the word
-        cosines in place, once per word, and builds each question's row
-        s_b * s_x / (s_a + eps) just before yielding it, in one row buffer
-        that the next question overwrites. Null queries and null candidates
-        score -1 in every cosine; a NaN score, possible only without a
-        positive shifted denominator, becomes -inf.
+        The block holds one question list per row set. Each list's U
+        distinct words get one cosine row per row set, all from one batched
+        product. A slab is a slice of at most slab question slots, the same
+        in every row set: scores is its G x k x |V| workspace view, valid
+        until the next slab is drawn, and null flags are G x k.
+
+        The additive numerator (x - a + b).v is a signed sum of the word
+        rows' cosines scaled by the word norms, taken as one G x k x U
+        coefficient product, and is divided by |x - a + b|; a target with no
+        direction is flagged null and its scores mean nothing. Every additive
+        slab comes first. The multiplicative rule then clips and shifts the
+        cosine rows in place, once per word, and builds a slab's
+        s_b * s_x / (s_a + eps) rows from three gathers of them into the
+        score buffer and a denominator buffer. Null queries and null
+        candidates score -1 in every cosine; a NaN score, possible only
+        without a positive shifted denominator, becomes -inf.
         """
-        ws, n, k = self.ws, len(self.unit), len(idx)
-        words, pos = np.unique(idx, return_inverse=True)
-        pos = pos.reshape(idx.shape)
-        a, b, x = pos.T
-        rows = self.rows[words]
-        norms = _row_norms(rows)
-        null_w = norms < NULL_SPACE_NORM
-        safe = np.where(null_w, 1.0, norms)
-        cos = np.matmul(rows / safe[:, None], self.unit.T, out=ws.get("cos", (len(words), n)))
-        add = mul = None
+        words, pos = block.words, block.pos
+        ws, (g, n, _), u = self.ws, self.rows.shape, words.shape[1]
+        stack = np.arange(g)[:, None]
+        query = self.rows[stack, words]
+        qnorms = self.norms[stack, words]
+        cos = ws.get("cos", (g * u, n)).reshape(g, u, n)
+        np.matmul(query / qnorms[..., None], self.rows.transpose(0, 2, 1), out=cos)
+        cos /= self.norms[:, None, :]
         if "add" in modes:
-            tnorms = _row_norms(rows[x] - rows[a] + rows[b])
-            null_t = tnorms < NULL_SPACE_NORM
-            scale = np.where(null_t, 1.0, tnorms)
-            coef = np.zeros((k, len(words)))
-            rk = np.arange(k)
-            for col, sign in ((x, 1.0), (a, -1.0), (b, 1.0)):
-                np.add.at(coef, (rk, col), sign * safe[col] / scale)
-            add = np.matmul(coef, cos, out=ws.get("add", (k, n)))
-            np.clip(add, -1.0, 1.0, out=add)
-            add[:, self.null_idx] = -1.0
-            add[null_t] = -1.0
-            null_t = null_t.tolist()
+            for at in _slices(pos.shape[1], slab):
+                a, b, x = (pos[:, at, i] for i in range(3))
+                q = np.arange(a.shape[1])
+                scale = _row_norms(query[stack, x] - query[stack, a] + query[stack, b])
+                null_t = scale < NULL_SPACE_NORM
+                scale[null_t] = 1.0
+                coef = np.zeros(a.shape + (u,))
+                coef[stack, q, x] = qnorms[stack, x] / scale
+                coef[stack, q, a] -= qnorms[stack, a] / scale
+                coef[stack, q, b] += qnorms[stack, b] / scale
+                add = ws.get("scores", (a.size, n)).reshape(g, -1, n)
+                np.matmul(coef, cos, out=add)
+                np.clip(add, -1.0, 1.0, out=add)
+                if self.any_null:
+                    np.copyto(add, -1.0, where=self.null[:, None, :])
+                yield "add", at, add, null_t
         if "mul" in modes:
             np.clip(cos, -1.0, 1.0, out=cos)
-            cos[:, self.null_idx] = -1.0
-            cos[null_w] = -1.0
+            if self.any_null:
+                np.copyto(cos, -1.0, where=self.null[:, None, :])
+            null_w = self.null[stack, words].ravel()
+            cos.reshape(g * u, n)[null_w] = -1.0
             if shift:
                 cos += 1.0
                 cos *= 0.5  # exact, as dividing by 2 is
-            mul, den = ws.get("mul", (2, n))
-            nan = None if shift and epsilon > 0 else ws.get("mask", (n,), bool)
-            null_m = (null_w[a] | null_w[b] | null_w[x]).tolist()
-        for q, (ia, ib, ix) in enumerate(pos.tolist()):
-            scored = {}
-            if add is not None:
-                scored["add"] = (None if null_t[q] else add[q], null_t[q])
-            if mul is not None:
-                np.multiply(cos[ib], cos[ix], out=mul)
-                np.add(cos[ia], epsilon, out=den)
-                if nan is None:
+            flat = cos.reshape(g * u, n)
+            rows_at = pos + (stack * u)[..., None]
+            for at in _slices(pos.shape[1], slab):
+                a, b, x = (rows_at[:, at, i].ravel() for i in range(3))
+                mul, den = ws.get("scores", (a.size, n)), ws.get("den", (a.size, n))
+                np.take(flat, b, axis=0, out=mul, mode="clip")
+                np.take(flat, x, axis=0, out=den, mode="clip")
+                mul *= den
+                np.take(flat, a, axis=0, out=den, mode="clip")
+                den += epsilon
+                if shift and epsilon > 0:
                     mul /= den
                 else:
                     with np.errstate(divide="ignore", invalid="ignore"):
                         mul /= den
-                    mul[np.isnan(mul, out=nan)] = -np.inf
-                scored["mul"] = (mul, null_m[q])
-            yield scored
+                    np.copyto(mul, -np.inf, where=np.isnan(mul, out=ws.get("nan", mul.shape, bool)))
+                null_m = null_w[a] | null_w[b] | null_w[x]
+                yield "mul", at, mul.reshape(g, -1, n), null_m.reshape(g, -1)
 
 
 def _resolve_question(q: AnalogyQuestion, table: EmbeddingTable, strict: bool):
@@ -288,33 +351,43 @@ def _scoring_items(resolved_questions, table: EmbeddingTable, exclude_inputs: bo
     return items
 
 
-def _rank_of_gold(scores: np.ndarray, excluded: tuple[int, ...], gold: np.ndarray) -> int:
-    """1-based rank of the best gold candidate under stable descending order.
+def _gold_ranks(
+    scores: np.ndarray, gold: np.ndarray, excluded: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """1-based rank of the best gold candidate in each of the given rows of an R x |V| score block.
 
-    Counts the candidates ahead of it (a higher score, or an equal score at a
-    lower index) in one pass, less the excluded indices among them. There are
-    at most three, so they are checked one by one.
+    gold (R x L) and excluded (R x 3, padded with -1) are the rows' index
+    sets. Under stable descending order a candidate is ahead of the best gold
+    one when it scores higher, or equally at a lower index. Each row is
+    counted by one comparison on either side of its best gold index and a
+    1-D count: one pass over the row, which on |V|-wide rows is cheaper than
+    comparing the whole block. The excluded candidates ahead are then
+    subtracted.
     """
-    best = int(gold[np.argmax(scores[gold])])
-    s = scores[best]
-    ahead = np.count_nonzero(scores[:best] >= s) + np.count_nonzero(scores[best:] > s)
-    ahead -= sum(1 for i in excluded if scores[i] > s or (i < best and scores[i] == s))
-    return 1 + int(ahead)
+    at = rows[:, None]
+    best = gold[rows, np.argmax(scores[at, gold[rows]], axis=1)]
+    s = scores[rows, best]
+    ahead = np.array([
+        np.count_nonzero(scores[r, :i] >= v) + np.count_nonzero(scores[r, i:] > v)
+        for r, i, v in zip(rows.tolist(), best.tolist(), s.tolist())
+    ], dtype=np.intp)
+    ex = excluded[rows]
+    ex = np.where(ex < 0, best[:, None], ex)
+    ex_scores = scores[at, ex]
+    ties = (ex < best[:, None]) & (ex_scores == s[:, None])
+    return 1 + ahead - np.count_nonzero((ex_scores > s[:, None]) | ties, axis=1)
 
 
-def _chunks(items, budget: int, per_question: int):
-    """Split scoring items into consecutive runs of questions that fit a row budget.
+def _chunks(items, budget: int):
+    """Split scoring items into consecutive runs of at most budget distinct input words.
 
-    A run of k questions over u distinct input words holds u cosine rows plus
-    per_question score rows per question, all |V| wide; it stays within budget
-    rows unless it holds a single question. The caller takes the rows that do
-    not grow with k (CosMUL's one row and its denominator) out of budget.
+    A run holds at least one question, whatever its words.
     """
     chunk: list = []
     words: set[int] = set()
     for item in items:
         grown = words.union(item[0][:3])
-        if chunk and len(grown) + (len(chunk) + 1) * per_question > budget:
+        if chunk and len(grown) > budget:
             yield chunk
             chunk, grown = [], set(item[0][:3])
         chunk.append(item)
@@ -323,38 +396,103 @@ def _chunks(items, budget: int, per_question: int):
         yield chunk
 
 
-def _scored_questions(scorer, table, items, modes, epsilon, shift):
-    """Score _scoring_items a chunk at a time under each mode.
+def _modes(measures) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(_MODES[m] for m in measures))
 
-    Yields (gold indices, excluded indices, mode -> (score row, null flag))
-    per question, in order. An additive target with no direction has no
-    ranking: its score row is None. Score rows are workspace views, valid
-    only until the next question is drawn. A chunk budgets u cosine rows, one
-    additive row per question, and two rows for the multiplicative rule.
+
+def _rows_per_question(measures) -> int:
+    """|V|-wide score rows a question takes: its score row, plus a denominator for CosMUL."""
+    return 1 + ("mul" in _modes(measures))
+
+
+def _stacks(block: _Block, groups, width: int, per_question: int, n: int):
+    """Split row sets and their questions into stacks that are scored together.
+
+    groups[i] lists the items scored on row set i, and block holds them,
+    padded. Each row set takes width |V|-wide rows of its own (a kernel's
+    projection; 0 for the vocabulary itself), a cosine row per distinct
+    input word and per_question score rows per question slot. A stack is a
+    run of row sets whose rows fit both _KERNEL_BATCH_ELEMS, so that the
+    arrays of a stack of small kernels stay the size of those that built
+    them, and _CHUNK_ELEMS; it holds at least one. A row set over
+    _CHUNK_ELEMS is a stack of its own, scored in slabs of questions, and in
+    parts of at most _CHUNK_ELEMS / |V| - width - per_question distinct
+    words (see _chunks) when its words alone do not fit.
+
+    Yields (lo, hi, parts): the stack's row sets lo to hi - 1, and the
+    blocks scored on them one after another.
     """
-    budget = _CHUNK_ELEMS // max(len(table), 1) - 2 * ("mul" in modes)
-    for chunk in _chunks(items, budget, int("add" in modes)):
-        idx = np.array([item[0][:3] for item in chunk], dtype=int)
-        for (_, gold, excluded), scored in zip(chunk, scorer.scores(idx, modes, epsilon, shift)):
-            yield gold, excluded, scored
+    chunk_rows = _CHUNK_ELEMS // n
+    u, k = block.words.shape[1], block.pos.shape[1]
+    rows = width + u + per_question * k
+    if rows <= chunk_rows:
+        size = max(1, min(_KERNEL_BATCH_ELEMS // n, chunk_rows) // rows)
+        for lo in range(0, len(groups), size):
+            hi = min(lo + size, len(groups))
+            yield lo, hi, [block.take(lo, hi)]
+        return
+    for i, items in enumerate(groups):
+        if width + u + per_question <= chunk_rows:
+            parts = [block.take(i, i + 1)]
+        else:
+            parts = [_Block.of([c]) for c in _chunks(items, chunk_rows - width - per_question)]
+        yield i, i + 1, parts
+
+
+def _ranked(scorer: _Scorer, block: _Block, measures, config: EvalConfig, budget: int):
+    """Gold ranks of a block's questions, scored on the row sets of scorer.
+
+    Returns measure -> (ranks, hits, null flags), arrays over the questions
+    in list order; hits mark rank 1. A question whose additive target has no
+    direction has no ranking: it is a worst-case miss, ranked behind every
+    candidate left. budget is the |V|-wide rows the block may take: its
+    cosine rows, and score rows for as many question slots at a time as fit.
+    """
+    modes = _modes(measures)
+    (g, k), n = block.real.shape, scorer.rows.shape[1]
+    slab = max(1, (budget // g - block.words.shape[1]) // _rows_per_question(measures))
+    ranks = {mode: np.zeros((g, k), dtype=np.intp) for mode in modes}
+    hits = {mode: np.zeros((g, k), dtype=bool) for mode in modes}
+    nulls = {mode: np.zeros((g, k), dtype=bool) for mode in modes}
+    for mode, at, scores, null in scorer.scores(
+        block, modes, config.epsilon, config.shift_cosines, slab
+    ):
+        rows = scores.shape[0] * scores.shape[1]
+        excluded = block.excluded[:, at]
+        rank = np.zeros(null.shape, dtype=np.intp)
+        sel = np.flatnonzero(block.real[:, at])
+        rank.ravel()[sel] = _gold_ranks(
+            scores.reshape(rows, n), block.gold[:, at].reshape(rows, -1),
+            excluded.reshape(rows, -1), sel,
+        )
+        hit = rank == 1
+        if mode == "add":
+            # no ranking: behind every candidate left
+            rank[null] = n - np.count_nonzero(excluded[null] >= 0, axis=-1)
+            hit &= ~null
+        ranks[mode][:, at], hits[mode][:, at], nulls[mode][:, at] = rank, hit, null
+    return {
+        m: (ranks[_MODES[m]][block.real], hits[_MODES[m]][block.real], nulls[_MODES[m]][block.real])
+        for m in measures
+    }
 
 
 def _answer(q, table, rows, mode, epsilon, shift, exclude_inputs) -> Ranking:
-    """One question scored over rows as a batch of one, then a stable full sort.
+    """One question scored over rows as a stack of one, then a stable full sort.
 
     The returned arrays are the ranking's own: scores[sel] copies the row.
     """
     items = _scoring_items([(q, _resolve_question(q, table, strict=True))], table, exclude_inputs)
-    scorer = _Scorer(rows, np.empty_like(rows), _Workspace())
-    [(_, excluded, scored)] = _scored_questions(scorer, table, items, (mode,), epsilon, shift)
-    scores, null_q = scored[mode]
-    if scores is None:
+    scorer = _Scorer(rows[None], _Workspace())
+    [(_, _, scores, null)] = scorer.scores(_Block.of([items]), (mode,), epsilon, shift, 1)
+    scores, null_q = scores[0, 0], bool(null[0, 0])
+    if mode == "add" and null_q:
         return Ranking(np.empty(0, dtype=int), np.empty(0), {"empty_ranking": 1, "null_queries": 1})
     diagnostics = {"null_queries": 1} if null_q else {}
-    if scorer.n_null_candidates:
-        diagnostics["null_candidates"] = scorer.n_null_candidates
+    if scorer.any_null:
+        diagnostics["null_candidates"] = int(np.count_nonzero(scorer.null))
     order = np.argsort(-scores, kind="stable")
-    sel = order[~np.isin(order, excluded)]
+    sel = order[~np.isin(order, items[0][2])]
     return Ranking(indices=sel, scores=scores[sel], diagnostics=diagnostics)
 
 
@@ -415,16 +553,17 @@ def _kept(pool: list[int], excluded: frozenset[int]) -> tuple[int, ...]:
     return tuple(i for i in pool if i not in excluded)
 
 
-def _pool_subspaces(
+def _pool_spectra(
     coords, head_idx, tail_idx, d, center, ambient_dim=None, spectra=None, keep=None
-) -> tuple[Subspace, Subspace]:
-    """Head and tail subspaces of dimension d, from the rows of coords at the pools' indices.
+) -> tuple[RowSpectrum, RowSpectrum]:
+    """Head and tail row spectra of coords at the pools' indices, checked for dimension d.
 
-    ambient_dim is the embedding dimension when coords are pool coordinates,
-    so the effective-rank check is the one made on the full rows. spectra,
-    when given, keeps each pool's row_spectrum (with at most keep right
-    singular vectors) under its index tuple, so another holdout group or
-    subspace dimension with the same rows reuses that SVD.
+    Raises the ValueError that taking either subspace of dimension d would
+    raise. ambient_dim is the embedding dimension when coords are pool
+    coordinates, so the effective-rank check is the one made on the full
+    rows. spectra, when given, keeps each pool's row_spectrum (with at most
+    keep right singular vectors) under its index tuple, so another holdout
+    group or subspace dimension with the same rows reuses that SVD.
     """
     for label, idx in (("head", head_idx), ("tail", tail_idx)):
         if len(idx) < d:
@@ -433,13 +572,11 @@ def _pool_subspaces(
                 f"use a subspace dimension <= {len(idx)}"
             )
     spectra = {} if spectra is None else spectra
-    subspaces = []
     for idx in (head_idx, tail_idx):
         if idx not in spectra:
             spectra[idx] = row_spectrum(coords[list(idx)], center, ambient_dim=ambient_dim, keep=keep)
-        subspaces.append(spectra[idx].subspace(d))
-    head, tail = subspaces
-    return head, tail
+        spectra[idx].check(d)
+    return spectra[head_idx], spectra[tail_idx]
 
 
 def _pool_width(big_d: int, pool_size: int, d: int, n_kernels: int) -> int | None:
@@ -494,7 +631,8 @@ def relation_subspaces(
         cur = _resolve_question(current, table, strict=True)
         head_excl, tail_excl = _holdout_exclusions(holdout, cur)
     head_idx, tail_idx = _kept(head_pool, head_excl), _kept(tail_pool, tail_excl)
-    return _pool_subspaces(table.vectors, head_idx, tail_idx, d, center)
+    head, tail = _pool_spectra(table.vectors, head_idx, tail_idx, d, center)
+    return head.subspace(d), tail.subspace(d)
 
 
 @dataclass
@@ -551,27 +689,6 @@ class EvalReport:
         return sum(r.rank_sum for r in self.per_relation.values()) / n
 
 
-def _score_batch(scorer, table, items, measures, config):
-    """Score a batch of resolved questions under each measure.
-
-    Returns measure -> list of (correct, rank, null_flag) aligned with items.
-    """
-    modes = tuple(dict.fromkeys(_MODES[m] for m in measures))
-    out = {m: [] for m in measures}
-    for gold, excluded, scored in _scored_questions(
-        scorer, table, items, modes, config.epsilon, config.shift_cosines
-    ):
-        for m in measures:
-            scores, null_q = scored[_MODES[m]]
-            if scores is None:
-                # zero target vector: empty ranking, scored as a worst-case miss
-                out[m].append((False, float(len(table) - len(excluded)), True))
-                continue
-            rank = _rank_of_gold(scores, excluded, gold)
-            out[m].append((rank == 1, float(rank), null_q))
-    return out
-
-
 class _Relation:
     """One relation's evaluation state that does not depend on the subspace dimension.
 
@@ -598,14 +715,27 @@ class _Relation:
         ]
         self.frames: dict[int | None, tuple[np.ndarray | None, dict]] = {}
 
-    def kernel_groups(self, table: EmbeddingTable, d: int, center: bool, keep: int):
-        """The vocabulary's kernel-space rows and every holdout group's subspaces in them.
+    @cached_property
+    def plain_block(self) -> _Block:
+        """Every question, as one list."""
+        return _Block.of([self.items])
 
-        Returns (coords, [(head, tail, items)]), one entry per holdout group;
-        coords are pool coordinates (|V| x w) when _pool_width finds them
-        cheaper, else the vectors themselves. Raises ValueError when a group's
-        pools cannot support d, with the checks and messages of
-        subspace_from_rows on the group's full rows.
+    @cached_property
+    def block(self) -> _Block:
+        """Each holdout group's questions, one list per group."""
+        return _Block.of([items for _, _, items in self.groups])
+
+    def kernel_pools(self, table: EmbeddingTable, d: int, center: bool, keep: int):
+        """The vocabulary's kernel-space rows and every holdout group's pool spectra in them.
+
+        Returns (coords, [(head, tail, items)]), one entry per holdout group,
+        with the row spectra of the group's head and tail pools; coords are
+        pool coordinates (|V| x w) when _pool_width finds them cheaper, else
+        the vectors themselves. Every group's pools are checked for d here,
+        before any kernel is built: raises ValueError when one cannot support
+        d, with the checks and messages of subspace_from_rows on the group's
+        full rows. The subspaces themselves are taken when their kernels are
+        built.
         """
         w = _pool_width(table.dim, len(self.pool), d, len(self.groups))
         if w not in self.frames:
@@ -613,13 +743,13 @@ class _Relation:
             self.frames[w] = (basis, {})
         basis, spectra = self.frames[w]
         coords = table.vectors if basis is None else table.vectors @ basis.T
-        built = []
+        pools = []
         for head_idx, tail_idx, items in self.groups:
-            head, tail = _pool_subspaces(
+            head, tail = _pool_spectra(
                 coords, head_idx, tail_idx, d, center, table.dim, spectra, keep
             )
-            built.append((head, tail, items))
-        return coords, built
+            pools.append((head, tail, items))
+        return coords, pools
 
 
 class _SweepState:
@@ -664,13 +794,12 @@ def evaluate(
     out-of-vocabulary questions are dropped and counted; relations whose word
     pools cannot support the configured subspace dimension are skipped for the
     kernel measures and reported as such; an error raised after a relation's
-    pool subspaces are built propagates. Under holdout policies, kernels are cached
+    pools pass those checks propagates. Under holdout policies, kernels are cached
     by their excluded-word set, so questions sharing an exclusion reuse one
     kernel.
 
     Vocabulary-wide work is done once per distinct word and once per relation,
-    not once per question and kernel. Each chunk of questions is scored from
-    one cosine row per distinct input word. For the kernel measures, the
+    not once per question and kernel. For the kernel measures, the
     vocabulary is mapped once per relation into an orthonormal basis of the
     span of the relation's whole head+tail pool (width w = min(D, max(pool
     size, 2d))); every holdout group's subspaces, principal angles, kernel and
@@ -682,18 +811,34 @@ def evaluate(
     relation's kernels are built as a stack: one principal_angles and one gfk
     call for each sub-batch of its holdout groups (as many as fit the 1 MB
     _KERNEL_BATCH_ELEMS), whose stacked LAPACK and BLAS calls give each
-    kernel the bits it gets alone. Each kernel is taken from
-    its batch just before it is scored, projects the vocabulary once, and
-    its scorer reads every question's word rows from that projection.
+    kernel the bits it gets alone. The subspaces of a sub-batch are taken
+    just before its kernels are built; every group's pools are checked for
+    the dimension before the relation's first kernel, so a relation is
+    skipped whole or scored whole.
 
-    The |V|-wide arrays of scoring live in one workspace for the whole call:
-    each kernel's projected and unit rows, each chunk's cosine rows and
-    additive block, and the one multiplicative row that each question fills
-    just before it is ranked. The buffers are reused, not reallocated, from
-    kernel to kernel and chunk to chunk. The plain scorer's unit rows are a
-    separate array, since they outlive every kernel. With threads > 1 one
-    pool of worker threads serves every relation, and each worker thread
-    has its own workspace.
+    Scoring works on stacks of G row sets (see _Scorer): the vocabulary
+    itself (G = 1) for the plain measures, or the projections of G kernels
+    of a sub-batch, each made by one GfkKernel.project call into its slice
+    of one G x |V| x 2d buffer. A stack's cosines, one row per distinct
+    question word per row set, come from one batched product, and the
+    additive and multiplicative blocks, null handling and gold ranks of all
+    its questions from a fixed number of NumPy calls, plus one counting
+    pass per score row (see _gold_ranks). A cosine is
+    (unit query row . raw candidate row) / |candidate row|, so no unit copy
+    of the table or of a projection is made. A stack holds as many kernels
+    of a sub-batch as fit 1 MB of |V|-wide rows (_KERNEL_BATCH_ELEMS): their
+    projections, cosine rows and two score rows per question. That is a
+    dozen small kernels on a vocabulary of hundreds of words and one kernel
+    on a wide one. A row set whose questions exceed _CHUNK_ELEMS (40 MB) of
+    such rows is scored in slabs of questions, and in parts by distinct
+    words if need be, that fit it (see _stacks).
+
+    The |V|-wide arrays of scoring live in one workspace for the whole call
+    and are reused, not reallocated, from stack to stack. The plain
+    scorer's candidate norms are arrays of its own, since they outlive
+    every kernel. With threads > 1 one pool of worker threads serves every
+    relation: whole stacks go to the pool, and each worker thread has its
+    own workspace.
 
     sweep_state is not a tuning option: dimension_sweep passes the state it
     builds once for all its dimensions (see there), and the reports equal
@@ -712,9 +857,7 @@ def evaluate(
         sweep_state.check(dataset, table, config, bool(gfk_measures))
     keep = config.subspace_dim if sweep_state is None else sweep_state.max_dim
     ws = _Workspace()
-    plain_scorer = (
-        _Scorer(table.vectors, np.empty_like(table.vectors), ws) if plain_measures else None
-    )
+    plain_scorer = _Scorer(table.vectors[None], ws, fresh=True) if plain_measures else None
     reports = {m: EvalReport(measure=m) for m in measures}
     threaded = config.threads > 1 and bool(gfk_measures)
     with ThreadPoolExecutor(config.threads) if threaded else contextlib.nullcontext() as executor:
@@ -731,75 +874,87 @@ def evaluate(
                 continue
 
             if plain_measures:
-                results = _score_batch(plain_scorer, table, rel.items, plain_measures, config)
+                [(_, _, parts)] = _stacks(
+                    rel.plain_block, [rel.items], 0, _rows_per_question(plain_measures), len(table)
+                )
+                budget = _CHUNK_ELEMS // len(table)
+                results = [_ranked(plain_scorer, p, plain_measures, config, budget) for p in parts]
                 for m in plain_measures:
-                    reports[m].per_relation[relation] = _tally(results[m])
+                    reports[m].per_relation[relation] = _tally(results, m)
 
             if gfk_measures:
                 try:
-                    coords, groups = rel.kernel_groups(
+                    coords, pools = rel.kernel_pools(
                         table, config.subspace_dim, config.center_subspaces, keep
                     )
                 except ValueError as err:
                     for m in gfk_measures:
                         reports[m].skipped[relation] = str(err)
                     continue
-                grouped = _score_relation_gfk(
-                    coords, groups, table, gfk_measures, config, ws, executor
+                results = _score_relation_gfk(
+                    coords, pools, rel.block, config.subspace_dim, gfk_measures, config, ws,
+                    executor,
                 )
                 for m in gfk_measures:
-                    reports[m].per_relation[relation] = _tally(grouped[m])
+                    reports[m].per_relation[relation] = _tally(results, m)
     return reports
 
 
-def _tally(results) -> RelationResult:
-    tally = RelationResult()
-    for correct, rank, null_flag in results:
-        tally.n_questions += 1
-        tally.n_correct += int(correct)
-        tally.rank_sum += rank
-        tally.n_null_flags += int(null_flag)
-    return tally
+def _tally(results, measure: str) -> RelationResult:
+    """One measure's tallies over the _ranked results of a relation."""
+    ranks, hits, nulls = (np.concatenate(a) for a in zip(*(r[measure] for r in results)))
+    return RelationResult(
+        n_questions=len(ranks),
+        n_correct=int(np.count_nonzero(hits)),
+        rank_sum=float(ranks.sum()),
+        n_null_flags=int(np.count_nonzero(nulls)),
+    )
 
 
-def _score_relation_gfk(coords, groups, table, measures, config, ws, executor):
-    """Kernel-measure scoring for one relation's holdout groups, in pool coordinates.
+def _score_relation_gfk(coords, pools, block, d, measures, config, ws, executor):
+    """Kernel-measure ranks for one relation's holdout groups, in pool coordinates.
 
-    The groups' kernels are built in sub-batches, one principal_angles and
-    one gfk call each. Building a batch peaks at about twelve w x d arrays
-    per kernel (the stacked bases, factors, 2d x 2d coefficients and their
-    temporaries), so a sub-batch holds as many kernels as fit
-    _KERNEL_BATCH_ELEMS, and at least one.
-    Each group takes its kernel from the batch just before it is scored: the
-    kernel projects coords into the workspace's row buffer and its scorer
-    normalizes them into the unit buffer. With an executor the groups of a
-    sub-batch run on its worker threads, each with its own buffers from ws.
+    pools lists each group's head and tail pool spectra with its items, and
+    block holds the groups' questions. The kernels are built in sub-batches,
+    one principal_angles and one gfk call each, from subspaces taken from
+    the spectra just before the call. Building a batch peaks at about twelve
+    w x d arrays per kernel (the stacked bases, factors, 2d x 2d
+    coefficients and their temporaries), so a sub-batch holds as many
+    kernels as fit _KERNEL_BATCH_ELEMS, and at least one. A sub-batch is
+    scored in stacks (see _stacks): each kernel of a stack projects coords
+    into its slice of the workspace's row buffer. With an executor the
+    stacks of a sub-batch run on its worker threads, each with its own
+    buffers from ws. Returns the _ranked results in group order.
     """
-    d = groups[0][0].dim
-    size = max(1, _KERNEL_BATCH_ELEMS // (12 * coords.shape[1] * d))
-    group_results = []
-    for start in range(0, len(groups), size):
-        heads, tails, batch_items = zip(*groups[start : start + size])
-        kernels = gfk(principal_angles(heads, tails))
+    n, w = coords.shape
+    size = max(1, _KERNEL_BATCH_ELEMS // (12 * w * d))
+    per_question = _rows_per_question(measures)
+    results = []
+    for start in range(0, len(pools), size):
+        batch = pools[start : start + size]
+        kernels = gfk(principal_angles(
+            [head.subspace(d) for head, _, _ in batch], [tail.subspace(d) for _, tail, _ in batch]
+        ))
+        groups = [items for _, _, items in batch]
+        sub_block = block.take(start, start + len(batch))
+        stacks = list(_stacks(sub_block, groups, 2 * d, per_question, n))
 
-        def run_group(i):
-            kernel = kernels[i]
-            shape = (len(coords), kernel.f.shape[1])
-            rows = kernel.project(coords, out=ws.get("rows", shape))
-            scorer = _Scorer(rows, ws.get("unit", shape), ws)
-            return _score_batch(scorer, table, batch_items[i], measures, config)
+        def run_stack(stack):
+            lo, hi, parts = stack
+            rows = ws.get("rows", ((hi - lo) * n, 2 * d)).reshape(hi - lo, n, 2 * d)
+            for i in range(lo, hi):
+                kernels[i].project(coords, out=rows[i - lo])
+            scorer = _Scorer(rows, ws)
+            budget = _CHUNK_ELEMS // n - (hi - lo) * 2 * d
+            return [_ranked(scorer, part, measures, config, budget) for part in parts]
 
-        indices = range(len(batch_items))
-        if executor is not None and len(indices) > 1:
-            group_results.extend(executor.map(run_group, indices))
+        if executor is not None and len(stacks) > 1:
+            done = executor.map(run_stack, stacks)
         else:
-            group_results.extend(run_group(i) for i in indices)
-
-    merged = {m: [] for m in measures}
-    for result in group_results:
-        for m in measures:
-            merged[m].extend(result[m])
-    return merged
+            done = map(run_stack, stacks)
+        for parts in done:
+            results.extend(parts)
+    return results
 
 
 def dimension_sweep(

@@ -78,6 +78,11 @@ class RowSpectrum:
 
     def subspace(self, d: int) -> Subspace:
         """The span of the top-d right singular vectors, after the checks on d."""
+        self.check(d)
+        return Subspace(self.vt[:d].T)
+
+    def check(self, d: int) -> None:
+        """Raise ValueError unless subspace(d) can be taken."""
         big_d = self.vt.shape[1]
         if d < 1:
             raise ValueError("subspace dimension must be >= 1")
@@ -87,7 +92,6 @@ class RowSpectrum:
             raise ValueError(f"d={d} exceeds effective rank {self.rank} of the row matrix")
         if d > len(self.vt):
             raise ValueError(f"d={d} exceeds the {len(self.vt)} singular vectors kept")
-        return Subspace(self.vt[:d].T)
 
 
 def row_spectrum(

@@ -1,6 +1,7 @@
 import io
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -388,6 +389,37 @@ def _wide_synth_relation():
     return table.normalized(), ds
 
 
+def _stacking_fixture():
+    """Two relations whose holdout groups differ in size, with degenerate words.
+
+    Relation "r" pairs h_i : t_i in R^12 over ordered pairs at offsets 1, 3
+    and 5 (offsets 3 and 5 are each other's reverse), plus h0 : t0 :: h0 : t0,
+    so holdout groups hold 1 to 4 questions over 2 to 4 distinct input words.
+    Two questions' x is "zero", a zero row: a null query in every row set,
+    and a null candidate everywhere; one of them has a = b, so its additive
+    target is zero and it has no ranking. Relation "axes" is built from unit axes,
+    where a : b :: x : y scores the candidate v as 0 / 0 under raw cosines
+    and epsilon 0.5: cos(v, a) = -1/2, cos(v, b) = 0.
+    """
+    rng = np.random.default_rng(29)
+    words = [f"h{i}" for i in range(8)] + [f"t{i}" for i in range(8)] + [f"z{i}" for i in range(10)]
+    vecs = [rng.standard_normal((len(words), 12)), np.zeros((1, 12)), np.eye(12)[:8],
+            [[-1.0, 0, 1.0, 1.0, 1.0] + [0.0] * 7]]
+    words += ["zero"] + [f"e{i}" for i in range(8)] + ["v"]
+    ds = RelationDataset()
+    ds.add(question("h0", "t0", "h0", "t0"))
+    for i in range(8):
+        for j in (i + 1, i + 3, i + 5):
+            ds.add(question(f"h{i}", f"t{i}", f"h{j % 8}", f"t{j % 8}"))
+    ds.add(question("h2", "t2", "zero", "t6"))
+    ds.add(question("h3", "h3", "zero", "t5"))
+    for i in range(0, 8, 2):
+        for j in range(0, 8, 2):
+            if j != i:
+                ds.add(question(f"e{i}", f"e{i + 1}", f"e{j}", f"e{j + 1}", "axes"))
+    return EmbeddingTable(words, np.vstack(vecs)), ds
+
+
 # (holdout, measure, center, input): the plain synthetic GFKCosADD cases keep
 # the bare holdout as their id.
 _API_CASES = [
@@ -631,6 +663,127 @@ class TestEvaluate:
         assert sum(whole_sizes) == sum(pair_sizes) == sum(one_sizes)
         assert len(whole_sizes) == 4  # one batch per relation and holdout
         assert set(pair_sizes) == {2} and set(one_sizes) == {1}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_stack_size_leaves_tallies_unchanged(self, monkeypatch, threads):
+        table, ds = _stacking_fixture()
+        n, d = len(table), 2
+        nan_question = question("e0", "e1", "e2", "e3", "axes")
+        nan_ranking = cos_mul_answer(nan_question, table, epsilon=0.5, shift_cosines=False)
+        assert nan_ranking.scores[-1] == -np.inf
+        configs = [
+            EvalConfig(measure="all", subspace_dim=d, holdout=holdout, shift_cosines=shift,
+                       epsilon=epsilon, threads=threads)
+            for holdout in ("answer", "question")
+            for shift, epsilon in ((True, 0.001), (False, 0.5))
+        ]
+        # |V|-wide rows a kernel takes in a stack: its projection, its
+        # relation's padded cosine rows and two score rows per question slot
+        rows, groups = {}, set()
+        for holdout in ("answer", "question"):
+            for name, questions in ds.relations.items():
+                rel = evaluation._Relation(questions, table, holdout, True)
+                assert len(rel.groups) > 1
+                if name == "r":
+                    assert not rel.block.real.all()  # groups of unequal size are padded
+                block = rel.block.words.shape[1] + 2 * rel.block.pos.shape[1]
+                rows.setdefault(holdout, []).append(2 * d + block)
+                groups.add(len(rel.groups))
+            # one chunk budget per holdout holds two kernels of each relation
+            assert 2 * max(rows[holdout]) < 3 * min(rows[holdout])
+        sizes = []
+        init = evaluation._Scorer.__init__
+
+        def recorded(self, rows, ws, fresh=False):
+            if not fresh:
+                sizes.append(len(rows))
+            init(self, rows, ws, fresh)
+
+        monkeypatch.setattr(evaluation._Scorer, "__init__", recorded)
+        # (batch budget, chunk budget): one stack per relation, stacks of two
+        # (the plain blocks then in slabs), one kernel per batch and stack
+        settings = (
+            lambda holdout: (10**9, 10**12),
+            lambda holdout: (10**9, n * 2 * max(rows[holdout])),
+            lambda holdout: (1, evaluation._CHUNK_ELEMS),
+        )
+        runs = []
+        for budgets in settings:
+            sizes.clear()
+            run = {}
+            for cfg in configs:
+                batch_elems, chunk_elems = budgets(cfg.holdout)
+                monkeypatch.setattr(evaluation, "_KERNEL_BATCH_ELEMS", batch_elems)
+                monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", chunk_elems)
+                for m, rep in evaluate(ds, table, cfg).items():
+                    assert not rep.skipped
+                    run[cfg, m] = {
+                        rel: (r.n_questions, r.n_correct, r.rank_sum, r.n_null_flags)
+                        for rel, r in rep.per_relation.items()
+                    }
+            runs.append((run, sorted(set(sizes))))
+        (whole, whole_sizes), (pairs, pair_sizes), (ones, one_sizes) = runs
+        assert whole == pairs == ones
+        assert set(whole_sizes) == groups
+        assert max(pair_sizes) == 2 and one_sizes == [1]
+        for m in MEASURES:  # every measure meets a null query or target
+            flags = [t[3] for (_, name), rels in whole.items() if name == m for t in rels.values()]
+            assert any(flags), m
+
+    def test_exact_ties_break_toward_the_lower_index(self):
+        rng = np.random.default_rng(31)
+        vecs = rng.standard_normal((30, 8))
+        # "copy" repeats w3 exactly and "double" is 2 * w5, each after its twin.
+        # 32 candidates: BLAS products round each candidate column of a full
+        # block alike, but may round a column of a partial edge block
+        # otherwise (with 18 or 26 candidates the additive product broke ties).
+        words = [f"w{i}" for i in range(30)] + ["copy", "double"]
+        table = EmbeddingTable(words, np.vstack([vecs, vecs[3], 2.0 * vecs[5]]))
+        twins = {"copy": "w3", "double": "w5"}
+        ds = RelationDataset()
+        for a, b, x, y in (("w6", "w7", "w8", "copy"), ("w9", "w10", "w11", "double"),
+                           ("w12", "w13", "w14", "w15"), ("w8", "w15", "w6", "copy")):
+            ds.add(question(a, b, x, y))
+        questions = ds.relations["r"]
+        kernel = gfk(principal_angles(*relation_subspaces(questions, table, 2, "none")))
+        answers = {
+            "CosADD": lambda q: cos_add_answer(q, table),
+            "CosMUL": lambda q: cos_mul_answer(q, table),
+            "GFKCosADD": lambda q: gfk_answer(q, table, kernel, mode="add"),
+            "GFKCosMUL": lambda q: gfk_answer(q, table, kernel, mode="mul"),
+        }
+        reports = evaluate(ds, table, EvalConfig(measure="all", subspace_dim=2, holdout="none"))
+        for m in MEASURES:
+            rank_sum = 0
+            for q in questions:
+                ranking = answers[m](q)
+                order = ranking.indices.tolist()
+                gold = order.index(table.index[q.y])
+                if q.y in twins:
+                    twin = order.index(table.index[twins[q.y]])
+                    assert twin == gold - 1, m
+                    assert ranking.scores[twin] == ranking.scores[gold], m
+                rank_sum += gold + 1
+            assert reports[m].per_relation["r"].rank_sum == rank_sum, m
+
+    def test_plain_scoring_keeps_no_copy_of_the_table(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        n = 4096
+        table = EmbeddingTable([f"w{i}" for i in range(n)], rng.standard_normal((n, 256)))
+        ds = RelationDataset()
+        for i in range(0, 40, 4):
+            ds.add(question(f"w{i}", f"w{i + 1}", f"w{i + 2}", f"w{i + 3}"))
+        # 16 |V|-wide rows per block, where a unit copy of the table takes 256
+        monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", 16 * n)
+        cfg = EvalConfig(measure="CosADD,CosMUL")
+        evaluate(ds, table, cfg)  # builds the table's lowercase index before the measurement
+        tracemalloc.start()
+        try:
+            evaluate(ds, table, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.vectors.nbytes / 4
 
     def test_relation_too_small_skipped_for_gfk_only(self):
         table = random_table(19, 12, 8)
