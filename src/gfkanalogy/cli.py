@@ -111,7 +111,6 @@ def _add_eval_flags(p):
                    help="shift cosines to (c+1)/2 inside the multiplicative rule")
     p.add_argument("--center", type=_parse_bool, default=False, metavar="BOOL",
                    help="mean-center word pools before extracting subspaces")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _config_from_args(args) -> EvalConfig:
@@ -123,7 +122,6 @@ def _config_from_args(args) -> EvalConfig:
         exclude_inputs=args.exclude_inputs,
         shift_cosines=args.shift_cosmul,
         center_subspaces=args.center,
-        threads=args.threads,
     )
 
 

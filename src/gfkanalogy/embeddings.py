@@ -1,7 +1,7 @@
 """Dense word embeddings with an ordered vocabulary.
 
-Tables are immutable after construction (the vector array is marked
-read-only), so they can be shared freely across evaluation workers.
+Tables are immutable after construction: the vector array is marked
+read-only.
 """
 
 from __future__ import annotations
@@ -118,10 +118,8 @@ class EmbeddingTable:
         if np.any(norms == 0.0):
             bad = self.words[int(np.argmax(norms == 0.0))]
             raise ValueError(f"cannot normalize zero vector for word {bad!r}")
-        out = self.vectors.copy()
         stale = np.abs(norms - 1.0) > UNIT_NORM_TOL
-        out[stale] /= norms[stale, None]
-        return EmbeddingTable(self.words, out)
+        return EmbeddingTable(self.words, self.vectors / np.where(stale, norms, 1.0)[:, None])
 
 
 def load_text_embeddings(path: str, normalize: bool = False) -> EmbeddingTable:

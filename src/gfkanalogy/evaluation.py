@@ -17,10 +17,7 @@ builds every subspace, kernel and projection in those narrow coordinates.
 
 from __future__ import annotations
 
-import contextlib
-import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -78,6 +75,7 @@ class EvalConfig:
     exclude_inputs: bool = True
     shift_cosines: bool = True
     center_subspaces: bool = False
+    # goes once perfbench/run.py stops passing it (ROADMAP item 1)
     threads: int = 1
 
     def __post_init__(self):
@@ -89,8 +87,8 @@ class EvalConfig:
             raise ValueError("epsilon must be positive")
         if self.holdout not in HOLDOUTS:
             raise ValueError(f"holdout must be one of {HOLDOUTS}, got {self.holdout!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if self.threads != 1:
+            raise ValueError(f"threads must be 1: evaluate runs on the calling thread, got {self.threads}")
 
     @staticmethod
     def _parse_measures(spec: str) -> tuple[str, ...]:
@@ -127,15 +125,14 @@ class Ranking:
         return [table.words[i] for i in self.indices]
 
 
-class _Workspace(threading.local):
-    """Reused buffers for one evaluate call, one set per thread.
+class _Workspace:
+    """Reused buffers for one evaluate call.
 
     get(name, shape) returns the leading shape[0] rows of the named buffer,
     which is reallocated only when it has fewer rows or another row shape, so
     the |V|-wide arrays of scoring are allocated a few times per call instead
     of once per kernel, chunk or question. A view is valid until the next get
-    of its name. Each worker thread of evaluate sees its own buffers
-    (threading.local).
+    of its name.
     """
 
     def __init__(self):
@@ -417,26 +414,23 @@ def _stacks(block: _Block, groups, width: int, per_question: int, n: int):
     them, and _CHUNK_ELEMS; it holds at least one. A row set over
     _CHUNK_ELEMS is a stack of its own, scored in slabs of questions, and in
     parts of at most _CHUNK_ELEMS / |V| - width - per_question distinct
-    words (see _chunks) when its words alone do not fit.
+    words (see _chunks) when its words alone do not fit. Such a row set
+    leaves the stack size at 1, so one loop serves every case and only the
+    word split is conditional.
 
     Yields (lo, hi, parts): the stack's row sets lo to hi - 1, and the
     blocks scored on them one after another.
     """
     chunk_rows = _CHUNK_ELEMS // n
     u, k = block.words.shape[1], block.pos.shape[1]
-    rows = width + u + per_question * k
-    if rows <= chunk_rows:
-        size = max(1, min(_KERNEL_BATCH_ELEMS // n, chunk_rows) // rows)
-        for lo in range(0, len(groups), size):
-            hi = min(lo + size, len(groups))
-            yield lo, hi, [block.take(lo, hi)]
-        return
-    for i, items in enumerate(groups):
+    size = max(1, min(_KERNEL_BATCH_ELEMS // n, chunk_rows) // (width + u + per_question * k))
+    for lo in range(0, len(groups), size):
+        hi = min(lo + size, len(groups))
         if width + u + per_question <= chunk_rows:
-            parts = [block.take(i, i + 1)]
+            parts = [block.take(lo, hi)]
         else:
-            parts = [_Block.of([c]) for c in _chunks(items, chunk_rows - width - per_question)]
-        yield i, i + 1, parts
+            parts = [_Block.of([c]) for c in _chunks(groups[lo], chunk_rows - width - per_question)]
+        yield lo, hi, parts
 
 
 def _ranked(scorer: _Scorer, block: _Block, measures, config: EvalConfig, budget: int):
@@ -836,9 +830,7 @@ def evaluate(
     The |V|-wide arrays of scoring live in one workspace for the whole call
     and are reused, not reallocated, from stack to stack. The plain
     scorer's candidate norms are arrays of its own, since they outlive
-    every kernel. With threads > 1 one pool of worker threads serves every
-    relation: whole stacks go to the pool, and each worker thread has its
-    own workspace.
+    every kernel.
 
     sweep_state is not a tuning option: dimension_sweep passes the state it
     builds once for all its dimensions (see there), and the reports equal
@@ -859,44 +851,41 @@ def evaluate(
     ws = _Workspace()
     plain_scorer = _Scorer(table.vectors[None], ws, fresh=True) if plain_measures else None
     reports = {m: EvalReport(measure=m) for m in measures}
-    threaded = config.threads > 1 and bool(gfk_measures)
-    with ThreadPoolExecutor(config.threads) if threaded else contextlib.nullcontext() as executor:
-        for relation, questions in dataset.relations.items():
-            if sweep_state is None:
-                rel = _Relation(questions, table, config.holdout, config.exclude_inputs)
-            else:
-                rel = sweep_state.relation(relation, questions, table)
+    for relation, questions in dataset.relations.items():
+        if sweep_state is None:
+            rel = _Relation(questions, table, config.holdout, config.exclude_inputs)
+        else:
+            rel = sweep_state.relation(relation, questions, table)
+        for m in measures:
+            reports[m].oov_counts[relation] = rel.n_oov
+        if not rel.items:
             for m in measures:
-                reports[m].oov_counts[relation] = rel.n_oov
-            if not rel.items:
-                for m in measures:
-                    reports[m].skipped[relation] = "no in-vocabulary questions"
-                continue
+                reports[m].skipped[relation] = "no in-vocabulary questions"
+            continue
 
-            if plain_measures:
-                [(_, _, parts)] = _stacks(
-                    rel.plain_block, [rel.items], 0, _rows_per_question(plain_measures), len(table)
-                )
-                budget = _CHUNK_ELEMS // len(table)
-                results = [_ranked(plain_scorer, p, plain_measures, config, budget) for p in parts]
-                for m in plain_measures:
-                    reports[m].per_relation[relation] = _tally(results, m)
+        if plain_measures:
+            [(_, _, parts)] = _stacks(
+                rel.plain_block, [rel.items], 0, _rows_per_question(plain_measures), len(table)
+            )
+            budget = _CHUNK_ELEMS // len(table)
+            results = [_ranked(plain_scorer, p, plain_measures, config, budget) for p in parts]
+            for m in plain_measures:
+                reports[m].per_relation[relation] = _tally(results, m)
 
-            if gfk_measures:
-                try:
-                    coords, pools = rel.kernel_pools(
-                        table, config.subspace_dim, config.center_subspaces, keep
-                    )
-                except ValueError as err:
-                    for m in gfk_measures:
-                        reports[m].skipped[relation] = str(err)
-                    continue
-                results = _score_relation_gfk(
-                    coords, pools, rel.block, config.subspace_dim, gfk_measures, config, ws,
-                    executor,
+        if gfk_measures:
+            try:
+                coords, pools = rel.kernel_pools(
+                    table, config.subspace_dim, config.center_subspaces, keep
                 )
+            except ValueError as err:
                 for m in gfk_measures:
-                    reports[m].per_relation[relation] = _tally(results, m)
+                    reports[m].skipped[relation] = str(err)
+                continue
+            results = _score_relation_gfk(
+                coords, pools, rel.block, config.subspace_dim, gfk_measures, config, ws
+            )
+            for m in gfk_measures:
+                reports[m].per_relation[relation] = _tally(results, m)
     return reports
 
 
@@ -911,7 +900,7 @@ def _tally(results, measure: str) -> RelationResult:
     )
 
 
-def _score_relation_gfk(coords, pools, block, d, measures, config, ws, executor):
+def _score_relation_gfk(coords, pools, block, d, measures, config, ws):
     """Kernel-measure ranks for one relation's holdout groups, in pool coordinates.
 
     pools lists each group's head and tail pool spectra with its items, and
@@ -922,9 +911,8 @@ def _score_relation_gfk(coords, pools, block, d, measures, config, ws, executor)
     coefficients and their temporaries), so a sub-batch holds as many
     kernels as fit _KERNEL_BATCH_ELEMS, and at least one. A sub-batch is
     scored in stacks (see _stacks): each kernel of a stack projects coords
-    into its slice of the workspace's row buffer. With an executor the
-    stacks of a sub-batch run on its worker threads, each with its own
-    buffers from ws. Returns the _ranked results in group order.
+    into its slice of the workspace's row buffer. Returns the _ranked
+    results in group order.
     """
     n, w = coords.shape
     size = max(1, _KERNEL_BATCH_ELEMS // (12 * w * d))
@@ -937,23 +925,13 @@ def _score_relation_gfk(coords, pools, block, d, measures, config, ws, executor)
         ))
         groups = [items for _, _, items in batch]
         sub_block = block.take(start, start + len(batch))
-        stacks = list(_stacks(sub_block, groups, 2 * d, per_question, n))
-
-        def run_stack(stack):
-            lo, hi, parts = stack
+        for lo, hi, parts in _stacks(sub_block, groups, 2 * d, per_question, n):
             rows = ws.get("rows", ((hi - lo) * n, 2 * d)).reshape(hi - lo, n, 2 * d)
             for i in range(lo, hi):
                 kernels[i].project(coords, out=rows[i - lo])
             scorer = _Scorer(rows, ws)
             budget = _CHUNK_ELEMS // n - (hi - lo) * 2 * d
-            return [_ranked(scorer, part, measures, config, budget) for part in parts]
-
-        if executor is not None and len(stacks) > 1:
-            done = executor.map(run_stack, stacks)
-        else:
-            done = map(run_stack, stacks)
-        for parts in done:
-            results.extend(parts)
+            results.extend(_ranked(scorer, part, measures, config, budget) for part in parts)
     return results
 
 

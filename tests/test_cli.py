@@ -160,6 +160,16 @@ class TestEval:
             outputs.append(open(out).read())
         assert f"holdout=none" in outputs[0] and f"holdout=answer" in outputs[1]
 
+    def test_threads_flag_is_refused(self, synth_files, monkeypatch, capsys):
+        # scoring runs on the calling thread; there is no --threads to set
+        calls = []
+        monkeypatch.setattr(cli, "evaluate", lambda *a, **k: calls.append(a))
+        emb, data = synth_files
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval", "--embeddings", emb, "--dataset", data, "--threads", "2"])
+        assert exit_.value.code == 2 and calls == []
+        assert "--threads" in capsys.readouterr().err
+
     def test_unwritable_out_fails_before_evaluating(self, synth_files, tmp_path,
                                                     monkeypatch, capsys):
         calls = []

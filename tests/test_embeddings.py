@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfkanalogy.embeddings import (
+    UNIT_NORM_TOL,
     EmbeddingTable,
     _load_lines,
     _load_regular,
@@ -310,6 +311,33 @@ class TestRoundTripAndNormalize:
         np.testing.assert_allclose(
             np.linalg.norm(once.vectors, axis=1), 1.0, rtol=0, atol=1e-12
         )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                    min_size=4, max_size=4,
+                ).filter(lambda row: any(abs(v) > 1e-6 for v in row)),
+                st.booleans(),
+            ),
+            min_size=1, max_size=8,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_normalize_matches_per_row_oracle(self, drawn):
+        # the oracle norm is a plain sum of squares: np.linalg.norm(v) on one
+        # row takes a BLAS dot, which may differ from a row-wise norm in the last bit
+        norm = lambda v: np.sqrt(np.sum(v * v))
+        rows = [np.array(v) / norm(np.array(v)) if unit else np.array(v) for v, unit in drawn]
+        table = EmbeddingTable([f"w{i}" for i in range(len(rows))], np.array(rows))
+        out = table.normalized().vectors
+        for (_, unit), v, got in zip(drawn, rows, out):
+            if abs(norm(v) - 1.0) <= UNIT_NORM_TOL:
+                assert got.tobytes() == v.tobytes()
+            else:
+                assert not unit
+                assert got.tobytes() == (v / norm(v)).tobytes()
 
     def test_normalize_rejects_zero_rows(self):
         table = EmbeddingTable(["a", "z"], np.array([[1.0, 0], [0, 0]]))

@@ -1,6 +1,5 @@
 import io
 import math
-import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -631,8 +630,7 @@ class TestEvaluate:
             assert not any(rep.skipped for rep in reports.values())
             assert calls["kernels"] >= 2 and calls["project"] == calls["kernels"]
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_kernel_sub_batches_leave_tallies_unchanged(self, monkeypatch, threads):
+    def test_kernel_sub_batches_leave_tallies_unchanged(self, monkeypatch):
         table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
         table = table.normalized()
         batches = []
@@ -650,7 +648,7 @@ class TestEvaluate:
             batches.clear()
             run = {}
             for holdout in ("answer", "question"):
-                cfg = EvalConfig(measure="all", subspace_dim=4, holdout=holdout, threads=threads)
+                cfg = EvalConfig(measure="all", subspace_dim=4, holdout=holdout)
                 for m, rep in evaluate(ds, table, cfg).items():
                     assert not rep.skipped
                     run[holdout, m] = {
@@ -664,8 +662,7 @@ class TestEvaluate:
         assert len(whole_sizes) == 4  # one batch per relation and holdout
         assert set(pair_sizes) == {2} and set(one_sizes) == {1}
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_stack_size_leaves_tallies_unchanged(self, monkeypatch, threads):
+    def test_stack_size_leaves_tallies_unchanged(self, monkeypatch):
         table, ds = _stacking_fixture()
         n, d = len(table), 2
         nan_question = question("e0", "e1", "e2", "e3", "axes")
@@ -673,7 +670,7 @@ class TestEvaluate:
         assert nan_ranking.scores[-1] == -np.inf
         configs = [
             EvalConfig(measure="all", subspace_dim=d, holdout=holdout, shift_cosines=shift,
-                       epsilon=epsilon, threads=threads)
+                       epsilon=epsilon)
             for holdout in ("answer", "question")
             for shift, epsilon in ((True, 0.001), (False, 0.5))
         ]
@@ -834,43 +831,33 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="2 \\* subspace_dim"):
             evaluate(ds, table, EvalConfig(measure="GFKCosADD", subspace_dim=4))
 
-    def test_determinism_and_threads(self):
-        from gfkanalogy.synth import SynthSpec, generate
-
+    def test_determinism(self):
         table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
         table = table.normalized()
-        cfg1 = EvalConfig(measure="all", subspace_dim=4, holdout="answer", threads=1)
-        cfg2 = EvalConfig(measure="all", subspace_dim=4, holdout="answer", threads=3)
-        r1 = evaluate(ds, table, cfg1)
-        r1b = evaluate(ds, table, cfg1)
-        r2 = evaluate(ds, table, cfg2)
+        cfg = EvalConfig(measure="all", subspace_dim=4, holdout="answer")
+        r1 = evaluate(ds, table, cfg)
+        r2 = evaluate(ds, table, cfg)
         for m in r1:
             for rel in r1[m].per_relation:
-                a, b, c = (
-                    r1[m].per_relation[rel],
-                    r1b[m].per_relation[rel],
-                    r2[m].per_relation[rel],
-                )
+                a, b = r1[m].per_relation[rel], r2[m].per_relation[rel]
                 assert (a.n_correct, a.rank_sum) == (b.n_correct, b.rank_sum)
-                assert (a.n_correct, a.rank_sum) == (c.n_correct, c.rank_sum)
 
-    def test_one_thread_pool_per_call(self, monkeypatch):
-        # each worker thread sets up its own workspace once: one pool per
-        # evaluate call, not one per relation
+    def test_one_workspace_per_call(self, monkeypatch):
+        # every relation and kernel of an evaluate call reuses one workspace
         table, ds = generate(SynthSpec(n_relations=3, pairs_per_relation=8, dim=12, seed=3))
         table = table.normalized()
         init = evaluation._Workspace.__init__
         setups = []
 
         def counted(self):
-            setups.append(threading.get_ident())
+            setups.append(self)
             init(self)
 
         monkeypatch.setattr(evaluation._Workspace, "__init__", counted)
-        cfg = EvalConfig(measure="all", subspace_dim=4, holdout="answer", threads=2)
+        cfg = EvalConfig(measure="all", subspace_dim=4, holdout="answer")
         reports = evaluate(ds, table, cfg)
         assert len(reports["GFKCosADD"].per_relation) == 3
-        assert len(setups) <= 1 + cfg.threads
+        assert len(setups) == 1
 
     def test_kernel_errors_propagate_instead_of_skipping(self, monkeypatch):
         table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
@@ -1163,5 +1150,7 @@ class TestConfig:
             EvalConfig(subspace_dim=0)
         with pytest.raises(ValueError):
             EvalConfig(holdout="sometimes")
-        with pytest.raises(ValueError):
-            EvalConfig(threads=0)
+        for threads in (0, 2):
+            with pytest.raises(ValueError, match="threads must be 1"):
+                EvalConfig(threads=threads)
+        assert EvalConfig(threads=1).threads == 1
