@@ -805,10 +805,10 @@ def evaluate(
     relation's kernels are built as a stack: one principal_angles and one gfk
     call for each sub-batch of its holdout groups (as many as fit the 1 MB
     _KERNEL_BATCH_ELEMS), whose stacked LAPACK and BLAS calls give each
-    kernel the bits it gets alone. The subspaces of a sub-batch are taken
-    just before its kernels are built; every group's pools are checked for
-    the dimension before the relation's first kernel, so a relation is
-    skipped whole or scored whole.
+    kernel the bits it gets alone. A sub-batch's heads are one batched
+    Subspace, stacked from the spectra just before its kernels are built,
+    and so are its tails; every group's pools are checked for the dimension
+    before the relation's first kernel, so it is skipped or scored whole.
 
     Scoring works on stacks of G row sets (see _Scorer): the vocabulary
     itself (G = 1) for the plain measures, or the projections of G kernels
@@ -905,26 +905,28 @@ def _score_relation_gfk(coords, pools, block, d, measures, config, ws):
 
     pools lists each group's head and tail pool spectra with its items, and
     block holds the groups' questions. The kernels are built in sub-batches,
-    one principal_angles and one gfk call each, from subspaces taken from
-    the spectra just before the call. Building a batch peaks at about twelve
-    w x d arrays per kernel (the stacked bases, factors, 2d x 2d
-    coefficients and their temporaries), so a sub-batch holds as many
-    kernels as fit _KERNEL_BATCH_ELEMS, and at least one. A sub-batch is
-    scored in stacks (see _stacks): each kernel of a stack projects coords
-    into its slice of the workspace's row buffer. Returns the _ranked
-    results in group order.
+    one principal_angles and one gfk call each, of two batched Subspaces:
+    the top-d bases of the head and of the tail spectra (kernel_pools
+    checked them for d), stacked just before the call. Building a batch
+    peaks at about twelve w x d arrays per kernel (the stacked bases,
+    factors, 2d x 2d coefficients and their temporaries), so a sub-batch
+    holds as many kernels as fit _KERNEL_BATCH_ELEMS, and at least one. A
+    sub-batch is scored in stacks (see _stacks): each kernel of a stack
+    projects coords into its slice of the workspace's row buffer. Returns
+    the _ranked results in group order.
     """
     n, w = coords.shape
     size = max(1, _KERNEL_BATCH_ELEMS // (12 * w * d))
     per_question = _rows_per_question(measures)
     results = []
     for start in range(0, len(pools), size):
-        batch = pools[start : start + size]
-        kernels = gfk(principal_angles(
-            [head.subspace(d) for head, _, _ in batch], [tail.subspace(d) for _, tail, _ in batch]
-        ))
-        groups = [items for _, _, items in batch]
-        sub_block = block.take(start, start + len(batch))
+        heads, tails, groups = zip(*pools[start : start + size])
+        # the top-d spans that kernel_pools checked, one B x w x d batch per side
+        head, tail = (
+            Subspace(np.stack([s.vt[:d] for s in side]).transpose(0, 2, 1)) for side in (heads, tails)
+        )
+        kernels = gfk(principal_angles(head, tail))
+        sub_block = block.take(start, start + len(groups))
         for lo, hi, parts in _stacks(sub_block, groups, 2 * d, per_question, n):
             rows = ws.get("rows", ((hi - lo) * n, 2 * d)).reshape(hi - lo, n, 2 * d)
             for i in range(lo, hi):

@@ -4,6 +4,9 @@ Subspaces are D x d orthonormal bases. Two subspaces of equal dimension are
 linked by principal angles computed from thin (D x d) factors; from those we
 build the geodesic flow between them and its closed-form flow kernel.
 
+A batch is one leading array axis on every type: B x D x d Subspace bases
+give B x ... principal-angle fields, geodesic points and kernels.
+
 Conventions, fixed here and relied on by the tests:
 
 * theta is ascending in [0, pi/2].
@@ -18,7 +21,6 @@ Conventions, fixed here and relied on by the tests:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,33 +36,34 @@ NULL_SPACE_NORM = 1e-12
 
 @dataclass(frozen=True)
 class Subspace:
-    """A d-dimensional subspace of R^D held as a D x d orthonormal basis."""
+    """A d-dimensional subspace of R^D held as a D x d orthonormal basis, or a batch (B x D x d)."""
 
     basis: np.ndarray
 
     def __post_init__(self):
         basis = np.ascontiguousarray(self.basis, dtype=np.float64)
-        if basis.ndim != 2:
-            raise ValueError(f"basis must be 2-d, got shape {basis.shape}")
-        big_d, small_d = basis.shape
+        if basis.ndim not in (2, 3) or not len(basis):
+            raise ValueError(f"basis must be D x d or B x D x d (B >= 1), got shape {basis.shape}")
+        big_d, small_d = basis.shape[-2:]
         if not 1 <= small_d < big_d:
             raise ValueError(f"need 1 <= d < D, got d={small_d}, D={big_d}")
-        gram_err = np.linalg.norm(basis.T @ basis - np.eye(small_d))
-        if gram_err > ORTHONORMAL_TOL:
-            raise ValueError(f"basis columns not orthonormal (|B^T B - I|_F = {gram_err:.2e})")
+        err = np.linalg.norm(_t(basis) @ basis - np.eye(small_d), axis=(-2, -1)).ravel()
+        if err.max() > ORTHONORMAL_TOL:
+            i = int(err.argmax())
+            raise ValueError(f"basis columns not orthonormal (|B^T B - I|_F = {err[i]:.2e}, basis {i})")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 
     @property
     def ambient_dim(self) -> int:
-        return self.basis.shape[0]
+        return self.basis.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.basis.shape[-1]
 
     def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
+        return self.basis @ _t(self.basis)
 
 
 @dataclass(frozen=True)
@@ -198,15 +201,13 @@ def _set_columns(a: np.ndarray, rows: np.ndarray, idx: np.ndarray, values: np.nd
     a[rows[:, None], :, idx] = _t(values)
 
 
-def principal_angles(
-    ph: Subspace | Sequence[Subspace], pt: Subspace | Sequence[Subspace]
-) -> PrincipalAngleDecomposition:
+def principal_angles(ph: Subspace, pt: Subspace) -> PrincipalAngleDecomposition:
     """Decompose the pair (ph, pt) into principal angles and matched directions.
 
-    ph and pt are Subspaces, or two equally long sequences of Subspaces that
-    share one basis shape: a batch, decomposed pair by pair into fields with
-    a leading batch axis. A single pair is the batch of one, so both take one
-    path and a batch gives the same bits as its pairs one at a time.
+    Two D x d bases give one decomposition; two batches of as many B x D x d
+    bases give the decompositions of their pairs, in fields with a leading
+    batch axis. A single pair is the batch of one, so both take one path and
+    a batch gives the same bits as its pairs one at a time.
 
     With ``U1 Gamma V^T`` the SVD of ``ph^T pt``, the columns of
     ``W = pt V - ph U1 Gamma = (I - ph ph^T) pt V`` have norms sin(theta);
@@ -223,33 +224,26 @@ def principal_angles(
     columns keep the memory layout of the 2-d gather (see _columns), as BLAS
     may round an operand differently in another layout.
     """
-    single = isinstance(ph, Subspace) and isinstance(pt, Subspace)
-    heads, tails = ([ph], [pt]) if single else (list(ph), list(pt))
-    if not heads or len(heads) != len(tails):
-        raise ValueError(f"need as many targets as sources, got {len(heads)} and {len(tails)}")
-    for h, t in zip(heads, tails):
-        if h.ambient_dim != t.ambient_dim:
-            raise ValueError(f"ambient dimensions differ: {h.ambient_dim} vs {t.ambient_dim}")
-        if h.dim != t.dim:
-            raise ValueError(f"subspace dimensions differ: {h.dim} vs {t.dim}")
-    if len({h.basis.shape for h in heads}) > 1:
-        raise ValueError("the pairs of a batch need one basis shape")
-    big_d, d = heads[0].basis.shape
-    if 2 * d > big_d:
-        raise ValueError(
-            f"need 2d <= D for the flow kernel factors, got d={d}, D={big_d}"
-        )
+    batch = ph.basis.shape[:-2]
+    if pt.basis.shape[:-2] != batch:
+        raise ValueError(f"need as many targets as sources, got {batch} and {pt.basis.shape[:-2]}")
+    if ph.ambient_dim != pt.ambient_dim:
+        raise ValueError(f"ambient dimensions differ: {ph.ambient_dim} vs {pt.ambient_dim}")
+    if ph.dim != pt.dim:
+        raise ValueError(f"subspace dimensions differ: {ph.dim} vs {pt.dim}")
+    if 2 * ph.dim > ph.ambient_dim:
+        raise ValueError(f"need 2d <= D for the kernel factors, got d={ph.dim}, D={ph.ambient_dim}")
 
-    src = np.stack([h.basis for h in heads])
-    u1, cos, sin, v, b = _split_angles(src, np.stack([t.basis for t in tails]))
+    src, tgt = (s.basis.reshape(-1, ph.ambient_dim, ph.dim) for s in (ph, pt))
+    u1, cos, sin, v, b = _split_angles(src, tgt)
     theta = np.arctan2(sin, cos)
     order = np.argsort(theta, axis=1, kind="stable")
     theta = np.take_along_axis(theta, order, axis=1)
-    every = np.arange(len(heads))
+    every = np.arange(len(src))
     u1, v = _columns(u1, every, order), _columns(v, every, order)
     directions = np.concatenate([src @ u1, _columns(b, every, order)], axis=2)
     fields = (theta, u1, v, directions)
-    return PrincipalAngleDecomposition(*(a[0] if single else a for a in fields))
+    return PrincipalAngleDecomposition(*(a.reshape(batch + a.shape[1:]) for a in fields))
 
 
 def _split_angles(src: np.ndarray, tgt: np.ndarray):
@@ -296,12 +290,13 @@ def geodesic_point(pa: PrincipalAngleDecomposition, t: float) -> Subspace:
     """Point Phi(t) on the geodesic from the source (t=0) to the target (t=1).
 
     Phi(t) = source_directions * cos(t theta) - complement_directions * sin(t theta),
-    columnwise; its columns stay orthonormal for every t.
+    columnwise; its columns stay orthonormal for every t. A batch of pairs
+    gives a batch of points, each with its own angles.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must be in [0, 1], got {t}")
-    cos_t = np.cos(t * pa.theta)
-    sin_t = np.sin(t * pa.theta)
+    cos_t = np.cos(t * pa.theta)[..., None, :]
+    sin_t = np.sin(t * pa.theta)[..., None, :]
     basis = pa.source_directions() * cos_t - pa.complement_directions() * sin_t
     return Subspace(basis)
 
@@ -383,6 +378,8 @@ class GfkKernel:
         x^T G y = (proj x)^T (proj y) and |sqrt(G) x| = |proj x|. One product
         with f lam_sqrt; out, when given, receives it.
         """
+        if self._proj is None:
+            raise TypeError("a batch of kernels projects kernel by kernel: take kernels[i]")
         return np.matmul(np.asarray(vectors, dtype=np.float64), self._proj, out=out)
 
     def materialize(self) -> np.ndarray:

@@ -24,7 +24,14 @@ from gfkanalogy.evaluation import (
     relation_subspaces,
     write_report_csv,
 )
-from gfkanalogy.grassmann import GfkKernel, gfk, principal_angles, row_spectrum, subspace_from_rows
+from gfkanalogy.grassmann import (
+    GfkKernel,
+    Subspace,
+    gfk,
+    principal_angles,
+    row_spectrum,
+    subspace_from_rows,
+)
 from gfkanalogy.synth import SynthSpec, generate
 
 
@@ -661,6 +668,70 @@ class TestEvaluate:
         assert sum(whole_sizes) == sum(pair_sizes) == sum(one_sizes)
         assert len(whole_sizes) == 4  # one batch per relation and holdout
         assert set(pair_sizes) == {2} and set(one_sizes) == {1}
+
+    @pytest.mark.parametrize("holdout", ["answer", "question"])
+    def test_two_subspaces_per_kernel_batch(self, monkeypatch, holdout):
+        table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
+        table = table.normalized()
+        post_init = Subspace.__post_init__
+        calls = {"subspaces": 0, "gfk": 0}
+
+        def checked(sub):
+            calls["subspaces"] += 1
+            post_init(sub)
+
+        def built(pa):
+            calls["gfk"] += 1
+            return gfk(pa)
+
+        monkeypatch.setattr(Subspace, "__post_init__", checked)
+        monkeypatch.setattr(evaluation, "gfk", built)
+        # the default budget (one batch per relation), then one kernel per batch
+        for batch_elems in (evaluation._KERNEL_BATCH_ELEMS, 1):
+            monkeypatch.setattr(evaluation, "_KERNEL_BATCH_ELEMS", batch_elems)
+            calls.update(subspaces=0, gfk=0)
+            cfg = EvalConfig(measure="GFKCosADD,GFKCosMUL", subspace_dim=4, holdout=holdout)
+            assert not any(rep.skipped for rep in evaluate(ds, table, cfg).values())
+            assert calls["gfk"] >= 2 and calls["subspaces"] == 2 * calls["gfk"]
+
+    @pytest.mark.parametrize("holdout", ["answer", "question"])
+    @pytest.mark.parametrize("dim,center", [(12, False), (40, True)])
+    def test_each_projected_kernel_equals_its_pair_built_alone(self, monkeypatch, holdout, dim, center):
+        """Batched kernels keep the bits of gfk(principal_angles(head, tail)) on their pool spectra."""
+        table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=dim, seed=3))
+        table = table.normalized()
+        d = 4
+        kernel_pools, project = evaluation._Relation.kernel_pools, GfkKernel.project
+        pools, widths, projected = [], [], []
+
+        def recorded_pools(rel, *args, **kwargs):
+            coords, groups = kernel_pools(rel, *args, **kwargs)
+            widths.append(coords.shape[1])
+            pools.extend((head, tail) for head, tail, _ in groups)
+            return coords, groups
+
+        def recorded_project(kernel, *args, **kwargs):
+            projected.append(kernel)
+            return project(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation._Relation, "kernel_pools", recorded_pools)
+        monkeypatch.setattr(GfkKernel, "project", recorded_project)
+        # the default budget (one batch per relation), then batches of a few kernels
+        for batch_elems in (evaluation._KERNEL_BATCH_ELEMS, 2000):
+            monkeypatch.setattr(evaluation, "_KERNEL_BATCH_ELEMS", batch_elems)
+            pools.clear(), widths.clear(), projected.clear()
+            cfg = EvalConfig(
+                measure="GFKCosADD,GFKCosMUL", subspace_dim=d, holdout=holdout, center_subspaces=center
+            )
+            assert not any(rep.skipped for rep in evaluate(ds, table, cfg).values())
+            # 12 wide, the kernels stay in embedding coordinates; 40 wide, in pool coordinates
+            assert set(widths) == ({12} if dim == 12 else {16})
+            assert len(projected) == len(pools) >= 2
+            for (head, tail), kernel in zip(pools, projected):
+                alone = gfk(principal_angles(head.subspace(d), tail.subspace(d)))
+                for name in ("f", "lam", "lam_sqrt", "_proj"):
+                    a, b = getattr(kernel, name), getattr(alone, name)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_stack_size_leaves_tallies_unchanged(self, monkeypatch):
         table, ds = _stacking_fixture()

@@ -412,10 +412,14 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def batched(subspaces):
+    return Subspace(np.stack([s.basis for s in subspaces]))
+
+
 class TestBatch:
     def assert_batch_stacks_pairs(self, pairs):
         heads, tails = zip(*pairs)
-        batch = principal_angles(heads, tails)
+        batch = principal_angles(batched(heads), batched(tails))
         kernels = gfk(batch)
         singles = [principal_angles(ph, pt) for ph, pt in pairs]
         single_kernels = [gfk(pa) for pa in singles]
@@ -426,6 +430,9 @@ class TestBatch:
         x = np.random.default_rng(1).standard_normal((5, heads[0].ambient_dim))
         for i, one in enumerate(single_kernels):
             assert_same_bits(kernels[i].project(x), one.project(x))
+        for t in (0.0, 0.4, 1.0):
+            points = np.stack([geodesic_point(pa, t).basis for pa in singles])
+            assert_same_bits(geodesic_point(batch, t).basis, points)
         return batch
 
     def test_no_small_angles(self):
@@ -454,15 +461,38 @@ class TestBatch:
         batch = self.assert_batch_stacks_pairs(pairs)
         assert np.all(batch.theta[0] <= DEGENERATE_ANGLE) and batch.theta[1, 0] <= DEGENERATE_ANGLE
 
+    def test_as_many_pairs_as_ambient_dimensions(self):
+        # B = D: angles broadcast along the ambient axis instead of the batch
+        # axis would still fit the shapes, and mix the pairs' angles up
+        rng = np.random.default_rng(8)
+        pairs = [pair_with_angles(rng, 4, rng.uniform(0.1, 1.4, 2)) for _ in range(4)]
+        self.assert_batch_stacks_pairs(pairs)
+
+    def test_batched_subspace_reads_the_last_two_axes(self):
+        rng = np.random.default_rng(9)
+        subs = [random_subspace(rng, 7, 3) for _ in range(2)]
+        batch = batched(subs)
+        assert (batch.ambient_dim, batch.dim) == (7, 3)
+        np.testing.assert_allclose(batch.projector(), np.stack([s.projector() for s in subs]), atol=1e-14)
+
     def test_batch_validation(self):
         rng = np.random.default_rng(6)
-        a, b = random_subspace(rng, 8, 2), random_subspace(rng, 8, 3)
+        a, b = random_subspace(rng, 8, 2), random_subspace(rng, 9, 2)
         with pytest.raises(ValueError, match="as many targets"):
-            principal_angles([a, a], [a])
+            principal_angles(batched([a, a]), batched([a]))
         with pytest.raises(ValueError, match="as many targets"):
-            principal_angles([], [])
-        with pytest.raises(ValueError, match="one basis shape"):
-            principal_angles([a, b], [a, b])
+            principal_angles(batched([a]), a)
+        with pytest.raises(ValueError, match="ambient dimensions differ"):
+            principal_angles(batched([a, a]), batched([b, b]))
+        with pytest.raises(ValueError, match="B >= 1"):
+            Subspace(np.empty((0, 8, 2)))
+        with pytest.raises(ValueError, match=r"not orthonormal .*basis 1\)"):
+            Subspace(np.stack([a.basis, 2.0 * a.basis, a.basis]))
+        kernels = gfk(principal_angles(batched([a, a]), batched([a, a])))
+        with pytest.raises(TypeError, match=r"take kernels\[i\]"):
+            kernels.project(np.ones(8))
+        with pytest.raises(TypeError, match=r"take kernels\[i\]"):
+            gfk_similarity(kernels, np.ones(8), np.ones(8))
         with pytest.raises(TypeError, match="batch"):
             gfk(principal_angles(a, a))[0]
 
