@@ -13,6 +13,9 @@ import warnings
 import numpy as np
 
 UNIT_NORM_TOL = 1e-12
+# Rows of a table are normalized in blocks of about this many values (512 kB),
+# so the squared copy that np.linalg.norm makes is a block, not the table.
+_NORM_BLOCK_ELEMS = 1 << 16
 
 
 class EmbeddingTable:
@@ -114,12 +117,24 @@ class EmbeddingTable:
         which makes normalization exactly idempotent. Zero rows are rejected;
         drop them first (the text loader already does).
         """
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if np.any(norms == 0.0):
-            bad = self.words[int(np.argmax(norms == 0.0))]
-            raise ValueError(f"cannot normalize zero vector for word {bad!r}")
-        stale = np.abs(norms - 1.0) > UNIT_NORM_TOL
-        return EmbeddingTable(self.words, self.vectors / np.where(stale, norms, 1.0)[:, None])
+        return EmbeddingTable(self.words, self.vectors / _unit_divisors(self.words, self.vectors)[:, None])
+
+
+def _unit_divisors(words: list[str], vectors: np.ndarray) -> np.ndarray:
+    """Each row's norm, or 1 for a row whose norm is within UNIT_NORM_TOL of 1.
+
+    The norms are taken by the same np.linalg.norm(axis=1) call on blocks
+    of rows, which gives each row the bits of one call on the whole array
+    without its squared copy. Zero rows are rejected.
+    """
+    norms = np.empty(len(vectors))
+    step = max(1, _NORM_BLOCK_ELEMS // vectors.shape[1])
+    for i in range(0, len(vectors), step):
+        norms[i : i + step] = np.linalg.norm(vectors[i : i + step], axis=1)
+    if np.any(norms == 0.0):
+        bad = words[int(np.argmax(norms == 0.0))]
+        raise ValueError(f"cannot normalize zero vector for word {bad!r}")
+    return np.where(np.abs(norms - 1.0) > UNIT_NORM_TOL, norms, 1.0)
 
 
 def load_text_embeddings(path: str, normalize: bool = False) -> EmbeddingTable:
@@ -136,11 +151,17 @@ def load_text_embeddings(path: str, normalize: bool = False) -> EmbeddingTable:
     is parsed in one streaming pass by numpy's C reader. Any other file is
     re-read line by line, which gives the same table and the same
     line-numbered errors and warnings as reading every file that way.
+    normalize gives the rows of normalized(), divided in place: the loaded
+    table owns the array it was parsed into, so no second copy is made.
     """
     table = _load_regular(path)
     if table is None:
         table = _load_lines(path)
-    return table.normalized() if normalize else table
+    if normalize:
+        table.vectors.setflags(write=True)
+        table.vectors /= _unit_divisors(table.words, table.vectors)[:, None]
+        table.vectors.setflags(write=False)
+    return table
 
 
 def _read_header(f, path: str) -> tuple[int, int]:

@@ -4,7 +4,9 @@ Four measures share one scoring core: the additive rule ranks the vocabulary
 by cosine against x - a + b, the multiplicative rule combines the three
 per-word cosines, and the kernel variants run the identical code on vectors
 projected through a relation's flow kernel factor. Rankings are deterministic:
-ties break toward the lower vocabulary index.
+ties break toward the lower vocabulary index, and ranks are those of float64
+reference scores although the vocabulary-wide passes run in float32 (see
+evaluate).
 
 Vocabulary-wide work is shared. A chunk of questions is scored from one cosine
 row per distinct word: the additive numerator (x - a + b).v is a signed sum of
@@ -20,7 +22,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,9 +47,12 @@ HOLDOUTS = ("none", "answer", "question")
 _CANONICAL = {m.lower(): m for m in MEASURES}
 # The cosine rule behind each measure; kernel measures apply it in kernel coordinates.
 _MODES = {"CosADD": "add", "CosMUL": "mul", "GFKCosADD": "add", "GFKCosMUL": "mul"}
-# Cap on |V|-wide elements alive per scoring chunk (40 MB), to bound memory on
-# big vocabularies: the cosine rows of a chunk's u distinct words, one additive
-# score row per question, and one multiplicative row with its denominator.
+# Cap on |V|-wide elements alive per scoring chunk, to bound memory on big
+# vocabularies: the cosine rows of a chunk's u distinct words, one additive
+# score row per question, and one multiplicative row with its denominator. It
+# counts elements, not bytes: a cosine element takes 12 bytes (the float64
+# product and its float32 rounding), a score element 4. Reference scores are
+# taken in chunks whose gathered float64 rows hold as many elements.
 _CHUNK_ELEMS = 5_000_000
 # Cap on the elements of one stacked batch of kernels (1 MB). A few dozen small
 # kernels already share each LAPACK call's overhead; bigger batches only raise
@@ -140,7 +145,7 @@ class _Workspace:
 
     def get(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         buf = self._bufs[name] if name in self._bufs else None
-        if buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != shape[1:]:
+        if buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != shape[1:] or buf.dtype != dtype:
             buf = self._bufs[name] = np.empty(shape, dtype=dtype)
         return buf[: shape[0]]
 
@@ -202,6 +207,217 @@ def _slices(n: int, size: int) -> list[slice]:
     return [slice(i, i + size) for i in range(0, n, size)]
 
 
+# Unit roundoffs of float32 and float64, and the largest float32 rounding
+# error of a result in the subnormal range (half the smallest subnormal).
+_U32, _U64, _ETA32 = 2.0**-24, 2.0**-53, 2.0**-150
+
+
+def _reference_cosines(rows, norms, null, units, t, g, j) -> np.ndarray:
+    """Reference cosines of the pairs (units[t[i, p]], candidate j[p] of row set g[p]), T x P.
+
+    t is T x P: each candidate row is read once and dotted with T unit
+    rows. A cosine is the float64 row-wise dot of the two rows (one einsum
+    per unit row), divided by the candidate's norm, clipped to [-1, 1], and
+    -1 for a null candidate, so its bits depend on its own two rows only,
+    never on the other pairs of the call; null is None when no candidate is
+    null. Pairs go in chunks whose gathered rows fit _CHUNK_ELEMS. A chunk
+    of consecutive candidates of one row set reads them as a view, and a
+    chunk whose pairs share one unit row reads it as a broadcast view,
+    rather than as gathered copies; the einsum dots each row pair alike
+    either way (the tests hold a full row bit-equal to pairs computed alone
+    or among pairs of other score rows).
+    """
+    out = np.empty(t.shape)
+    for s in _slices(len(j), max(1, _CHUNK_ELEMS // ((len(t) + 1) * rows.shape[-1]))):
+        gs, js = g[s], j[s]
+        if (gs == gs[0]).all() and js[-1] - js[0] == len(js) - 1 and (np.diff(js) == 1).all():
+            cand = rows[gs[0], js[0] : js[-1] + 1]
+        else:
+            cand = rows[gs, js]
+        for ti, o in zip(t, out):
+            ti = ti[s]
+            unit = np.broadcast_to(units[ti[0]], cand.shape) if (ti == ti[0]).all() else units[ti]
+            np.einsum("ij,ij->i", cand, unit, out=o[s])
+    out /= norms[g, j]
+    np.minimum(out, 1.0, out=out)
+    np.maximum(out, -1.0, out=out)
+    if null is not None:
+        out[:, null[g, j]] = -1.0
+    return out
+
+
+def _add_tau(spread: np.ndarray, m: int) -> np.ndarray:
+    """Bound on |float32 additive score - reference score| per question; inf when none holds.
+
+    spread is (|x| + |a| + |b|) / |x - a + b| from the word norms (a null
+    word's norm reads 1) and m the row width. Write u = 2^-24, v = 2^-53
+    and eta = 2^-150 (the float32 rounding error in the subnormal range),
+    and take every bound in the standard model of Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3 (a length-m dot is off by at
+    most gamma_m |u||w|, gamma_m = mv / (1 - mv)). Rows and their norms
+    are the float64 data both paths share, so |row| / norm and the unit
+    query rows' norms are at most 1 + (m + 2)v.
+
+    - The float64 cosine block (a GEMM, divided by the candidate norm) and
+      the reference's row-wise dots are each within (m + 1)v of the exact
+      cosine of the rows, and the float64 coefficients +-|w| / |t| and the
+      target t = x - a + b each carry a few more roundings (gamma_4 v per
+      unit of spread). Together: spread * e64 + e64, e64 = 2(m + 8)v.
+    - Rounding the cosines and the coefficients to float32 costs u each per
+      unit of spread, and the float32 coefficient GEMM, three nonzero terms
+      per score, gamma_3(u) < 3.001u: 5.001u per unit of spread in all. Each
+      of these roundings may add eta, (spread + 8) eta in all.
+    - Clipping to [-1, 1] does not increase a difference, and null
+      candidates are -1 on both paths.
+
+    The float32 products cannot overflow while spread <= 2^100; past that,
+    or for a non-finite spread, the bound is inf.
+    """
+    e64 = 2 * (m + 8) * _U64
+    tau = spread * (5.001 * _U32 + e64 + _ETA32) + (e64 + 8 * _ETA32)
+    return np.where(spread <= 2.0**100, tau, np.inf)
+
+
+def _mul_bound(m: int, epsilon: float, shift: bool) -> tuple[float, float, float, float]:
+    """(k0, k1, dd, R) with |S - reference| <= (k0 + k1 |S|) / (|D| - dd) for float32 CosMUL scores.
+
+    S is a float32 multiplicative score and D its float32 denominator. The
+    bound holds where |D| > dd, and none holds where |D| <= dd: the
+    denominator may then be 0 or change sign (possible without the shift).
+    m is the row width; u, v, eta and e64 are as for _add_tau, and
+    epsilon stands for |epsilon|.
+
+    - One cosine: the float64 block and the reference are each within
+      (m + 1)v of the exact cosine, and rounding to float32 costs
+      1.0001u + eta: dc = 1.0001u + eta + e64. Clipping and the -1 pins of
+      null words and candidates keep it.
+    - Shifted, s = (c + 1) / 2 is within ds = dc / 2 + u + eta + v of its
+      reference (the float32 sum c + 1 <= 2 rounds once; halving is exact
+      but in the subnormal range); unshifted, ds = dc. |s| <= 1 on both
+      paths.
+    - Numerator s_b s_x: within dn = 2 ds + u + eta + v. Denominator
+      s_a + epsilon: within dd = ds + 2(u + v)(1 + epsilon) + eta, the
+      rounding of epsilon to float32 included.
+    - The exact quotient of the float32 numerator and denominator is at
+      most q = (|S| + eta)(1 + 2u) in magnitude. Since n32/D32 - n/D =
+      (n32 - n)/D + (n32/D32)(D - D32)/D and |D| >= |D32| - dd, the exact
+      quotients differ by at most (dn + q dd) / (|D32| - dd); the float32
+      division adds u q + eta and the float64 one v q (to first order).
+      As |D32| <= R = (1 + epsilon)(1 + 2u), those last terms are at most
+      R((u + v) q + eta) / (|D32| - dd). Collected over |S|, that is
+      k0 + k1 |S| over |D32| - dd, widened by 0.1% for second-order terms
+      and the roundings of this formula. R is returned too.
+    """
+    e64, eps = 2 * (m + 8) * _U64, abs(epsilon)
+    dc = 1.0001 * _U32 + _ETA32 + e64
+    ds = dc / 2 + _U32 + _ETA32 + _U64 if shift else dc
+    dn = 2 * ds + _U32 + _ETA32 + _U64
+    dd = ds + 2 * (_U32 + _U64) * (1 + eps) + _ETA32
+    r, q = (1 + eps) * (1 + 2 * _U32), 1 + 2 * _U32
+    per_q = dd + r * (_U32 + _U64)
+    return 1.001 * (dn + r * _ETA32 + q * _ETA32 * per_q), 1.001 * q * per_q, dd, r
+
+
+# A margin widened by this factor and rounded to float32 (which takes off at
+# most 2^-24 of it) still covers the few float32 roundings, each at most
+# 2^-24 relative, of the difference it is compared with.
+_WIDEN32 = 1 + 2.0**-17
+
+
+def _margin(x: float) -> np.float32:
+    """float64 x widened by _WIDEN32 and rounded to float32; inf past the float32 range."""
+    x *= _WIDEN32
+    return np.float32(x if x < 2.0**127 else np.inf)
+
+
+def _add_split(score: np.ndarray, level: float, tau: float) -> tuple[np.ndarray, np.float32]:
+    """(p, k) that decide a float32 additive score row, within tau of its reference, against a float64 level g.
+
+    p = S - g32 in float32. Where p > k the reference score is above g,
+    where p < -k below it; elsewhere it is undecided. g32 is off g by at
+    most u|g| + eta, and k = tau + u|g| + eta, widened, covers that and the
+    rounding of p.
+    """
+    return np.subtract(score, np.float32(level)), _margin(tau + _U32 * abs(level) + _ETA32)
+
+
+def _mul_split(score: np.ndarray, den: np.ndarray, level: float, bound) -> tuple[np.ndarray, np.float32]:
+    """(p, k) that decide a float32 multiplicative score row against a float64 level g, as _add_split does.
+
+    den holds the scores' float32 denominators and bound is _mul_bound's
+    (k0, k1, dd, R). p = (S - g32) max(|D| - (dd + k1), 0) in float32, and
+    NaN (undecided) where S or g32 is not finite, which the caller lets
+    pass without floating-point warnings.
+
+    Write delta = S - g. Where |D| - dd - k1 > 0 and |delta| (|D| - dd - k1)
+    > k0 + k1 |g|, the candidate's bound (k0 + k1 |S|) / (|D| - dd) is below
+    |delta|, as |S| <= |g| + |delta|; so its reference score lies on the
+    side of g that S does. g32 is off g by at most u|g| + eta, which moves
+    p by at most R(u|g| + eta) as |D| <= R; k = k0 + k1|g| + 2R(u|g| +
+    eta), widened, covers that and the three float32 roundings of p.
+    """
+    k0, k1, dd, r = bound
+    room = np.abs(den)
+    room -= _margin(dd + k1)
+    np.maximum(room, 0.0, out=room)
+    p = np.subtract(score, np.float32(level))
+    p *= room
+    return p, _margin(k0 + k1 * abs(level) + 2 * r * (_U32 * abs(level) + _ETA32))
+
+
+def _targets(x: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Targets x - a + b over the last axis, with their norms and null flags.
+
+    A target whose norm is below NULL_SPACE_NORM has no direction: it is
+    flagged, and its norm reads 1. The unit target is target / norm.
+    """
+    target = x - a + b
+    scale = _row_norms(target)
+    null = scale < NULL_SPACE_NORM
+    scale[null] = 1.0
+    return target, scale, null
+
+
+def _mul_reference(s: np.ndarray, epsilon: float, shift: bool) -> np.ndarray:
+    """Reference multiplicative scores s_b s_x / (s_a + eps) from 3 x P reference cosines (a, b, x).
+
+    s is shifted in place when shift is set; a NaN score (0 / 0) reads -inf.
+    """
+    if shift:
+        s += 1.0
+        s *= 0.5
+    sa, sb, sx = s
+    if shift and epsilon > 0:
+        return sb * sx / (sa + epsilon)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = sb * sx / (sa + epsilon)
+    out[np.isnan(out)] = -np.inf
+    return out
+
+
+class _Slab(NamedTuple):
+    """One mode's scores for a slab of question slots, in every row set of a stack.
+
+    scores (G x k x |V|, float32) is a workspace view, valid until the next
+    slab is drawn; null (G x k) flags null targets or words. Score rows are
+    numbered G-major, as scores.reshape(G * k, |V|) numbers them. tau
+    (G x k) bounds |scores - reference| per score row, inf where no bound
+    holds. split(i, g) decides the candidates of score row i against a
+    float64 score g with each candidate's own bound, which may be tighter
+    (a multiplicative score over a small denominator is less exact than the
+    others): see _add_split and _mul_split. ref(r, j) gives the float64
+    reference scores of the pairs (score row r[p], candidate j[p]).
+    """
+
+    mode: str
+    at: slice
+    scores: np.ndarray
+    null: np.ndarray
+    tau: np.ndarray
+    split: Callable[[int, float], tuple[np.ndarray, np.float32]]
+    ref: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
 class _Scorer:
     """Cosine scoring over a stack of G row sets, each one row per vocabulary word.
 
@@ -209,11 +425,20 @@ class _Scorer:
     measures, or the projections of G kernels (``kernel.project(coords)``)
     for the kernel measures, so each kernel projects the vocabulary once.
     Query words and candidates are both read from a row set. A cosine is
-    (unit query row . raw candidate row) / |candidate row|: the block of
-    query-candidate products is divided by the candidate norms, so no scorer
-    keeps a unit copy of its rows. Candidates whose norm is below
-    NULL_SPACE_NORM have no direction; their cosine against any query is
-    pinned to -1 so they sink to the bottom of every ranking.
+    (unit query row . raw candidate row) / |candidate row|: the float64
+    block of query-candidate products is divided by the candidate norms and
+    rounded once to float32, so no scorer keeps a unit copy of its rows.
+    Candidates whose norm is below NULL_SPACE_NORM have no direction; their
+    cosine against any query is pinned to -1 so they sink to the bottom of
+    every ranking.
+
+    What a score is, is defined per pair by the float64 reference (see
+    _reference_cosines): the additive score is the cosine of the unit
+    target (x - a + b) / |x - a + b| and the candidate, the multiplicative
+    one s_b s_x / (s_a + eps) of the reference cosines. Every vocabulary-
+    wide pass after the cosine product runs in float32, and each slab
+    carries a proven bound on how far its float32 scores are from the
+    reference ones, which _gold_ranks turns into exact ranks.
 
     The candidate norms and null mask live in the workspace ws, unless fresh:
     the plain scorer, which outlives every kernel scorer of an evaluate call,
@@ -232,78 +457,110 @@ class _Scorer:
         self.null = null
         self.any_null = bool(null.any())
 
+    def _cosines(self, units, t, g, j) -> np.ndarray:
+        null = self.null if self.any_null else None
+        return _reference_cosines(self.rows, self.norms, null, units, t, g, j)
+
     def scores(self, block: _Block, modes, epsilon: float, shift: bool, slab: int):
-        """Yield (mode, slots, scores, null flags) per slab of a block's question slots.
+        """Yield a _Slab per mode and slab of a block's question slots.
 
         The block holds one question list per row set. Each list's U
         distinct words get one cosine row per row set, all from one batched
-        product. A slab is a slice of at most slab question slots, the same
-        in every row set: scores is its G x k x |V| workspace view, valid
-        until the next slab is drawn, and null flags are G x k.
+        float64 product, divided by the candidate norms into a float32
+        block. A slab is a slice of at most slab question slots, the same
+        in every row set.
 
         The additive numerator (x - a + b).v is a signed sum of the word
-        rows' cosines scaled by the word norms, taken as one G x k x U
-        coefficient product, and is divided by |x - a + b|; a target with no
-        direction is flagged null and its scores mean nothing. Every additive
-        slab comes first. The multiplicative rule then clips and shifts the
-        cosine rows in place, once per word, and builds a slab's
-        s_b * s_x / (s_a + eps) rows from three gathers of them into the
-        score buffer and a denominator buffer. Null queries and null
-        candidates score -1 in every cosine; a NaN score, possible only
-        without a positive shifted denominator, becomes -inf.
+        rows' cosines scaled by the word norms, taken as one float32
+        G x k x U coefficient product, and is divided by |x - a + b|; a
+        target with no direction is flagged null and its scores mean
+        nothing. Every additive slab comes first. The multiplicative rule
+        then clips and shifts the cosine rows in place, once per word, and
+        builds a slab's s_b * s_x / (s_a + eps) rows into the score buffer
+        and a denominator buffer, one product of views of the word rows per
+        score row. A row's largest score and least denominator set its
+        bound, which is infinite when a denominator may be 0 or change sign;
+        each candidate's own bound still holds where its own denominator is
+        clear of 0 (see _mul_split). Null queries and null candidates score
+        -1 in every cosine; in the reference, a NaN score becomes -inf.
         """
         words, pos = block.words, block.pos
-        ws, (g, n, _), u = self.ws, self.rows.shape, words.shape[1]
+        ws, (g, n, m), u = self.ws, self.rows.shape, words.shape[1]
         stack = np.arange(g)[:, None]
         query = self.rows[stack, words]
         qnorms = self.norms[stack, words]
-        cos = ws.get("cos", (g * u, n)).reshape(g, u, n)
-        np.matmul(query / qnorms[..., None], self.rows.transpose(0, 2, 1), out=cos)
-        cos /= self.norms[:, None, :]
+        units = query / qnorms[..., None]
+        exact = ws.get("exact", (g * u, n)).reshape(g, u, n)
+        np.matmul(units, self.rows.transpose(0, 2, 1), out=exact)
+        cos = ws.get("cos", (g * u, n), np.float32).reshape(g, u, n)
+        np.divide(exact, self.norms[:, None, :], out=cos)
         if "add" in modes:
             for at in _slices(pos.shape[1], slab):
                 a, b, x = (pos[:, at, i] for i in range(3))
-                q = np.arange(a.shape[1])
-                scale = _row_norms(query[stack, x] - query[stack, a] + query[stack, b])
-                null_t = scale < NULL_SPACE_NORM
-                scale[null_t] = 1.0
+                k = a.shape[1]
+                q = np.arange(k)
+                target, scale, null_t = _targets(query[stack, x], query[stack, a], query[stack, b])
+                nx, na, nb = qnorms[stack, x], qnorms[stack, a], qnorms[stack, b]
                 coef = np.zeros(a.shape + (u,))
-                coef[stack, q, x] = qnorms[stack, x] / scale
-                coef[stack, q, a] -= qnorms[stack, a] / scale
-                coef[stack, q, b] += qnorms[stack, b] / scale
-                add = ws.get("scores", (a.size, n)).reshape(g, -1, n)
-                np.matmul(coef, cos, out=add)
+                coef[stack, q, x] = nx / scale
+                coef[stack, q, a] -= na / scale
+                coef[stack, q, b] += nb / scale
+                add = ws.get("scores", (a.size, n), np.float32).reshape(g, k, n)
+                np.matmul(coef.astype(np.float32), cos, out=add)
                 np.clip(add, -1.0, 1.0, out=add)
                 if self.any_null:
                     np.copyto(add, -1.0, where=self.null[:, None, :])
-                yield "add", at, add, null_t
+                tau = _add_tau((nx + na + nb) / scale, m).ravel()
+
+                def ref(r, j, target=target.reshape(g * k, m), scale=scale.reshape(g * k, 1), k=k):
+                    return self._cosines(target / scale, r[None], r // k, j)[0]
+
+                def split(i, level, rows=add.reshape(g * k, n), tau=tau):
+                    return _add_split(rows[i], level, tau[i])
+
+                yield _Slab("add", at, add, null_t, tau.reshape(g, k), split, ref)
         if "mul" in modes:
             np.clip(cos, -1.0, 1.0, out=cos)
             if self.any_null:
                 np.copyto(cos, -1.0, where=self.null[:, None, :])
             null_w = self.null[stack, words].ravel()
+            any_null_w = bool(null_w.any())
             cos.reshape(g * u, n)[null_w] = -1.0
             if shift:
                 cos += 1.0
                 cos *= 0.5  # exact, as dividing by 2 is
             flat = cos.reshape(g * u, n)
+            bound = _mul_bound(m, epsilon, shift)
+            k0, k1, dd, _ = bound
+            word_units = units.reshape(g * u, m)
             rows_at = pos + (stack * u)[..., None]
             for at in _slices(pos.shape[1], slab):
-                a, b, x = (rows_at[:, at, i].ravel() for i in range(3))
-                mul, den = ws.get("scores", (a.size, n)), ws.get("den", (a.size, n))
-                np.take(flat, b, axis=0, out=mul, mode="clip")
-                np.take(flat, x, axis=0, out=den, mode="clip")
-                mul *= den
-                np.take(flat, a, axis=0, out=den, mode="clip")
-                den += epsilon
-                if shift and epsilon > 0:
+                w = rows_at[:, at].reshape(-1, 3)  # flat a, b, x word rows per score row
+                mul, den = ws.get("scores", (len(w), n), np.float32), ws.get("den", (len(w), n), np.float32)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    for i, (ia, ib, ix) in enumerate(w.tolist()):
+                        np.multiply(flat[ib], flat[ix], out=mul[i])
+                        np.add(flat[ia], epsilon, out=den[i])
                     mul /= den
-                else:
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        mul /= den
-                    np.copyto(mul, -np.inf, where=np.isnan(mul, out=ws.get("nan", mul.shape, bool)))
-                null_m = null_w[a] | null_w[b] | null_w[x]
-                yield "mul", at, mul.reshape(g, -1, n), null_m.reshape(g, -1)
+                    # the row's largest |score| bounds every |S|, and while every D > 0
+                    # the least bounds every |D| from below; shifted scores are >= 0
+                    peak = mul.max(axis=1) if shift else np.maximum(mul.max(axis=1), -mul.min(axis=1))
+                    room = den.min(axis=1) - dd
+                    tau = np.where(room > 0, (k0 + k1 * peak.astype(np.float64)) / room, np.inf)
+                k = len(w) // g
+
+                def split(i, level, mul=mul, den=den):
+                    return _mul_split(mul[i], den[i], level, bound)
+
+                def ref(r, j, w=w, k=k):
+                    t = w[r].T  # the a, b and x word rows of every pair
+                    s = self._cosines(word_units, t, r // k, j)
+                    if any_null_w:
+                        s[null_w[t]] = -1.0
+                    return _mul_reference(s, epsilon, shift)
+
+                null_m = null_w[w].any(axis=1)
+                yield _Slab("mul", at, mul.reshape(g, k, n), null_m.reshape(g, k), tau.reshape(g, k), split, ref)
 
 
 def _resolve_question(q: AnalogyQuestion, table: EmbeddingTable, strict: bool):
@@ -348,31 +605,85 @@ def _scoring_items(resolved_questions, table: EmbeddingTable, exclude_inputs: bo
     return items
 
 
-def _gold_ranks(
-    scores: np.ndarray, gold: np.ndarray, excluded: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """1-based rank of the best gold candidate in each of the given rows of an R x |V| score block.
+def _band(center: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float32 bounds below center - width and above center + width (float64 arrays).
 
-    gold (R x L) and excluded (R x 3, padded with -1) are the rows' index
-    sets. Under stable descending order a candidate is ahead of the best gold
-    one when it scores higher, or equally at a lower index. Each row is
-    counted by one comparison on either side of its best gold index and a
-    1-D count: one pass over the row, which on |V|-wide rows is cheaper than
-    comparing the whole block. The excluded candidates ahead are then
-    subtracted.
+    Each is rounded to float32 and then moved one float32 step outward,
+    which covers the rounding of the cast. The float64 sums round by far
+    less than the slack built into every bound (at least 1e-4 of it,
+    against 2^-52 of the sum).
     """
-    at = rows[:, None]
-    best = gold[rows, np.argmax(scores[at, gold[rows]], axis=1)]
-    s = scores[rows, best]
-    ahead = np.array([
-        np.count_nonzero(scores[r, :i] >= v) + np.count_nonzero(scores[r, i:] > v)
-        for r, i, v in zip(rows.tolist(), best.tolist(), s.tolist())
-    ], dtype=np.intp)
-    ex = excluded[rows]
-    ex = np.where(ex < 0, best[:, None], ex)
-    ex_scores = scores[at, ex]
-    ties = (ex < best[:, None]) & (ex_scores == s[:, None])
-    return 1 + ahead - np.count_nonzero((ex_scores > s[:, None]) | ties, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = (center - width).astype(np.float32), (center + width).astype(np.float32)
+    return np.nextafter(lo, np.float32(-np.inf)), np.nextafter(hi, np.float32(np.inf))
+
+
+def _gold_ranks(scores: np.ndarray, slab: _Slab, rows: np.ndarray, gold: np.ndarray, excluded: np.ndarray) -> np.ndarray:
+    """Exact 1-based rank of the best gold candidate in each of the given rows of an R x |V| score block.
+
+    scores are a slab's float32 scores as R rows, within its bounds of the
+    float64 reference scores; rows lists the rows to rank, and gold (R x L)
+    and excluded (R x 3, padded with -1) are the rows' index sets. Ranks are those of the reference scores
+    under stable descending order, the excluded candidates left out: a
+    candidate is ahead of the best gold one when its reference score is
+    higher, or equal at a lower index.
+
+    The best gold candidate is picked by reference score (the lower index on
+    ties); call its score g. With tau the row's bound, a candidate whose
+    float32 score is above g + tau is ahead and one below g - tau is not.
+    With one gold candidate per row, g is not needed yet: it lies within
+    tau of the gold's float32 score c, so the band [c - 2 tau, c + 2 tau]
+    serves instead. Each row takes two counts: of the scores above the
+    band, and of those in or above it. Only the rows whose band holds more
+    than the gold itself, and those whose bound is infinite (CosMUL without
+    the shift), are decided again, one row at a time in float32, with each
+    candidate's own bound (slab.split) against g, which takes one
+    reference call for the golds of every such row. The candidates still
+    undecided are then re-scored by the reference, those of every such row
+    in one call. Excluded candidates are not counted.
+    """
+    n = scores.shape[1]
+    tau, gold, excluded = slab.tau.ravel()[rows], gold[rows], excluded[rows]
+    single = gold.shape[1] == 1
+    if single:
+        best = gold[:, 0]
+        center, width = scores[rows, best].astype(np.float64), 2 * tau
+    else:
+        gold_ref = slab.ref(np.repeat(rows, gold.shape[1]), gold.ravel()).reshape(gold.shape)
+        best = gold[np.arange(len(rows)), np.argmax(gold_ref, axis=1)]
+        center, width = gold_ref.max(axis=1), tau
+    ex = np.where(excluded < 0, best[:, None], excluded)  # the best gold is neither above its band nor ahead
+    lo, hi = _band(center, width)
+    counts = np.array([  # a row with no finite bound counts every candidate in its band
+        (np.count_nonzero(scores[i] > high), np.count_nonzero(scores[i] >= low)) if high < np.inf else (0, n)
+        for i, low, high in zip(rows.tolist(), lo.tolist(), hi.tolist())
+    ], dtype=np.intp).reshape(-1, 2)
+    ahead = counts[:, 0] - np.count_nonzero(scores[rows[:, None], ex] > hi[:, None], axis=1)
+    crowded = np.flatnonzero(counts[:, 1] - counts[:, 0] > 1)
+    if not len(crowded):
+        return 1 + ahead
+    level = np.empty(len(rows))
+    level[crowded] = slab.ref(rows[crowded], best[crowded]) if single else center[crowded]
+    owners, members = [], []
+    drops = np.column_stack((ex, best))[crowded].tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, lv, drop in zip(crowded.tolist(), level[crowded].tolist(), drops):
+            p, k = slab.split(rows[i], lv)
+            above = p > k
+            undecided = ~((p < -k) | above)  # NaN is never decided
+            above[drop] = undecided[drop] = False
+            ahead[i] = np.count_nonzero(above)
+            if np.count_nonzero(undecided):
+                j = np.flatnonzero(undecided)
+                owners.append(np.full(len(j), i))
+                members.append(j)
+    if not members:
+        return 1 + ahead
+    owner, j = np.concatenate(owners), np.concatenate(members)
+    ref = slab.ref(rows[owner], j)
+    lv = level[owner]
+    before = (ref > lv) | ((ref == lv) & (j < best[owner]))
+    return 1 + ahead + np.bincount(owner[before], minlength=len(rows))
 
 
 def _chunks(items, budget: int):
@@ -444,20 +755,20 @@ def _ranked(scorer: _Scorer, block: _Block, measures, config: EvalConfig, budget
     """
     modes = _modes(measures)
     (g, k), n = block.real.shape, scorer.rows.shape[1]
-    slab = max(1, (budget // g - block.words.shape[1]) // _rows_per_question(measures))
+    size = max(1, (budget // g - block.words.shape[1]) // _rows_per_question(measures))
     ranks = {mode: np.zeros((g, k), dtype=np.intp) for mode in modes}
     hits = {mode: np.zeros((g, k), dtype=bool) for mode in modes}
     nulls = {mode: np.zeros((g, k), dtype=bool) for mode in modes}
-    for mode, at, scores, null in scorer.scores(
-        block, modes, config.epsilon, config.shift_cosines, slab
-    ):
-        rows = scores.shape[0] * scores.shape[1]
+    for slab in scorer.scores(block, modes, config.epsilon, config.shift_cosines, size):
+        mode, at, null = slab.mode, slab.at, slab.null
+        rows = null.size
         excluded = block.excluded[:, at]
         rank = np.zeros(null.shape, dtype=np.intp)
-        sel = np.flatnonzero(block.real[:, at])
+        # padding slots, and additive targets with no direction, are not ranked
+        sel = np.flatnonzero(block.real[:, at] & ~null if mode == "add" else block.real[:, at])
         rank.ravel()[sel] = _gold_ranks(
-            scores.reshape(rows, n), block.gold[:, at].reshape(rows, -1),
-            excluded.reshape(rows, -1), sel,
+            slab.scores.reshape(rows, n), slab, sel, block.gold[:, at].reshape(rows, -1),
+            excluded.reshape(rows, -1),
         )
         hit = rank == 1
         if mode == "add":
@@ -472,21 +783,34 @@ def _ranked(scorer: _Scorer, block: _Block, measures, config: EvalConfig, budget
 
 
 def _answer(q, table, rows, mode, epsilon, shift, exclude_inputs) -> Ranking:
-    """One question scored over rows as a stack of one, then a stable full sort.
+    """One question ranked by the reference scores of every candidate, in a stable full sort.
 
-    The returned arrays are the ranking's own: scores[sel] copies the row.
+    These are the scores evaluate's exact ranks are defined by, taken by the
+    same functions from the same rows, so on the same rows the two rank
+    alike. The returned arrays are the ranking's own.
     """
-    items = _scoring_items([(q, _resolve_question(q, table, strict=True))], table, exclude_inputs)
+    [(idx, _, excluded)] = _scoring_items([(q, _resolve_question(q, table, strict=True))], table, exclude_inputs)
     scorer = _Scorer(rows[None], _Workspace())
-    [(_, _, scores, null)] = scorer.scores(_Block.of([items]), (mode,), epsilon, shift, 1)
-    scores, null_q = scores[0, 0], bool(null[0, 0])
-    if mode == "add" and null_q:
-        return Ranking(np.empty(0, dtype=int), np.empty(0), {"empty_ranking": 1, "null_queries": 1})
+    words = list(idx[:3])  # a, b, x
+    query, null_w = rows[words], scorer.null[0, words]
+    everyone, first = np.arange(len(rows)), np.zeros(len(rows), dtype=np.intp)
+    if mode == "add":
+        target, scale, null = _targets(query[2:], query[:1], query[1:2])
+        null_q = bool(null[0])
+        if null_q:
+            return Ranking(np.empty(0, dtype=int), np.empty(0), {"empty_ranking": 1, "null_queries": 1})
+        scores = scorer._cosines(target / scale[:, None], first[None], first, everyone)[0]
+    else:
+        units = query / scorer.norms[0, words, None]
+        s = scorer._cosines(units, np.broadcast_to(np.arange(3)[:, None], (3, len(rows))), first, everyone)
+        s[null_w] = -1.0
+        scores = _mul_reference(s, epsilon, shift)
+        null_q = bool(null_w.any())
     diagnostics = {"null_queries": 1} if null_q else {}
     if scorer.any_null:
         diagnostics["null_candidates"] = int(np.count_nonzero(scorer.null))
     order = np.argsort(-scores, kind="stable")
-    sel = order[~np.isin(order, items[0][2])]
+    sel = order[~np.isin(order, excluded)]
     return Ranking(indices=sel, scores=scores[sel], diagnostics=diagnostics)
 
 
@@ -814,18 +1138,32 @@ def evaluate(
     itself (G = 1) for the plain measures, or the projections of G kernels
     of a sub-batch, each made by one GfkKernel.project call into its slice
     of one G x |V| x 2d buffer. A stack's cosines, one row per distinct
-    question word per row set, come from one batched product, and the
-    additive and multiplicative blocks, null handling and gold ranks of all
-    its questions from a fixed number of NumPy calls, plus one counting
-    pass per score row (see _gold_ranks). A cosine is
+    question word per row set, come from one batched float64 product,
+    divided by the candidate norms and rounded once to float32. A cosine is
     (unit query row . raw candidate row) / |candidate row|, so no unit copy
-    of the table or of a projection is made. A stack holds as many kernels
-    of a sub-batch as fit 1 MB of |V|-wide rows (_KERNEL_BATCH_ELEMS): their
-    projections, cosine rows and two score rows per question. That is a
-    dozen small kernels on a vocabulary of hundreds of words and one kernel
-    on a wide one. A row set whose questions exceed _CHUNK_ELEMS (40 MB) of
-    such rows is scored in slabs of questions, and in parts by distinct
-    words if need be, that fit it (see _stacks).
+    of the table or of a projection is made. Every later |V|-wide pass runs
+    in float32: the additive and multiplicative blocks, null handling and
+    the two counts per score row behind the gold ranks. The additive block
+    and the clips take a fixed number of NumPy calls per stack; the
+    multiplicative rows and the counts take a few per score row, which on
+    a wide vocabulary moves less memory than calls over the whole slab.
+
+    Ranks are still exact. A score is defined per pair by a float64
+    reference (see _reference_cosines), and every float32 score lies within
+    a proven bound of it (see _add_tau and _mul_bound): _gold_ranks counts
+    the candidates clearly above or below the gold word from the float32
+    scores and re-scores by the reference only those within the bound of
+    it. So the ranks are those of the reference scores, the same on any
+    BLAS, thread count or block size, and those of the single-question
+    functions on the same rows; exact duplicates and 2v multiples tie.
+
+    A stack holds as many kernels of a sub-batch as fit 1 MB of |V|-wide
+    rows (_KERNEL_BATCH_ELEMS): their projections, cosine rows and two
+    score rows per question. That is a dozen small kernels on a vocabulary
+    of hundreds of words and one kernel on a wide one. A row set whose
+    questions exceed _CHUNK_ELEMS of such rows is scored in slabs of
+    questions, and in parts by distinct words if need be, that fit it (see
+    _stacks).
 
     The |V|-wide arrays of scoring live in one workspace for the whole call
     and are reused, not reallocated, from stack to stack. The plain

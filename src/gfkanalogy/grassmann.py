@@ -447,18 +447,23 @@ def gfk_numeric_oracle(pa: PrincipalAngleDecomposition, nodes: int) -> np.ndarra
 
     Test oracle, not a production path: the closed form equals exactly twice
     this integral. Runs the flow formula over a batch of t values rather than
-    the per-angle lambdas, so it stays independent of gfk().
+    the per-angle lambdas, so it stays independent of gfk(). A batched
+    decomposition (theta B x d) gives a B x D x D stack, one integral per
+    pair.
     """
     if nodes < 2:
         raise ValueError("need at least 2 trapezoid nodes")
-    ts = np.linspace(0.0, 1.0, nodes)
-    a = pa.source_directions()
-    b = pa.complement_directions()
-    cos_t = np.cos(np.outer(ts, pa.theta))
-    sin_t = np.sin(np.outer(ts, pa.theta))
-    phi = a[None, :, :] * cos_t[:, None, :] - b[None, :, :] * sin_t[:, None, :]
+    ts = np.linspace(0.0, 1.0, nodes)[:, None]
+    a = pa.source_directions()[..., None, :, :]
+    b = pa.complement_directions()[..., None, :, :]
+    angles = ts * pa.theta[..., None, :]  # ... x nodes x d
+    phi = a * np.cos(angles)[..., None, :] - b * np.sin(angles)[..., None, :]
     weights = np.full(nodes, 1.0 / (nodes - 1))
     weights[0] = weights[-1] = 0.5 / (nodes - 1)
-    # sum_n w_n Phi_n Phi_n^T, contracted over nodes and subspace columns
-    return np.tensordot(phi * weights[:, None, None], phi, axes=([0, 2], [0, 2]))
+
+    def side_by_side(x):  # ... x nodes x D x d -> ... x D x (nodes d)
+        return np.moveaxis(x, -3, -2).reshape(x.shape[:-3] + (x.shape[-2], -1))
+
+    # sum_n w_n Phi_n Phi_n^T, contracted over nodes and subspace columns in one product
+    return side_by_side(phi * weights[:, None, None]) @ _t(side_by_side(phi))
 

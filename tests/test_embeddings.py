@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -338,6 +339,23 @@ class TestRoundTripAndNormalize:
             else:
                 assert not unit
                 assert got.tobytes() == (v / norm(v)).tobytes()
+
+    def test_normalized_load_keeps_one_copy_of_the_table(self, tmp_path):
+        # np.linalg.norm over the whole table squares a copy of it, and
+        # dividing into a new array makes another: both are table-sized
+        vecs = np.random.default_rng(11).standard_normal((6000, 64))
+        path = str(tmp_path / "emb.txt")
+        save_text_embeddings(EmbeddingTable([f"w{i}" for i in range(len(vecs))], vecs), path)
+        peaks = {}
+        for normalize in (False, True):
+            tracemalloc.start()
+            try:
+                table = load_text_embeddings(path, normalize=normalize)
+                peaks[normalize] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert table.vectors.tobytes() == EmbeddingTable(table.words, vecs).normalized().vectors.tobytes()
+        assert peaks[True] - peaks[False] < vecs.nbytes / 4
 
     def test_normalize_rejects_zero_rows(self):
         table = EmbeddingTable(["a", "z"], np.array([[1.0, 0], [0, 0]]))

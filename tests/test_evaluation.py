@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfkanalogy import evaluation
 from gfkanalogy.datasets import AnalogyQuestion, RelationDataset
@@ -1016,6 +1018,193 @@ class TestEvaluate:
         res = report.per_relation[relation]
         assert res.n_correct == n_correct
         assert res.rank_sum == pytest.approx(rank_sum, abs=1e-9)
+
+
+def _twins_table(size, seed):
+    """size words in R^8: random rows, then "copy" = w3 and "double" = 2 * w5."""
+    vecs = np.random.default_rng(seed).standard_normal((size - 2, 8))
+    words = [f"w{i}" for i in range(size - 2)] + ["copy", "double"]
+    table = EmbeddingTable(words, np.vstack([vecs, vecs[3], 2.0 * vecs[5]]))
+    ds = RelationDataset()
+    for a, b, x, y in (("w6", "w7", "w8", "copy"), ("w9", "w10", "w11", "double"),
+                       ("w12", "w13", "w14", "w15"), ("w8", "w15", "w6", "copy")):
+        ds.add(question(a, b, x, y))
+    return table, ds
+
+
+def _reference_rank(slab, row, gold, excluded, n):
+    """Rank of the best gold candidate of one score row from a full row of reference scores."""
+    ref = slab.ref(np.full(n, row), np.arange(n))
+    best = max(gold.tolist(), key=lambda i: (ref[i], -i))
+    keep = np.ones(n, dtype=bool)
+    keep[excluded[excluded >= 0]] = False
+    ahead = (ref > ref[best]) | ((ref == ref[best]) & (np.arange(n) < best))
+    return 1 + int(np.count_nonzero(ahead & keep))
+
+
+def _slabs(rows, items, epsilon, shift):
+    """(slab, R x |V| float32 scores, R full rows of reference scores) of a stack's questions."""
+    scorer = evaluation._Scorer(rows, evaluation._Workspace())
+    block = evaluation._Block.of(items)
+    n = rows.shape[1]
+    for slab in scorer.scores(block, ("add", "mul"), epsilon, shift, 10**6):
+        scores = slab.scores.reshape(-1, n).astype(np.float64)
+        refs = np.array([slab.ref(np.full(n, r), np.arange(n)) for r in range(len(scores))])
+        yield slab, scores, refs
+
+
+class TestExactRanks:
+    """float32 scores within a proven bound of the float64 reference, and ranks exact in it."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(6, 40),
+        m=st.integers(2, 12),
+        scales=st.lists(st.sampled_from([1e-13, 1e-11, 1e-6, 1.0, 1e6]), min_size=1, max_size=3),
+        tiny_target=st.booleans(),
+        shift=st.booleans(),
+        epsilon=st.sampled_from([1e-3, 1e-8, 0.5, 2.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_float32_scores_are_within_the_bound(self, seed, n, m, scales, tiny_target, shift, epsilon):
+        rng = np.random.default_rng(seed)
+        # rows of mixed scales: null (below 1e-12) and near-null candidates, large norm ratios
+        vecs = rng.standard_normal((n, m)) * rng.choice(scales, size=(n, 1))
+        if tiny_target:  # x - a + b is a tiny vector for the first question
+            vecs[2] = vecs[0] - vecs[1] + 1e-9 * rng.standard_normal(m)
+        # two row sets, as a stack of two kernels' projections
+        rows = np.stack([vecs, vecs @ rng.standard_normal((m, m))])
+        items = [((i, i + 1, i + 2, i + 3), np.array([i + 3]), (i, i + 1, i + 2)) for i in (0, 1, 2)]
+        for slab, scores, refs in _slabs(rows, [items, items[::-1]], epsilon, shift):
+            err = np.abs(scores - refs)
+            tau = slab.tau.ravel()
+            held = tau < np.inf
+            assert (err[held] <= tau[held, None]).all(), slab.mode
+            if slab.mode == "add":
+                assert held.all()
+            # split decides a candidate against a level only on its reference's side of it
+            for r, ref in enumerate(refs):
+                finite = ref[np.isfinite(ref)]
+                levels = np.concatenate([finite, np.nextafter(finite, np.inf), np.nextafter(finite, -np.inf),
+                                         finite + 1e-7, finite - 1e-7, [0.0, 1.0, -1.0]])
+                for level in levels.tolist():
+                    with np.errstate(over="ignore", invalid="ignore"):  # as in _gold_ranks
+                        p, k = slab.split(r, level)
+                        above, below = p > k, p < -k
+                    assert (ref[above] > level).all() and (ref[below] < level).all(), slab.mode
+
+    @pytest.mark.parametrize("m", [8, 300])
+    def test_reference_bits_do_not_depend_on_the_other_pairs(self, m):
+        rng = np.random.default_rng(41)
+        n = 600
+        rows = rng.standard_normal((1, n, m))
+        items = [((i, i + 1, i + 2, i + 3), np.array([i + 3]), (i, i + 1, i + 2)) for i in (0, 4, 8)]
+        scorer = evaluation._Scorer(rows, evaluation._Workspace())
+        for slab in scorer.scores(evaluation._Block.of([items]), ("add", "mul"), 1e-3, True, 10**6):
+            for r in range(3):
+                full = slab.ref(np.full(n, r), np.arange(n))
+                for j in rng.choice(n, 5, replace=False).tolist():
+                    for among in (0, 7, 500):
+                        others = rng.choice(n, among).tolist()
+                        at = int(rng.integers(0, among + 1))
+                        pairs = np.array(others[:at] + [j] + others[at:])
+                        got = slab.ref(np.full(len(pairs), r), pairs)[at]
+                        assert got.tobytes() == full[j].tobytes(), (slab.mode, among)
+            # pairs of several score rows interleaved: each pair reads its own
+            # gathered unit row, and still gets the bits of its full row
+            full = [slab.ref(np.full(n, r), np.arange(n)) for r in range(3)]
+            r, j = rng.integers(0, 3, 700), rng.integers(0, n, 700)
+            got = slab.ref(r, j)
+            want = np.array([full[ri][ji] for ri, ji in zip(r.tolist(), j.tolist())])
+            assert got.tobytes() == want.tobytes(), slab.mode
+
+    @pytest.mark.parametrize("size", [18, 20, 24, 26, 32, 35, 42, 57])
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_twins_tie_at_every_size(self, size, seed):
+        # float64 products of BLAS blocks rounded w3 and its copy apart at 18,
+        # 26, 35, 42 and 57 candidates; reference scores tie by construction
+        table, ds = _twins_table(size, seed)
+        questions = ds.relations["r"]
+        kernel = gfk(principal_angles(*relation_subspaces(questions, table, 2, "none")))
+        answers = {
+            "CosADD": lambda q: cos_add_answer(q, table),
+            "CosMUL": lambda q: cos_mul_answer(q, table),
+            "GFKCosADD": lambda q: gfk_answer(q, table, kernel, mode="add"),
+            "GFKCosMUL": lambda q: gfk_answer(q, table, kernel, mode="mul"),
+        }
+        twins = {"copy": "w3", "double": "w5"}
+        reports = evaluate(ds, table, EvalConfig(measure="all", subspace_dim=2, holdout="none"))
+        for m in MEASURES:
+            rank_sum = 0
+            for q in questions:
+                ranking = answers[m](q)
+                order = ranking.indices.tolist()
+                gold = order.index(table.index[q.y])
+                if q.y in twins:
+                    twin = order.index(table.index[twins[q.y]])
+                    assert twin == gold - 1 and ranking.scores[twin] == ranking.scores[gold], m
+                rank_sum += gold + 1
+            assert reports[m].per_relation["r"].rank_sum == rank_sum, m
+
+    @pytest.mark.parametrize("mode", ["add", "mul"])
+    @pytest.mark.parametrize("later", [False, True])
+    def test_near_tie_below_float32_resolution(self, mode, later):
+        # z differs from the gold word y by 1e-10 along the target: their
+        # scores differ by about 1e-11, far below a float32 step. z comes
+        # first and scores lower, or comes later and scores higher, so a
+        # float32 ranking with the lower-index tie rule gets both wrong.
+        target = np.array([-1.0, 1.0, 1.0, 0.0])
+        y = target / np.linalg.norm(target) + np.array([0.0, 0.0, 0.0, 0.3])
+        z = y + (1e-10 if later else -1e-10) * target
+        rows = {"a": [1.0, 0, 0, 0], "b": [0, 1.0, 0, 0], "x": [0, 0, 1.0, 0], "y": y, "z": z,
+                "u": [0, 0.2, 0.1, 1.0], "v": [0.5, 0.5, -0.5, 0.5]}
+        words = ["a", "b", "x"] + (["y", "z"] if later else ["z", "y"]) + ["u", "v"]
+        table = EmbeddingTable(words, np.array([rows[w] for w in words], dtype=float))
+        ds = RelationDataset()
+        ds.add(question("a", "b", "x", "y"))
+        q = ds.relations["r"][0]
+        if mode == "add":
+            order, scores = brute_add_ranking(table, q)
+            ranking, measure = cos_add_answer(q, table), "CosADD"
+        else:
+            order, scores = brute_mul_ranking(table, q)
+            ranking, measure = cos_mul_answer(q, table), "CosMUL"
+        want = order.index(table.index["y"]) + 1
+        at = {i: s for i, s in zip(order, scores)}
+        y_score, z_score = at[table.index["y"]], at[table.index["z"]]
+        assert y_score != z_score and np.float32(y_score) == np.float32(z_score)
+        assert (z_score > y_score) == later  # z ahead exactly when it comes later
+        assert want == 2 if later else want == 1
+        assert ranking.indices.tolist().index(table.index["y"]) + 1 == want
+        report = evaluate(ds, table, EvalConfig(measure=measure))[measure]
+        assert report.per_relation["r"].rank_sum == want
+
+    @pytest.mark.parametrize("holdout", HOLDOUTS)
+    @pytest.mark.parametrize("shift", [True, False])
+    def test_evaluate_ranks_equal_all_reference_ranks(self, monkeypatch, holdout, shift):
+        table, ds = _stacking_fixture()
+        twins, twin_ds = _twins_table(26, 0)
+        gold_ranks, rows_rechecked = evaluation._gold_ranks, []
+
+        def checked(scores, slab, rows, gold, excluded):
+            counted = []
+
+            def split(i, level):
+                counted.append(i)
+                return slab.split(i, level)
+
+            ranks = gold_ranks(scores, slab._replace(split=split), rows, gold, excluded)
+            want = [_reference_rank(slab, r, gold[r], excluded[r], scores.shape[1]) for r in rows.tolist()]
+            assert ranks.tolist() == want
+            rows_rechecked.extend(counted)
+            return ranks
+
+        monkeypatch.setattr(evaluation, "_gold_ranks", checked)
+        for tab, data in ((table, ds), (twins, twin_ds)):
+            cfg = EvalConfig(measure="all", subspace_dim=2, holdout=holdout, shift_cosines=shift,
+                             epsilon=0.5 if not shift else 0.001)
+            evaluate(data, tab, cfg)
+        assert rows_rechecked or shift  # without the shift some rows always take the slow path
 
 
 class TestDimensionSweep:

@@ -295,6 +295,20 @@ class TestKernel:
         ]
         assert all(e1 > e2 for e1, e2 in zip(errors, errors[1:]))
 
+    def test_oracle_broadcasts_over_a_batch(self):
+        # B = 4 pairs of 3-dim subspaces of R^10: one integral per pair
+        rng = np.random.default_rng(13)
+        bases = [np.linalg.qr(rng.standard_normal((4, 10, 3)))[0] for _ in range(2)]
+        pa = principal_angles(Subspace(bases[0]), Subspace(bases[1]))
+        batch = gfk_numeric_oracle(pa, 2_000)
+        assert batch.shape == (4, 10, 10)
+        closed = gfk(pa).materialize()
+        for i in range(4):
+            alone = gfk_numeric_oracle(principal_angles(Subspace(bases[0][i]), Subspace(bases[1][i])), 2_000)
+            np.testing.assert_allclose(batch[i], alone, rtol=0, atol=1e-14)
+            rel = np.linalg.norm(closed[i] - 2.0 * batch[i]) / np.linalg.norm(2.0 * batch[i])
+            assert rel < 1e-5
+
     def test_oracle_right_angle_diagonal(self):
         # integral of cos^2 and sin^2 over a quarter turn are both 1/2
         ph = Subspace(np.array([[1.0], [0.0]]))
