@@ -19,6 +19,7 @@ builds every subspace, kernel and projection in those narrow coordinates.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -50,14 +51,27 @@ _MODES = {"CosADD": "add", "CosMUL": "mul", "GFKCosADD": "add", "GFKCosMUL": "mu
 # Cap on |V|-wide elements alive per scoring chunk, to bound memory on big
 # vocabularies: the cosine rows of a chunk's u distinct words, one additive
 # score row per question, and one multiplicative row with its denominator. It
-# counts elements, not bytes: a cosine element takes 12 bytes (the float64
-# product and its float32 rounding), a score element 4. Reference scores are
+# counts elements, not bytes: a plain cosine element takes 12 bytes (the
+# float64 product and its float32 rounding), a kernel cosine element 4 (a
+# float32 product, divided in place), a score element 4. Reference scores are
 # taken in chunks whose gathered float64 rows hold as many elements.
 _CHUNK_ELEMS = 5_000_000
-# Cap on the elements of one stacked batch of kernels (1 MB). A few dozen small
-# kernels already share each LAPACK call's overhead; bigger batches only raise
-# peak memory (kernel-sweep: 120-kernel batches of 32 x 12 bases, +7% peak RSS).
+# Cap on the elements of one stacked batch of kernels (1 MB of the float64
+# arrays that build them); a stack of their float32 |V|-wide rows holds twice
+# as many elements, the same 1 MB. A few dozen small kernels already share each
+# LAPACK call's overhead; bigger batches only raise peak memory (kernel-sweep:
+# 120-kernel batches of 32 x 12 bases, +7% peak RSS).
 _KERNEL_BATCH_ELEMS = 131_072
+# A kernel stack's candidate whose rho_j = |c_j| |P|_F / |r_j| (its pool
+# coordinates c_j, the kernel's f lam_sqrt P and its projected row r_j) is past
+# this cap is a suspect, scored by the reference alone (see
+# _Scorer.of_kernels): its float32 row may be off by gamma_{w+2}(u) rho_j of
+# itself, and a row's bound grows with the largest rho_j it covers. A row
+# spread evenly over w coordinates has rho_j near sqrt(w); at the cap the
+# projection term gamma_{w+2}(u) rho_j of a bound stays below 2^-9 for rows
+# up to w = 512 coordinates wide. The benchmark's kernels reach 12 (w = 44)
+# and 19 (w = 32).
+_RHO_CAP = 64.0
 
 
 @dataclass(frozen=True)
@@ -212,41 +226,26 @@ def _slices(n: int, size: int) -> list[slice]:
 _U32, _U64, _ETA32 = 2.0**-24, 2.0**-53, 2.0**-150
 
 
-def _reference_cosines(rows, norms, null, units, t, g, j) -> np.ndarray:
-    """Reference cosines of the pairs (units[t[i, p]], candidate j[p] of row set g[p]), T x P.
+def _gamma(n: int, unit: float) -> float:
+    """gamma_n = n unit / (1 - n unit): the relative error bound of n roundings (Higham ch. 3)."""
+    return n * unit / (1 - n * unit)
 
-    t is T x P: each candidate row is read once and dotted with T unit
-    rows. A cosine is the float64 row-wise dot of the two rows (one einsum
-    per unit row), divided by the candidate's norm, clipped to [-1, 1], and
-    -1 for a null candidate, so its bits depend on its own two rows only,
-    never on the other pairs of the call; null is None when no candidate is
-    null. Pairs go in chunks whose gathered rows fit _CHUNK_ELEMS. A chunk
-    of consecutive candidates of one row set reads them as a view, and a
-    chunk whose pairs share one unit row reads it as a broadcast view,
-    rather than as gathered copies; the einsum dots each row pair alike
-    either way (the tests hold a full row bit-equal to pairs computed alone
-    or among pairs of other score rows).
+
+def _project_rows(coords: np.ndarray, proj_t: np.ndarray) -> np.ndarray:
+    """float64 rows c f lam_sqrt of coordinate rows c, each a row-wise dot of its own coordinates, never a GEMM.
+
+    proj_t holds (f lam_sqrt)^T: coords P x w take one m x w factor, or
+    each row its own (P x m x w), and G x U x w coords one factor per G
+    (G x m x w). The einsum dots each (row, factor column) pair in one
+    order whatever the other rows are, in any of these layouts, so a row's
+    bits do not depend on which rows are projected with it (the tests hold
+    rows computed alone, among others or per row set bit-equal).
     """
-    out = np.empty(t.shape)
-    for s in _slices(len(j), max(1, _CHUNK_ELEMS // ((len(t) + 1) * rows.shape[-1]))):
-        gs, js = g[s], j[s]
-        if (gs == gs[0]).all() and js[-1] - js[0] == len(js) - 1 and (np.diff(js) == 1).all():
-            cand = rows[gs[0], js[0] : js[-1] + 1]
-        else:
-            cand = rows[gs, js]
-        for ti, o in zip(t, out):
-            ti = ti[s]
-            unit = np.broadcast_to(units[ti[0]], cand.shape) if (ti == ti[0]).all() else units[ti]
-            np.einsum("ij,ij->i", cand, unit, out=o[s])
-    out /= norms[g, j]
-    np.minimum(out, 1.0, out=out)
-    np.maximum(out, -1.0, out=out)
-    if null is not None:
-        out[:, null[g, j]] = -1.0
-    return out
+    spec = "gij,gkj->gik" if coords.ndim == 3 else "ij,ikj->ik" if proj_t.ndim == 3 else "ij,kj->ik"
+    return np.einsum(spec, coords, proj_t)
 
 
-def _add_tau(spread: np.ndarray, m: int) -> np.ndarray:
+def _add_tau(spread: np.ndarray, m: int, dc32=_U32, drow=0.0) -> np.ndarray:
     """Bound on |float32 additive score - reference score| per question; inf when none holds.
 
     spread is (|x| + |a| + |b|) / |x - a + b| from the word norms (a null
@@ -254,19 +253,27 @@ def _add_tau(spread: np.ndarray, m: int) -> np.ndarray:
     and eta = 2^-150 (the float32 rounding error in the subnormal range),
     and take every bound in the standard model of Higham, *Accuracy and
     Stability of Numerical Algorithms*, ch. 3 (a length-m dot is off by at
-    most gamma_m |u||w|, gamma_m = mv / (1 - mv)). Rows and their norms
-    are the float64 data both paths share, so |row| / norm and the unit
-    query rows' norms are at most 1 + (m + 2)v.
+    most gamma_m |u||w|, gamma_m = mv / (1 - mv)). The unit query rows are
+    float64 data both paths share, with norms at most 1 + (m + 2)v.
 
-    - The float64 cosine block (a GEMM, divided by the candidate norm) and
-      the reference's row-wise dots are each within (m + 1)v of the exact
-      cosine of the rows, and the float64 coefficients +-|w| / |t| and the
-      target t = x - a + b each carry a few more roundings (gamma_4 v per
-      unit of spread). Together: spread * e64 + e64, e64 = 2(m + 8)v.
-    - Rounding the cosines and the coefficients to float32 costs u each per
-      unit of spread, and the float32 coefficient GEMM, three nonzero terms
-      per score, gamma_3(u) < 3.001u: 5.001u per unit of spread in all. Each
-      of these roundings may add eta, (spread + 8) eta in all.
+    - The reference's row-wise dots (and, for the plain rows, the float64
+      cosine block, a GEMM divided by the candidate norm) are each within
+      (m + 1)v of the exact cosine of the rows, and the float64
+      coefficients +-|w| / |t| and the target t = x - a + b each carry a
+      few more roundings (gamma_4 v per unit of spread). Together:
+      spread * e64 + e64, e64 = 2(m + 8)v.
+    - Each cosine's float32 value is within dc32 of the exact cosine of its
+      float32 candidate row: u for plain rows (rounding the float64 block),
+      more for kernel rows (see _Scorer.of_kernels). Rounding the
+      coefficients to float32 costs u per unit of spread, and the float32
+      coefficient GEMM, three nonzero terms per score, gamma_3(u) < 3.001u,
+      both times the cosines' size, at most 1 + dc32 + drow. Each of these
+      roundings may add eta, (spread + 8) eta in all.
+    - A kernel candidate's float32 row is off its reference row by an
+      angle of at most drow (0 for plain rows, which are their own
+      reference). The additive score is linear in the candidate's unit row,
+      with a weight vector of norm within spread * e64 of one, so this adds
+      drow (1 + spread (4.001u + e64)) whatever the spread.
     - Clipping to [-1, 1] does not increase a difference, and null
       candidates are -1 on both paths.
 
@@ -274,11 +281,12 @@ def _add_tau(spread: np.ndarray, m: int) -> np.ndarray:
     or for a non-finite spread, the bound is inf.
     """
     e64 = 2 * (m + 8) * _U64
-    tau = spread * (5.001 * _U32 + e64 + _ETA32) + (e64 + 8 * _ETA32)
+    tau = spread * (dc32 + 4.001 * _U32 * (1 + dc32) + e64 + _ETA32) + (e64 + 8 * _ETA32)
+    tau = tau + drow * (1 + spread * (4.001 * _U32 + e64))
     return np.where(spread <= 2.0**100, tau, np.inf)
 
 
-def _mul_bound(m: int, epsilon: float, shift: bool) -> tuple[float, float, float, float]:
+def _mul_bound(m: int, epsilon: float, shift: bool, dc32=1.0001 * _U32 + _ETA32) -> tuple[float, float, float, float]:
     """(k0, k1, dd, R) with |S - reference| <= (k0 + k1 |S|) / (|D| - dd) for float32 CosMUL scores.
 
     S is a float32 multiplicative score and D its float32 denominator. The
@@ -287,10 +295,12 @@ def _mul_bound(m: int, epsilon: float, shift: bool) -> tuple[float, float, float
     m is the row width; u, v, eta and e64 are as for _add_tau, and
     epsilon stands for |epsilon|.
 
-    - One cosine: the float64 block and the reference are each within
-      (m + 1)v of the exact cosine, and rounding to float32 costs
-      1.0001u + eta: dc = 1.0001u + eta + e64. Clipping and the -1 pins of
-      null words and candidates keep it.
+    - One cosine: the reference (and the float64 block of plain rows) is
+      within (m + 1)v of the exact cosine, and the float32 cosine within
+      dc32 of it: rounding the block to float32 costs 1.0001u + eta for
+      plain rows, and for kernel rows dc32 is their cosine error plus the
+      candidate's row term (see _add_tau): dc = dc32 + e64. Clipping and the
+      -1 pins of null words and candidates keep it.
     - Shifted, s = (c + 1) / 2 is within ds = dc / 2 + u + eta + v of its
       reference (the float32 sum c + 1 <= 2 rounds once; halving is exact
       but in the subnormal range); unshifted, ds = dc. |s| <= 1 on both
@@ -309,7 +319,7 @@ def _mul_bound(m: int, epsilon: float, shift: bool) -> tuple[float, float, float
       and the roundings of this formula. R is returned too.
     """
     e64, eps = 2 * (m + 8) * _U64, abs(epsilon)
-    dc = 1.0001 * _U32 + _ETA32 + e64
+    dc = dc32 + e64
     ds = dc / 2 + _U32 + _ETA32 + _U64 if shift else dc
     dn = 2 * ds + _U32 + _ETA32 + _U64
     dd = ds + 2 * (_U32 + _U64) * (1 + eps) + _ETA32
@@ -324,28 +334,30 @@ def _mul_bound(m: int, epsilon: float, shift: bool) -> tuple[float, float, float
 _WIDEN32 = 1 + 2.0**-17
 
 
-def _margin(x: float) -> np.float32:
-    """float64 x widened by _WIDEN32 and rounded to float32; inf past the float32 range."""
-    x *= _WIDEN32
-    return np.float32(x if x < 2.0**127 else np.inf)
+def _margin(x) -> np.ndarray:
+    """float64 x (a scalar or an array) widened by _WIDEN32 and rounded to float32; inf past the float32 range."""
+    x = np.multiply(x, _WIDEN32)
+    return np.where(x < 2.0**127, x, np.inf).astype(np.float32)
 
 
-def _add_split(score: np.ndarray, level: float, tau: float) -> tuple[np.ndarray, np.float32]:
-    """(p, k) that decide a float32 additive score row, within tau of its reference, against a float64 level g.
+def _add_split(score: np.ndarray, level, tau) -> tuple[np.ndarray, np.ndarray]:
+    """(p, k) that decide float32 additive score rows, within tau of their reference, against float64 levels g.
 
-    p = S - g32 in float32. Where p > k the reference score is above g,
-    where p < -k below it; elsewhere it is undecided. g32 is off g by at
-    most u|g| + eta, and k = tau + u|g| + eta, widened, covers that and the
-    rounding of p.
+    score is one row, or C rows with C levels and bounds. p = S - g32 in
+    float32. Where p > k the reference score is above g, where p < -k
+    below it; elsewhere it is undecided. g32 is off g by at most u|g| + eta,
+    and k = tau + u|g| + eta, widened, covers that and the rounding of p.
     """
-    return np.subtract(score, np.float32(level)), _margin(tau + _U32 * abs(level) + _ETA32)
+    level = np.asarray(level)
+    return np.subtract(score, level.astype(np.float32)[..., None]), _margin(tau + _U32 * np.abs(level) + _ETA32)
 
 
-def _mul_split(score: np.ndarray, den: np.ndarray, level: float, bound) -> tuple[np.ndarray, np.float32]:
-    """(p, k) that decide a float32 multiplicative score row against a float64 level g, as _add_split does.
+def _mul_split(score: np.ndarray, den: np.ndarray, level, bound) -> tuple[np.ndarray, np.ndarray]:
+    """(p, k) that decide float32 multiplicative score rows against float64 levels g, as _add_split does.
 
     den holds the scores' float32 denominators and bound is _mul_bound's
-    (k0, k1, dd, R). p = (S - g32) max(|D| - (dd + k1), 0) in float32, and
+    (k0, k1, dd, R), each an array over the rows when there are C of them.
+    p = (S - g32) max(|D| - (dd + k1), 0) in float32, and
     NaN (undecided) where S or g32 is not finite, which the caller lets
     pass without floating-point warnings.
 
@@ -357,12 +369,13 @@ def _mul_split(score: np.ndarray, den: np.ndarray, level: float, bound) -> tuple
     eta), widened, covers that and the three float32 roundings of p.
     """
     k0, k1, dd, r = bound
+    level = np.asarray(level)
     room = np.abs(den)
-    room -= _margin(dd + k1)
+    room -= _margin(dd + k1)[..., None]
     np.maximum(room, 0.0, out=room)
-    p = np.subtract(score, np.float32(level))
+    p = np.subtract(score, level.astype(np.float32)[..., None])
     p *= room
-    return p, _margin(k0 + k1 * abs(level) + 2 * r * (_U32 * abs(level) + _ETA32))
+    return p, _margin(k0 + k1 * np.abs(level) + 2 * r * (_U32 * np.abs(level) + _ETA32))
 
 
 def _targets(x: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -395,6 +408,60 @@ def _mul_reference(s: np.ndarray, epsilon: float, shift: bool) -> np.ndarray:
     return out
 
 
+def _row_terms(w: int, m: int, pf: np.ndarray):
+    """Error terms of kernels' float32 rows: (alpha, beta, lim, floor) per kernel, and (nu, n_abs, nu64, dc32).
+
+    A kernel's float32 row set holds r~_j = fl32(fl32(c_j) fl32(P)), the
+    projection of candidate j's w coordinates c_j through the kernel's
+    w x m factor P = f lam_sqrt (pf = |P|_F); the reference re-projects
+    r_j = fl64(c_j P) row by row. With u, v and eta as for _add_tau and
+    |c_j| read from its norm cn_j rounded to float32:
+
+    - |r~_j - r_j| <= E_j = alpha cn_j + beta. Casting c_j and P costs u
+      each and the length-w float32 dots gamma_w(u), so a component is off
+      the exact c_j.P_k by gamma_{w+2}(u) |c_j|.|P_k| <= gamma_{w+2}(u)
+      |c_j| |P_k| (Cauchy-Schwarz), and the row by gamma_{w+2}(u) |c_j| pf;
+      the reference adds gamma_w(v) |c_j| pf. Subnormal casts and products
+      add at most eta each: eta (sqrt(m w) |c_j| + sqrt(w) pf + sqrt(m) w
+      + 1) per path. rho_j = cn_j pf / |r_j| is the error in units of the
+      row.
+    - The float32 norm n~_j of r~_j (squares, a sum, a square root) is
+      within nu |r~_j| + n_abs of |r~_j|, nu = gamma_{m+1}(u) / 2 + u, and
+      n_abs = sqrt(m eta) covers squares in the subnormal range. The
+      reference norm is within nu64 |r_j| + n_abs of |r_j| alike.
+    - lim is _RHO_CAP / pf in float32. A candidate with cn_j / n~_j <= lim
+      has cn_j <= r n~_j, r = lim (1 + 3u) + 2^-100 (the float32 rounding
+      of the quotient and its subnormal range), so its reference norm is at
+      least n~_j kappa - (2 n_abs + beta), kappa = (1 / (1 + nu) - alpha r)
+      (1 - nu64). From floor = (NULL_SPACE_NORM + 2 n_abs + beta) / kappa
+      up, that is at least NULL_SPACE_NORM: the row is not null in the
+      reference either. Where kappa <= 0 (past 2^18 coordinates) no floor
+      holds, and the floor is inf.
+    - Given its row, a float32 cosine of a candidate at or above the floor
+      (the unit query row rounded to float32, a length-m float32 dot, the
+      float32 norm and the divide) is within dc32 of the exact cosine of
+      the float32 row: (nu + 2 n_abs / NULL_SPACE_NORM + gamma_m(u)(1 + u)
+      + u + sqrt(m) eta) / (1 - nu - n_abs / NULL_SPACE_NORM) + u, plus
+      (m + 1) eta / NULL_SPACE_NORM + eta for subnormal products.
+
+    Each term is widened by 0.1% for second-order terms and the rounding
+    of cn_j.
+    """
+    alpha = 1.001 * ((_gamma(w + 2, _U32) + _gamma(w, _U64)) * pf + 2 * _ETA32 * math.sqrt(m * w))
+    beta = 2.002 * _ETA32 * (math.sqrt(w) * pf + math.sqrt(m) * w + 1)
+    nu, nu64 = (1.001 * (_gamma(m + 1, unit) / 2 + unit) for unit in (_U32, _U64))
+    n_abs = 1.002 * math.sqrt(m * _ETA32)
+    lim = (_RHO_CAP / pf).astype(np.float32)
+    kappa = (1 / (1 + nu) - alpha * (lim * (1 + 3 * _U32) + 2.0**-100)) * (1 - nu64)
+    with np.errstate(divide="ignore"):
+        floor = np.where(kappa > 0, 1.001 * (NULL_SPACE_NORM + 2 * n_abs + beta) / kappa, np.inf)
+    nu_a = n_abs / NULL_SPACE_NORM
+    dc32 = 1.001 * (
+        (nu + 2 * nu_a + _gamma(m, _U32) * (1 + _U32) + _U32 + math.sqrt(m) * _ETA32) / (1 - nu - nu_a) + _U32
+    ) + (m + 1) * _ETA32 / NULL_SPACE_NORM + _ETA32
+    return (alpha, beta, lim, floor), (nu, n_abs, nu64, dc32)
+
+
 class _Slab(NamedTuple):
     """One mode's scores for a slab of question slots, in every row set of a stack.
 
@@ -402,11 +469,14 @@ class _Slab(NamedTuple):
     slab is drawn; null (G x k) flags null targets or words. Score rows are
     numbered G-major, as scores.reshape(G * k, |V|) numbers them. tau
     (G x k) bounds |scores - reference| per score row, inf where no bound
-    holds. split(i, g) decides the candidates of score row i against a
-    float64 score g with each candidate's own bound, which may be tighter
+    holds. split(i, g) decides the candidates of score row i (or of rows
+    i, each against its own g) against a float64 score g with each
+    candidate's own bound, which may be tighter
     (a multiplicative score over a small denominator is less exact than the
     others): see _add_split and _mul_split. ref(r, j) gives the float64
     reference scores of the pairs (score row r[p], candidate j[p]).
+    suspect (G x |V|) flags the candidates of each row set that no bound
+    covers, None when there are none; they score NaN.
     """
 
     mode: str
@@ -414,31 +484,35 @@ class _Slab(NamedTuple):
     scores: np.ndarray
     null: np.ndarray
     tau: np.ndarray
-    split: Callable[[int, float], tuple[np.ndarray, np.float32]]
+    split: Callable[..., tuple[np.ndarray, np.ndarray]]
     ref: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    suspect: np.ndarray | None
 
 
 class _Scorer:
     """Cosine scoring over a stack of G row sets, each one row per vocabulary word.
 
-    rows (G x |V| x m) is the vocabulary itself (G = 1) for the plain
-    measures, or the projections of G kernels (``kernel.project(coords)``)
-    for the kernel measures, so each kernel projects the vocabulary once.
-    Query words and candidates are both read from a row set. A cosine is
-    (unit query row . raw candidate row) / |candidate row|: the float64
-    block of query-candidate products is divided by the candidate norms and
-    rounded once to float32, so no scorer keeps a unit copy of its rows.
+    rows (G x |V| x m) is the vocabulary itself (G = 1, float64) for the
+    plain measures, or the float32 projections of G kernels for the kernel
+    measures (see of_kernels), so each kernel projects the vocabulary once.
+    A cosine is (unit query row . raw candidate row) / |candidate row|, so
+    no scorer keeps a unit copy of its rows. Plain rows give a float64
+    block of query-candidate products, divided by the candidate norms and
+    rounded once to float32; kernel rows give one float32 product with the
+    float32 unit query rows, divided in place by their float32 norms.
     Candidates whose norm is below NULL_SPACE_NORM have no direction; their
     cosine against any query is pinned to -1 so they sink to the bottom of
     every ranking.
 
     What a score is, is defined per pair by the float64 reference (see
-    _reference_cosines): the additive score is the cosine of the unit
-    target (x - a + b) / |x - a + b| and the candidate, the multiplicative
-    one s_b s_x / (s_a + eps) of the reference cosines. Every vocabulary-
-    wide pass after the cosine product runs in float32, and each slab
-    carries a proven bound on how far its float32 scores are from the
-    reference ones, which _gold_ranks turns into exact ranks.
+    _cosines): the additive score is the cosine of the unit target
+    (x - a + b) / |x - a + b| and the candidate, the multiplicative one
+    s_b s_x / (s_a + eps) of the reference cosines. The reference reads
+    plain rows as they are and re-projects kernel rows pair by pair, and
+    the query words' reference rows are the query rows of both paths.
+    Every vocabulary-wide pass after the cosine product runs in float32,
+    and each slab carries a proven bound on how far its float32 scores are
+    from the reference ones, which _gold_ranks turns into exact ranks.
 
     The candidate norms and null mask live in the workspace ws, unless fresh:
     the plain scorer, which outlives every kernel scorer of an evaluate call,
@@ -449,26 +523,169 @@ class _Scorer:
         self.rows = rows
         self.ws = ws
         shape = rows.shape[:2]
-        norms = np.empty(shape) if fresh else ws.get("norms", shape)
+        norms = np.empty(shape, rows.dtype) if fresh else ws.get("norms", shape, rows.dtype)
         null = np.empty(shape, dtype=bool) if fresh else ws.get("null", shape, bool)
         np.less(_row_norms(rows, out=norms), NULL_SPACE_NORM, out=null)
         norms[null] = 1.0
         self.norms = norms
         self.null = null
         self.any_null = bool(null.any())
+        # plain rows are their own reference; of_kernels sets these for kernel rows
+        self.source = None  # (float64 coordinates, the kernels' float64 (f lam_sqrt)^T, G x m x w)
+        self.errors = None  # (cosine error dc32, row direction error drow), per row set
+        self.suspect = None
+
+    @classmethod
+    def of_kernels(cls, rows: np.ndarray, ws: _Workspace, coords, cnorms, proj) -> "_Scorer":
+        """A scorer over float32 kernel rows: rows[i] is coords projected through proj[i] in float32.
+
+        proj[i] is the w x 2d factor f lam_sqrt of kernel i (GfkKernel.projection),
+        and rows[i] its GfkKernel.project(coords) into a float32 buffer.
+
+        coords (|V| x w, float64) are pool coordinates or the vectors, and
+        cnorms their row norms rounded to float32. The reference re-projects
+        each pair it scores from coords through the kernel's float64
+        f lam_sqrt (see _project_rows), and takes the norm and null flag of
+        that row, so a pair's reference bits depend on its own two rows only.
+
+        Each candidate of a row set is one of three kinds (see _row_terms
+        for the terms):
+        - null: its float32 norm is so far below NULL_SPACE_NORM that its
+          reference norm is too; it scores -1 on both paths.
+        - ordinary: its float32 norm is at least the floor, so its reference
+          row is not null either, and rho_j = cn_j pf / n~_j is at most
+          _RHO_CAP.
+        - a suspect: any other, such as a row nearly in the null space of
+          f lam_sqrt (a large rho_j), a norm too close to NULL_SPACE_NORM to
+          tell, or coordinates past 2^59 / pf, whose float32 rows may
+          overflow. Suspects score NaN in every float32 score row, so no
+          count or bound takes them in, and _gold_ranks scores them by the
+          reference in every score row of their row set.
+
+        A row set's bounds take the largest rho_j of its ordinary
+        candidates, through cn_j / n~_j <= r: their float32 rows are off
+        their reference rows by at most e = (alpha r + beta / floor) /
+        (1 / (1 + nu) - (n_abs + beta) / floor - alpha r) times the latter's
+        norm, so the angle between the two rows is at most arcsin(e) <=
+        e / sqrt(1 - e^2). Against a unit query row, or any unit vector,
+        their cosines differ by at most that angle: drow, widened by 0.1%.
+        With the float32 cosine's own error dc32, these are the scorer's
+        errors (see _add_tau and _mul_bound).
+        """
+        scorer = cls(rows, ws)
+        g, n, m = rows.shape
+        proj_t = np.stack([p.T for p in proj])
+        pf = np.sqrt(np.einsum("gij,gij->g", proj_t, proj_t))
+        (alpha, beta, lim, floor), (nu, n_abs, nu64, dc32) = _row_terms(coords.shape[1], m, pf)
+        # the float32 floor rounded up, so that a norm at or above it is at or above the float64 one
+        floor32 = np.nextafter(floor.astype(np.float32), np.float32(np.inf))
+        norms, null = scorer.norms, scorer.null
+        irregular = np.less(norms, floor32[:, None], out=ws.get("irregular", (g, n), bool))
+        if scorer.any_null:
+            irregular |= null
+        # rows whose float32 projection or norm may overflow
+        big = (2.0**59 / pf).astype(np.float32)
+        if cnorms.max() > big.min():
+            irregular |= cnorms > big[:, None]
+        any_irregular = bool(irregular.any())
+        if any_irregular:
+            norms[irregular] = 1.0
+            raw = _row_norms(rows[irregular]).astype(np.float64)
+            rows[irregular] = 0.0  # null or suspect: no float32 score reads them, and none is inf
+        ratio = np.divide(cnorms, norms, out=ws.get("ratio", (g, n), np.float32))
+        suspect = np.greater(ratio, lim[:, None], out=ws.get("suspect", (g, n), bool))
+        null[...] = False
+        if any_irregular:
+            suspect |= irregular
+            i, j = np.nonzero(irregular)
+            with np.errstate(invalid="ignore"):
+                high = ((raw + n_abs) / (1 - nu) + alpha[i] * cnorms[j] + beta[i]) * (1 + nu64) + n_abs
+            dead = high < NULL_SPACE_NORM * (1 - 2.0**-30)
+            null[i[dead], j[dead]] = True
+            suspect[i[dead], j[dead]] = False
+        any_suspect = bool(suspect.any())
+        peak = np.max(ratio, axis=1, initial=0.0, where=~suspect) if any_suspect else ratio.max(axis=1)
+        r = peak.astype(np.float64) * (1 + 3 * _U32) + 2.0**-100
+        e = (alpha * r + beta / floor) / (1 / (1 + nu) - (n_abs + beta) / floor - alpha * r)
+        scorer.any_null = bool(null.any())
+        scorer.suspect = suspect if any_suspect else None
+        # past e = 1/2 take the largest difference of two cosines, 2
+        scorer.errors = (np.full(g, dc32), np.where(e < 0.5, 1.001 * e / np.sqrt(1 - np.minimum(e, 0.5) ** 2), 2.0))
+        scorer.source = (np.ascontiguousarray(coords), proj_t)
+        return scorer
+
+    def _reference_rows(self, g: np.ndarray, j: np.ndarray):
+        """float64 rows of the candidates j[p] of row sets g[p], their norms, and null flags (None: none null).
+
+        A run of consecutive candidates of one row set is read as a view.
+        Kernel rows are re-projected from their coordinates, each through its
+        row set's factor (_project_rows); a null row's norm reads 1.
+        """
+        one = bool((g == g[0]).all())
+        run = slice(j[0], j[-1] + 1) if one and j[-1] - j[0] == len(j) - 1 and (np.diff(j) == 1).all() else j
+        if self.source is None:
+            rows = self.rows[g[0], run] if one else self.rows[g, j]
+            return rows, self.norms[g, j], self.null[g, j] if self.any_null else None
+        coords, proj_t = self.source
+        if one:
+            rows = _project_rows(coords[run], proj_t[g[0]])
+        else:
+            rows = _project_rows(coords[j], proj_t[g])
+        norms = _row_norms(rows)
+        null = norms < NULL_SPACE_NORM
+        norms[null] = 1.0
+        return rows, norms, null if null.any() else None
 
     def _cosines(self, units, t, g, j) -> np.ndarray:
-        null = self.null if self.any_null else None
-        return _reference_cosines(self.rows, self.norms, null, units, t, g, j)
+        """Reference cosines of the pairs (units[t[i, p]], candidate j[p] of row set g[p]), T x P.
+
+        t is T x P: each candidate row is read once and dotted with T unit
+        rows. A cosine is the float64 row-wise dot of the two rows (one einsum
+        per unit row), divided by the candidate's norm, clipped to [-1, 1], and
+        -1 for a null candidate, so its bits depend on its own two rows only,
+        never on the other pairs of the call. Pairs go in chunks whose
+        gathered rows (and kernel factors) fit _CHUNK_ELEMS. A chunk whose
+        pairs share one unit row reads it as a broadcast view rather than as
+        gathered copies; the einsum dots each row pair alike either way (the
+        tests hold a full row bit-equal to pairs computed alone or among
+        pairs of other score rows).
+        """
+        out, nulls = np.empty(t.shape), np.zeros(len(j), dtype=bool)
+        m = self.rows.shape[-1]
+        width = (len(t) + 1) * m + (0 if self.source is None else (m + 1) * self.source[0].shape[1])
+        for s in _slices(len(j), max(1, _CHUNK_ELEMS // width)):
+            cand, norms, null = self._reference_rows(g[s], j[s])
+            for ti, o in zip(t, out):
+                ti = ti[s]
+                unit = np.broadcast_to(units[ti[0]], cand.shape) if (ti == ti[0]).all() else units[ti]
+                np.einsum("ij,ij->i", cand, unit, out=o[s])
+            out[:, s] /= norms
+            if null is not None:
+                nulls[s] = null
+        np.minimum(out, 1.0, out=out)
+        np.maximum(out, -1.0, out=out)
+        out[:, nulls] = -1.0
+        return out
+
+    def _query(self, words: np.ndarray):
+        """Reference rows (G x U x m, float64) of each row set's query words, with their norms and null flags."""
+        if self.source is None:
+            stack = np.arange(len(words))[:, None]
+            return self.rows[stack, words], self.norms[stack, words], self.null[stack, words]
+        coords, proj_t = self.source
+        rows = _project_rows(coords[words], proj_t)
+        norms = _row_norms(rows)
+        null = norms < NULL_SPACE_NORM
+        norms[null] = 1.0
+        return rows, norms, null
 
     def scores(self, block: _Block, modes, epsilon: float, shift: bool, slab: int):
         """Yield a _Slab per mode and slab of a block's question slots.
 
         The block holds one question list per row set. Each list's U
         distinct words get one cosine row per row set, all from one batched
-        float64 product, divided by the candidate norms into a float32
-        block. A slab is a slice of at most slab question slots, the same
-        in every row set.
+        product (see the class), in a float32 block. A slab is a slice of at
+        most slab question slots, the same in every row set.
 
         The additive numerator (x - a + b).v is a signed sum of the word
         rows' cosines scaled by the word norms, taken as one float32
@@ -483,17 +700,21 @@ class _Scorer:
         each candidate's own bound still holds where its own denominator is
         clear of 0 (see _mul_split). Null queries and null candidates score
         -1 in every cosine; in the reference, a NaN score becomes -inf.
+        Suspects (see of_kernels) score NaN and set no bound.
         """
         words, pos = block.words, block.pos
         ws, (g, n, m), u = self.ws, self.rows.shape, words.shape[1]
         stack = np.arange(g)[:, None]
-        query = self.rows[stack, words]
-        qnorms = self.norms[stack, words]
+        query, qnorms, null_q = self._query(words)
         units = query / qnorms[..., None]
-        exact = ws.get("exact", (g * u, n)).reshape(g, u, n)
-        np.matmul(units, self.rows.transpose(0, 2, 1), out=exact)
         cos = ws.get("cos", (g * u, n), np.float32).reshape(g, u, n)
-        np.divide(exact, self.norms[:, None, :], out=cos)
+        if self.source is None:
+            # a temporary: the float64 block lives only until its float32 rounding
+            np.divide(units @ self.rows.transpose(0, 2, 1), self.norms[:, None, :], out=cos)
+        else:
+            np.matmul(units.astype(np.float32), self.rows.transpose(0, 2, 1), out=cos)
+            cos /= self.norms[:, None, :]
+        suspect = None if self.suspect is None else self.suspect[:, None, :]
         if "add" in modes:
             for at in _slices(pos.shape[1], slab):
                 a, b, x = (pos[:, at, i] for i in range(3))
@@ -510,7 +731,14 @@ class _Scorer:
                 np.clip(add, -1.0, 1.0, out=add)
                 if self.any_null:
                     np.copyto(add, -1.0, where=self.null[:, None, :])
-                tau = _add_tau((nx + na + nb) / scale, m).ravel()
+                if suspect is not None:
+                    np.copyto(add, np.nan, where=suspect)
+                spread = (nx + na + nb) / scale
+                if self.errors is None:
+                    tau = _add_tau(spread, m)
+                else:
+                    tau = _add_tau(spread, m, self.errors[0][:, None], self.errors[1][:, None])
+                tau = tau.ravel()
 
                 def ref(r, j, target=target.reshape(g * k, m), scale=scale.reshape(g * k, 1), k=k):
                     return self._cosines(target / scale, r[None], r // k, j)[0]
@@ -518,39 +746,48 @@ class _Scorer:
                 def split(i, level, rows=add.reshape(g * k, n), tau=tau):
                     return _add_split(rows[i], level, tau[i])
 
-                yield _Slab("add", at, add, null_t, tau.reshape(g, k), split, ref)
+                yield _Slab("add", at, add, null_t, tau.reshape(g, k), split, ref, self.suspect)
         if "mul" in modes:
             np.clip(cos, -1.0, 1.0, out=cos)
             if self.any_null:
                 np.copyto(cos, -1.0, where=self.null[:, None, :])
-            null_w = self.null[stack, words].ravel()
+            null_w = null_q.ravel()
             any_null_w = bool(null_w.any())
             cos.reshape(g * u, n)[null_w] = -1.0
             if shift:
                 cos += 1.0
                 cos *= 0.5  # exact, as dividing by 2 is
             flat = cos.reshape(g * u, n)
-            bound = _mul_bound(m, epsilon, shift)
-            k0, k1, dd, _ = bound
+            if self.errors is None:
+                bounds = np.array([_mul_bound(m, epsilon, shift)] * g)
+            else:  # a kernel cosine's error is its own plus its row's
+                dc = (self.errors[0] + self.errors[1]).tolist()
+                bounds = np.array([_mul_bound(m, epsilon, shift, c) for c in dc])
             word_units = units.reshape(g * u, m)
             rows_at = pos + (stack * u)[..., None]
             for at in _slices(pos.shape[1], slab):
                 w = rows_at[:, at].reshape(-1, 3)  # flat a, b, x word rows per score row
+                k = len(w) // g
+                k0, k1, dd, _ = np.repeat(bounds.T, k, axis=1)
                 mul, den = ws.get("scores", (len(w), n), np.float32), ws.get("den", (len(w), n), np.float32)
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     for i, (ia, ib, ix) in enumerate(w.tolist()):
                         np.multiply(flat[ib], flat[ix], out=mul[i])
                         np.add(flat[ia], epsilon, out=den[i])
                     mul /= den
+                    if suspect is not None:  # neither sets its row's bound
+                        np.copyto(mul.reshape(g, k, n), 0.0, where=suspect)
+                        np.copyto(den.reshape(g, k, n), np.inf, where=suspect)
                     # the row's largest |score| bounds every |S|, and while every D > 0
                     # the least bounds every |D| from below; shifted scores are >= 0
                     peak = mul.max(axis=1) if shift else np.maximum(mul.max(axis=1), -mul.min(axis=1))
                     room = den.min(axis=1) - dd
                     tau = np.where(room > 0, (k0 + k1 * peak.astype(np.float64)) / room, np.inf)
-                k = len(w) // g
+                if suspect is not None:
+                    np.copyto(mul.reshape(g, k, n), np.nan, where=suspect)
 
-                def split(i, level, mul=mul, den=den):
-                    return _mul_split(mul[i], den[i], level, bound)
+                def split(i, level, mul=mul, den=den, k=k):
+                    return _mul_split(mul[i], den[i], level, bounds[i // k].T)
 
                 def ref(r, j, w=w, k=k):
                     t = w[r].T  # the a, b and x word rows of every pair
@@ -560,7 +797,8 @@ class _Scorer:
                     return _mul_reference(s, epsilon, shift)
 
                 null_m = null_w[w].any(axis=1)
-                yield _Slab("mul", at, mul.reshape(g, k, n), null_m.reshape(g, k), tau.reshape(g, k), split, ref)
+                yield _Slab("mul", at, mul.reshape(g, k, n), null_m.reshape(g, k), tau.reshape(g, k), split, ref,
+                            self.suspect)
 
 
 def _resolve_question(q: AnalogyQuestion, table: EmbeddingTable, strict: bool):
@@ -635,16 +873,21 @@ def _gold_ranks(scores: np.ndarray, slab: _Slab, rows: np.ndarray, gold: np.ndar
     tau of the gold's float32 score c, so the band [c - 2 tau, c + 2 tau]
     serves instead. Each row takes two counts: of the scores above the
     band, and of those in or above it. Only the rows whose band holds more
-    than the gold itself, and those whose bound is infinite (CosMUL without
-    the shift), are decided again, one row at a time in float32, with each
-    candidate's own bound (slab.split) against g, which takes one
-    reference call for the golds of every such row. The candidates still
-    undecided are then re-scored by the reference, those of every such row
-    in one call. Excluded candidates are not counted.
+    than the gold itself and its excluded candidates, and those whose bound
+    is infinite (CosMUL without the shift), are decided again, in float32
+    with each candidate's own bound (slab.split) against g: one reference
+    call for the golds of every such row, and one for the candidates left
+    undecided. Excluded candidates are not counted.
+
+    Suspects (slab.suspect) score NaN, so no count takes them in, and the
+    band of a row with suspects is centred on g, taken by the reference:
+    the last call then scores every suspect of each row's row set, and
+    those ahead of the best gold are added.
     """
     n = scores.shape[1]
     tau, gold, excluded = slab.tau.ravel()[rows], gold[rows], excluded[rows]
-    single = gold.shape[1] == 1
+    suspect = None if slab.suspect is None else slab.suspect[rows // slab.scores.shape[1]]
+    single = gold.shape[1] == 1 and suspect is None
     if single:
         best = gold[:, 0]
         center, width = scores[rows, best].astype(np.float64), 2 * tau
@@ -658,28 +901,47 @@ def _gold_ranks(scores: np.ndarray, slab: _Slab, rows: np.ndarray, gold: np.ndar
         (np.count_nonzero(scores[i] > high), np.count_nonzero(scores[i] >= low)) if high < np.inf else (0, n)
         for i, low, high in zip(rows.tolist(), lo.tolist(), hi.tolist())
     ], dtype=np.intp).reshape(-1, 2)
-    ahead = counts[:, 0] - np.count_nonzero(scores[rows[:, None], ex] > hi[:, None], axis=1)
-    crowded = np.flatnonzero(counts[:, 1] - counts[:, 0] > 1)
-    if not len(crowded):
+    at_ex = scores[rows[:, None], ex]
+    above_ex = at_ex > hi[:, None]
+    ahead = counts[:, 0] - np.count_nonzero(above_ex, axis=1)
+    # the best gold is in its band, unless it is a suspect; excluded candidates
+    # in the band (padding repeats the best gold) crowd nothing
+    banded = 1 if suspect is None else ~suspect[np.arange(len(rows)), best]
+    banded = banded + np.count_nonzero((at_ex >= lo[:, None]) & ~above_ex & (excluded >= 0), axis=1)
+    crowd = counts[:, 1] - counts[:, 0] - banded
+    if suspect is None and not (crowd > 0).any():
         return 1 + ahead
-    level = np.empty(len(rows))
-    level[crowded] = slab.ref(rows[crowded], best[crowded]) if single else center[crowded]
+    crowded = np.flatnonzero(crowd > 0)
+    level = np.empty(len(rows)) if single else center
+    if single:
+        level[crowded] = slab.ref(rows[crowded], best[crowded])
     owners, members = [], []
-    drops = np.column_stack((ex, best))[crowded].tolist()
+    drops = np.column_stack((ex, best))
+    # crowded rows a few at a time, each block no larger than the slab's scores
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, lv, drop in zip(crowded.tolist(), level[crowded].tolist(), drops):
-            p, k = slab.split(rows[i], lv)
+        for part in _slices(len(crowded), max(1, _CHUNK_ELEMS // (8 * n))):
+            c = crowded[part]
+            p, k = slab.split(rows[c], level[c])
+            k = k[:, None]
             above = p > k
             undecided = ~((p < -k) | above)  # NaN is never decided
-            above[drop] = undecided[drop] = False
-            ahead[i] = np.count_nonzero(above)
-            if np.count_nonzero(undecided):
-                j = np.flatnonzero(undecided)
-                owners.append(np.full(len(j), i))
-                members.append(j)
-    if not members:
-        return 1 + ahead
+            at = np.arange(len(c))[:, None]
+            above[at, drops[c]] = undecided[at, drops[c]] = False
+            if suspect is not None:
+                undecided &= ~suspect[c]
+            ahead[c] = np.count_nonzero(above, axis=1)
+            i, j = np.nonzero(undecided)
+            owners.append(c[i])
+            members.append(j)
+    if suspect is not None:
+        i, j = np.nonzero(suspect)
+        owners.append(i)
+        members.append(j)
     owner, j = np.concatenate(owners), np.concatenate(members)
+    keep = ~(drops[owner] == j[:, None]).any(axis=1)
+    owner, j = owner[keep], j[keep]
+    if not len(j):
+        return 1 + ahead
     ref = slab.ref(rows[owner], j)
     lv = level[owner]
     before = (ref > lv) | ((ref == lv) & (j < best[owner]))
@@ -719,10 +981,11 @@ def _stacks(block: _Block, groups, width: int, per_question: int, n: int):
     groups[i] lists the items scored on row set i, and block holds them,
     padded. Each row set takes width |V|-wide rows of its own (a kernel's
     projection; 0 for the vocabulary itself), a cosine row per distinct
-    input word and per_question score rows per question slot. A stack is a
-    run of row sets whose rows fit both _KERNEL_BATCH_ELEMS, so that the
-    arrays of a stack of small kernels stay the size of those that built
-    them, and _CHUNK_ELEMS; it holds at least one. A row set over
+    input word and per_question score rows per question slot, all float32
+    for kernels. A stack is a run of row sets whose rows fit both
+    2 * _KERNEL_BATCH_ELEMS, so that the arrays of a stack of small kernels
+    take the bytes of the float64 arrays that built them, and _CHUNK_ELEMS;
+    it holds at least one. A row set over
     _CHUNK_ELEMS is a stack of its own, scored in slabs of questions, and in
     parts of at most _CHUNK_ELEMS / |V| - width - per_question distinct
     words (see _chunks) when its words alone do not fit. Such a row set
@@ -734,7 +997,7 @@ def _stacks(block: _Block, groups, width: int, per_question: int, n: int):
     """
     chunk_rows = _CHUNK_ELEMS // n
     u, k = block.words.shape[1], block.pos.shape[1]
-    size = max(1, min(_KERNEL_BATCH_ELEMS // n, chunk_rows) // (width + u + per_question * k))
+    size = max(1, min(2 * _KERNEL_BATCH_ELEMS // n, chunk_rows) // (width + u + per_question * k))
     for lo in range(0, len(groups), size):
         hi = min(lo + size, len(groups))
         if width + u + per_question <= chunk_rows:
@@ -842,9 +1105,9 @@ def gfk_answer(
     """Additive or multiplicative ranking with cosines taken in kernel space."""
     if mode not in ("add", "mul"):
         raise ValueError(f"mode must be 'add' or 'mul', got {mode!r}")
-    return _answer(
-        q, table, kernel.project(table.vectors), mode, epsilon, shift_cosines, exclude_inputs
-    )
+    # the rows evaluate's reference re-projects, whose bits no GEMM blocking changes
+    rows = _project_rows(table.vectors, kernel.projection.T)
+    return _answer(q, table, rows, mode, epsilon, shift_cosines, exclude_inputs)
 
 
 def _slot_pool(resolved_questions, slots) -> list[int]:
@@ -1135,40 +1398,56 @@ def evaluate(
     before the relation's first kernel, so it is skipped or scored whole.
 
     Scoring works on stacks of G row sets (see _Scorer): the vocabulary
-    itself (G = 1) for the plain measures, or the projections of G kernels
-    of a sub-batch, each made by one GfkKernel.project call into its slice
-    of one G x |V| x 2d buffer. A stack's cosines, one row per distinct
-    question word per row set, come from one batched float64 product,
-    divided by the candidate norms and rounded once to float32. A cosine is
-    (unit query row . raw candidate row) / |candidate row|, so no unit copy
-    of the table or of a projection is made. Every later |V|-wide pass runs
-    in float32: the additive and multiplicative blocks, null handling and
-    the two counts per score row behind the gold ranks. The additive block
-    and the clips take a fixed number of NumPy calls per stack; the
+    itself (G = 1) for the plain measures, or the float32 projections of G
+    kernels of a sub-batch, each made by one GfkKernel.project call into
+    its slice of one G x |V| x 2d float32 buffer. Kernels project the pool
+    coordinates, cast to float32 once per relation, or the table itself
+    (as under holdout='none'), which project casts a block of rows at a
+    time, so no float32 copy of the table is made. A stack's cosines, one
+    row per distinct question word per row set, come from one batched
+    product: for the plain measures a float64
+    GEMM, divided by the candidate norms and rounded once to float32; for
+    the kernel measures a float32 GEMM of the float32 unit query rows and
+    the kernel rows, divided in place by the rows' float32 norms. A cosine
+    is (unit query row . raw candidate row) / |candidate row|, so no unit
+    copy of the table or of a projection is made. Every later |V|-wide pass
+    runs in float32: the additive and multiplicative blocks, null handling
+    and the two counts per score row behind the gold ranks. The additive
+    block and the clips take a fixed number of NumPy calls per stack; the
     multiplicative rows and the counts take a few per score row, which on
     a wide vocabulary moves less memory than calls over the whole slab.
 
     Ranks are still exact. A score is defined per pair by a float64
-    reference (see _reference_cosines), and every float32 score lies within
-    a proven bound of it (see _add_tau and _mul_bound): _gold_ranks counts
-    the candidates clearly above or below the gold word from the float32
-    scores and re-scores by the reference only those within the bound of
-    it. So the ranks are those of the reference scores, the same on any
-    BLAS, thread count or block size, and those of the single-question
-    functions on the same rows; exact duplicates and 2v multiples tie.
+    reference (see _Scorer._cosines): plain rows as they are, kernel rows
+    re-projected pair by pair from the float64 coordinates through the
+    kernel's float64 f lam_sqrt, whose bits do not depend on the other
+    pairs. Every float32 score lies within a proven bound of it (see
+    _add_tau, _mul_bound and _Scorer.of_kernels, whose bounds grow with the
+    largest rho_j = |c_j| |f lam_sqrt|_F / |r_j| of a kernel's ordinary
+    candidates). _gold_ranks counts the candidates clearly above or below
+    the gold word from the float32 scores and re-scores by the reference
+    only those within the bound of it, and the suspects: kernel candidates
+    past _RHO_CAP or too near NULL_SPACE_NORM to bound, which no count
+    takes in. So the ranks are those of the reference scores, the same on
+    any BLAS, thread count or block size, and those of cos_add_answer,
+    cos_mul_answer and gfk_answer (which re-projects the table as the
+    reference does); exact duplicates and 2v multiples tie.
 
-    A stack holds as many kernels of a sub-batch as fit 1 MB of |V|-wide
-    rows (_KERNEL_BATCH_ELEMS): their projections, cosine rows and two
-    score rows per question. That is a dozen small kernels on a vocabulary
-    of hundreds of words and one kernel on a wide one. A row set whose
-    questions exceed _CHUNK_ELEMS of such rows is scored in slabs of
-    questions, and in parts by distinct words if need be, that fit it (see
-    _stacks).
+    A stack holds as many kernels of a sub-batch as fit 1 MB of float32
+    |V|-wide rows (2 * _KERNEL_BATCH_ELEMS): their projections, cosine rows
+    and two score rows per question. That is a few dozen small kernels on
+    a vocabulary of hundreds of words and one kernel on a wide one. A row
+    set whose questions exceed _CHUNK_ELEMS of such rows is scored in slabs
+    of questions, and in parts by distinct words if need be, that fit it
+    (see _stacks). Beyond the table and that budget, a relation's kernel
+    measures keep its float64 pool coordinates and their float32 copy
+    (|V| x w each) and a stack's float32 rows and per-candidate flags (G x |V| x 2d and a few G x |V|).
 
     The |V|-wide arrays of scoring live in one workspace for the whole call
     and are reused, not reallocated, from stack to stack. The plain
     scorer's candidate norms are arrays of its own, since they outlive
-    every kernel.
+    every kernel, and its float64 product block is a temporary, freed once
+    rounded to float32, so that the kernels score without it.
 
     sweep_state is not a tuning option: dimension_sweep passes the state it
     builds once for all its dimensions (see there), and the reports equal
@@ -1219,9 +1498,15 @@ def evaluate(
                 for m in gfk_measures:
                     reports[m].skipped[relation] = str(err)
                 continue
+            # pool coordinates, projected by every kernel of the relation, are
+            # cast to float32 once; the table itself is cast a block at a time
+            # as each kernel projects it, so no float32 copy of it is made
+            with np.errstate(over="ignore"):  # past the float32 range: inf, and suspects
+                source = coords if coords is table.vectors else coords.astype(np.float32)
             results = _score_relation_gfk(
-                coords, pools, rel.block, config.subspace_dim, gfk_measures, config, ws
+                coords, source, pools, rel.block, config.subspace_dim, gfk_measures, config, ws
             )
+            del coords, source  # not held while the next relation is scored
             for m in gfk_measures:
                 reports[m].per_relation[relation] = _tally(results, m)
     return reports
@@ -1238,7 +1523,7 @@ def _tally(results, measure: str) -> RelationResult:
     )
 
 
-def _score_relation_gfk(coords, pools, block, d, measures, config, ws):
+def _score_relation_gfk(coords, source, pools, block, d, measures, config, ws):
     """Kernel-measure ranks for one relation's holdout groups, in pool coordinates.
 
     pools lists each group's head and tail pool spectra with its items, and
@@ -1250,10 +1535,14 @@ def _score_relation_gfk(coords, pools, block, d, measures, config, ws):
     factors, 2d x 2d coefficients and their temporaries), so a sub-batch
     holds as many kernels as fit _KERNEL_BATCH_ELEMS, and at least one. A
     sub-batch is scored in stacks (see _stacks): each kernel of a stack
-    projects coords into its slice of the workspace's row buffer. Returns
-    the _ranked results in group order.
+    projects source (coords, or their float32 copy) into its slice of the
+    workspace's float32 row buffer, and the stack's float64 reference
+    re-projects coords (see _Scorer.of_kernels). Returns the _ranked
+    results in group order.
     """
     n, w = coords.shape
+    with np.errstate(over="ignore"):
+        cnorms = _row_norms(coords).astype(np.float32)
     size = max(1, _KERNEL_BATCH_ELEMS // (12 * w * d))
     per_question = _rows_per_question(measures)
     results = []
@@ -1266,10 +1555,13 @@ def _score_relation_gfk(coords, pools, block, d, measures, config, ws):
         kernels = gfk(principal_angles(head, tail))
         sub_block = block.take(start, start + len(groups))
         for lo, hi, parts in _stacks(sub_block, groups, 2 * d, per_question, n):
-            rows = ws.get("rows", ((hi - lo) * n, 2 * d)).reshape(hi - lo, n, 2 * d)
+            rows = ws.get("rows", ((hi - lo) * n, 2 * d), np.float32).reshape(hi - lo, n, 2 * d)
+            proj = []  # each kernel's own f lam_sqrt
             for i in range(lo, hi):
-                kernels[i].project(coords, out=rows[i - lo])
-            scorer = _Scorer(rows, ws)
+                kernel = kernels[i]
+                kernel.project(source, out=rows[i - lo])
+                proj.append(kernel.projection)
+            scorer = _Scorer.of_kernels(rows, ws, coords, cnorms, proj)
             budget = _CHUNK_ELEMS // n - (hi - lo) * 2 * d
             results.extend(_ranked(scorer, part, measures, config, budget) for part in parts)
     return results

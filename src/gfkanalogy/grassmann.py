@@ -32,6 +32,8 @@ DEGENERATE_ANGLE = 1e-8
 # Below this angle the lambda coefficients switch to series expansions.
 SMALL_ANGLE = 1e-4
 NULL_SPACE_NORM = 1e-12
+# float64 rows a float32 projection casts at a time (1 MB of float32).
+_CAST_BLOCK_ELEMS = 262_144
 
 
 @dataclass(frozen=True)
@@ -371,16 +373,40 @@ class GfkKernel:
     def ambient_dim(self) -> int:
         return self.f.shape[-2]
 
+    @property
+    def projection(self) -> np.ndarray:
+        """The D x 2d product f lam_sqrt that project multiplies by (read-only)."""
+        if self._proj is None:
+            raise TypeError("a batch of kernels projects kernel by kernel: take kernels[i]")
+        return self._proj
+
     def project(self, vectors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Map vectors (rows, shape ... x D) into kernel coordinates (... x 2d).
 
         Cosines between projected vectors equal the kernel similarity, since
         x^T G y = (proj x)^T (proj y) and |sqrt(G) x| = |proj x|. One product
         with f lam_sqrt; out, when given, receives it.
+
+        The product is float64, whatever the dtype of vectors, unless out is
+        float32: then it is a float32 product with a float32 copy of
+        f lam_sqrt, taken in blocks of rows (_CAST_BLOCK_ELEMS) of a row
+        matrix. float32 rows are read as they are; float64 rows are cast
+        a block at a time, so no float32 copy of them is made, and values
+        past the float32 range become inf, and their rows inf or NaN.
         """
         if self._proj is None:
             raise TypeError("a batch of kernels projects kernel by kernel: take kernels[i]")
-        return np.matmul(np.asarray(vectors, dtype=np.float64), self._proj, out=out)
+        vectors = np.asarray(vectors)
+        if out is None or out.dtype != np.float32:
+            return np.matmul(np.asarray(vectors, dtype=np.float64), self._proj, out=out)
+        proj = self._proj.astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if vectors.ndim != 2:
+                return np.matmul(vectors.astype(np.float32), proj, out=out)
+            step = max(1, _CAST_BLOCK_ELEMS // vectors.shape[1])
+            for lo in range(0, len(vectors), step):
+                np.matmul(vectors[lo : lo + step].astype(np.float32, copy=False), proj, out=out[lo : lo + step])
+        return out
 
     def materialize(self) -> np.ndarray:
         """Dense D x D kernel, for diagnostics and tests only."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfkanalogy import evaluation
+from gfkanalogy import evaluation, grassmann
 from gfkanalogy.datasets import AnalogyQuestion, RelationDataset
 from gfkanalogy.embeddings import EmbeddingTable
 from gfkanalogy.evaluation import (
@@ -27,6 +27,7 @@ from gfkanalogy.evaluation import (
     write_report_csv,
 )
 from gfkanalogy.grassmann import (
+    NULL_SPACE_NORM,
     GfkKernel,
     Subspace,
     gfk,
@@ -1205,6 +1206,207 @@ class TestExactRanks:
                              epsilon=0.5 if not shift else 0.001)
             evaluate(data, tab, cfg)
         assert rows_rechecked or shift  # without the shift some rows always take the slow path
+
+
+@pytest.mark.parametrize("shift", [True, False])
+def test_ranks_with_inputs_kept_equal_all_reference_ranks(monkeypatch, shift):
+    # with exclude_inputs off every excluded slot is padding; a twin of the
+    # gold word is the one other candidate in its band
+    gold_ranks = evaluation._gold_ranks
+
+    def checked(scores, slab, rows, gold, excluded):
+        assert (excluded < 0).all()
+        ranks = gold_ranks(scores, slab, rows, gold, excluded)
+        want = [_reference_rank(slab, r, gold[r], excluded[r], scores.shape[1]) for r in rows.tolist()]
+        assert ranks.tolist() == want
+        return ranks
+
+    monkeypatch.setattr(evaluation, "_gold_ranks", checked)
+    table, ds = _twins_table(26, 0)
+    cfg = EvalConfig(measure="all", subspace_dim=2, exclude_inputs=False, shift_cosines=shift,
+                     epsilon=0.001 if shift else 0.5)
+    evaluate(ds, table, cfg)
+
+
+def _random_kernel(rng, w, d):
+    """The flow kernel between two random d-dimensional subspaces of R^w."""
+    head, tail = (Subspace(np.linalg.qr(rng.standard_normal((w, d)))[0]) for _ in range(2))
+    return gfk(principal_angles(head, tail))
+
+
+def _kernel_scorer(coords, kernels):
+    """A scorer over the float32 rows of a stack of kernels, as evaluate builds it."""
+    rows = np.empty((len(kernels), len(coords), kernels[0].projection.shape[1]), dtype=np.float32)
+    for kernel, out in zip(kernels, rows):
+        kernel.project(coords, out=out)
+    cnorms = evaluation._row_norms(coords).astype(np.float32)
+    proj = [kernel.projection for kernel in kernels]
+    return evaluation._Scorer.of_kernels(rows, evaluation._Workspace(), coords, cnorms, proj)
+
+
+class TestKernelRows:
+    """float32 kernel rows: bounds against the re-projected float64 reference, suspects and exact ranks."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(10, 40),
+        w=st.integers(5, 16),
+        d=st.integers(1, 7),
+        scales=st.lists(st.sampled_from([1e-13, 1e-11, 1e-6, 1.0, 1e6]), min_size=1, max_size=3),
+        delta=st.sampled_from([1e-1, 5e-2, 2e-2, 1e-3, 1e-6, 1e-9]),
+        near=st.sampled_from([1 - 1e-3, 1 - 1e-7, 1.0, 1 + 1e-7, 1 + 1e-3]),
+        tiny_target=st.booleans(),
+        shift=st.booleans(),
+        epsilon=st.sampled_from([1e-3, 1e-8, 0.5, 2.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_float32_kernel_scores_are_within_the_bound(
+        self, seed, n, w, d, scales, delta, near, tiny_target, shift, epsilon
+    ):
+        d = min(d, (w - 1) // 2)  # 2d < w leaves f lam_sqrt a null space
+        rng = np.random.default_rng(seed)
+        coords = rng.standard_normal((n, w)) * rng.choice(scales, size=(n, 1))
+        if tiny_target:  # x - a + b is a tiny vector for the first question
+            coords[2] = coords[0] - coords[1] + 1e-9 * rng.standard_normal(w)
+        kernels = [_random_kernel(rng, w, d) for _ in range(2)]
+        proj = kernels[0].projection
+        # planted in the first kernel: rows nearly in the null space of f lam_sqrt
+        # (rho about 1 / delta), and a row whose projection is near NULL_SPACE_NORM
+        outside = np.linalg.svd(proj.T)[2][-1]
+        for j in (n - 1, n - 2):
+            coords[j] = outside + delta * rng.standard_normal(w)
+        coords[n - 3] *= near * NULL_SPACE_NORM / np.linalg.norm(coords[n - 3] @ proj)
+        scorer = _kernel_scorer(coords, kernels)
+        # a suspect widens no bound: the row term stays within the one at the cap
+        assert (scorer.errors[1] <= 1.1 * evaluation._gamma(w + 2, 2.0**-24) * evaluation._RHO_CAP).all()
+        if delta <= 1e-6:
+            assert scorer.suspect is not None and scorer.suspect[0, [n - 1, n - 2]].all()
+        items = [((i, i + 1, i + 2, i + 3), np.array([i + 3]), (i, i + 1, i + 2)) for i in (0, 1, 2)]
+        block = evaluation._Block.of([items, items[::-1]])
+        for slab in scorer.scores(block, ("add", "mul"), epsilon, shift, 10**6):
+            k = slab.scores.shape[1]
+            scores = slab.scores.reshape(-1, n)
+            refs = np.array([slab.ref(np.full(n, r), np.arange(n)) for r in range(len(scores))])
+            suspect = np.zeros(scores.shape, dtype=bool)
+            if slab.suspect is not None:
+                suspect = slab.suspect[np.arange(len(scores)) // k]
+            tau = slab.tau.ravel()
+            held = tau < np.inf
+            if slab.mode == "add":
+                assert held.all()
+            assert np.isnan(scores[suspect]).all()
+            err = np.abs(scores.astype(np.float64) - refs)
+            bounded = held[:, None] & ~suspect
+            assert (err[bounded] <= np.broadcast_to(tau[:, None], err.shape)[bounded]).all()
+            # split never decides a candidate on the wrong side of a level
+            for r, ref in enumerate(refs):
+                finite = ref[np.isfinite(ref)]
+                for level in np.concatenate([finite, finite + 1e-7, finite - 1e-7, [0.0, 1.0]]).tolist():
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        p, kk = slab.split(r, level)
+                        above, below = p > kk, p < -kk
+                    assert (ref[above] > level).all() and (ref[below] < level).all(), slab.mode
+            # exact ranks, suspects and crowded bands included
+            rows = np.flatnonzero(~slab.null.ravel() if slab.mode == "add" else np.ones(len(scores), bool))
+            gold = block.gold.reshape(len(scores), -1)
+            excluded = block.excluded.reshape(len(scores), -1)
+            ranks = evaluation._gold_ranks(scores, slab, rows, gold, excluded)
+            want = [_reference_rank(slab, r, gold[r], excluded[r], n) for r in rows.tolist()]
+            assert ranks.tolist() == want, slab.mode
+
+    @pytest.mark.parametrize("w", [8, 300])
+    def test_reference_bits_do_not_depend_on_the_other_pairs(self, w):
+        rng = np.random.default_rng(43)
+        n = 600
+        coords = rng.standard_normal((n, w))
+        coords[20], coords[21] = coords[13], 2.0 * coords[14]  # a copy of 13 and twice 14
+        scorer = _kernel_scorer(coords, [_random_kernel(rng, w, 3) for _ in range(2)])
+        # a re-projected row alone, among others, and among rows of the other row set
+        want = scorer._reference_rows(np.zeros(n, dtype=np.intp), np.arange(n))
+        for j in rng.choice(n, 5, replace=False).tolist():
+            for among in (0, 7, 500):
+                others = rng.choice(n, among).tolist()
+                at = int(rng.integers(0, among + 1))
+                pairs = np.array(others[:at] + [j] + others[at:])
+                g = np.zeros(len(pairs), dtype=np.intp)
+                g[rng.random(len(pairs)) < 0.5] = 1
+                g[at] = 0
+                for got, full in zip(scorer._reference_rows(g, pairs)[:2], want[:2]):  # rows and norms
+                    assert got[at].tobytes() == full[j].tobytes(), among
+        items = [((i, i + 1, i + 2, i + 3), np.array([i + 3]), (i, i + 1, i + 2)) for i in (0, 4, 8)]
+        block = evaluation._Block.of([items, items[::-1]])
+        for slab in scorer.scores(block, ("add", "mul"), 1e-3, True, 10**6):
+            rows = slab.null.size
+            full = [slab.ref(np.full(n, r), np.arange(n)) for r in range(rows)]
+            for r in range(rows):
+                # twins tie: the copy exactly, twice a row by its cosines
+                assert full[r][20] == full[r][13] and full[r][21] == full[r][14], slab.mode
+                for j in rng.choice(n, 5, replace=False).tolist():
+                    for among in (0, 7, 500):
+                        others = rng.choice(n, among).tolist()
+                        at = int(rng.integers(0, among + 1))
+                        pairs = np.array(others[:at] + [j] + others[at:])
+                        got = slab.ref(np.full(len(pairs), r), pairs)[at]
+                        assert got.tobytes() == full[r][j].tobytes(), (slab.mode, among)
+            # pairs of score rows of both row sets interleaved
+            r, j = rng.integers(0, rows, 700), rng.integers(0, n, 700)
+            want_pairs = np.array([full[ri][ji] for ri, ji in zip(r.tolist(), j.tolist())])
+            assert slab.ref(r, j).tobytes() == want_pairs.tobytes(), slab.mode
+
+    @pytest.mark.parametrize("holdout", ["none", "answer"])
+    def test_kernel_scoring_memory_follows_the_budget(self, monkeypatch, holdout):
+        rng = np.random.default_rng(47)
+        n, big_d, d = 4096, 256, 4
+        table = EmbeddingTable([f"w{i}" for i in range(n)], rng.standard_normal((n, big_d)))
+        ds = RelationDataset()
+        for i in range(0, 40, 4):
+            for j in range(0, 40, 4):
+                if j != i:
+                    ds.add(question(f"w{i}", f"w{i + 1}", f"w{j}", f"w{j + 1}"))
+        kernel_pools, widths = evaluation._Relation.kernel_pools, []
+
+        def recorded(rel, *args, **kwargs):
+            coords, pools = kernel_pools(rel, *args, **kwargs)
+            widths.append(coords.shape[1])
+            return coords, pools
+
+        monkeypatch.setattr(evaluation._Relation, "kernel_pools", recorded)
+        # 16 |V|-wide rows per block, where a float32 copy of the table takes 128
+        monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", 16 * n)
+        cfg = EvalConfig(measure="GFKCosADD,GFKCosMUL", subspace_dim=d, holdout=holdout)
+        evaluate(ds, table, cfg)  # builds the table's lowercase index before the measurement
+        tracemalloc.start()
+        try:
+            reports = evaluate(ds, table, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(rep.skipped for rep in reports.values())
+        w = widths[-1]
+        if holdout == "none":
+            # the kernels project the table itself, cast to float32 a block at a time
+            assert w == big_d and peak < table.vectors.nbytes / 4
+        else:
+            # pool coordinates (float64 and float32), then per stack the float32
+            # rows, flags and norms: O(|V| (w + 2d)) beside the chunk budget
+            assert w < big_d
+            assert peak < 12 * evaluation._CHUNK_ELEMS + 16 * n * (w + 2 * d)
+
+    def test_project_casts_float64_rows_in_blocks(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        kernel = _random_kernel(rng, 12, 3)
+        vectors = rng.standard_normal((1000, 12))
+        whole = kernel.project(vectors, out=np.empty((1000, 6), dtype=np.float32))
+        monkeypatch.setattr(grassmann, "_CAST_BLOCK_ELEMS", 12 * 64)  # 64 rows a block
+        out = np.empty((1000, 6), dtype=np.float32)
+        assert kernel.project(vectors, out=out) is out
+        np.testing.assert_allclose(out, whole, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(out, kernel.project(vectors), rtol=1e-5, atol=1e-5)
+        # float32 rows are read as they are, in the same blocks
+        same = kernel.project(vectors.astype(np.float32), out=np.empty((1000, 6), dtype=np.float32))
+        assert same.tobytes() == out.tobytes()
+        # with no float32 out the product is float64, whatever the input
+        assert kernel.project(vectors.astype(np.float32)).dtype == np.float64
 
 
 class TestDimensionSweep:
