@@ -19,6 +19,7 @@ builds every subspace, kernel and projection in those narrow coordinates.
 
 from __future__ import annotations
 
+import csv
 import math
 import weakref
 from dataclasses import dataclass, field, replace
@@ -235,21 +236,20 @@ def _project_rows(coords: np.ndarray, proj_t: np.ndarray) -> np.ndarray:
     """float64 rows c f lam_sqrt of coordinate rows c, each a row-wise dot of its own coordinates, never a GEMM.
 
     proj_t holds (f lam_sqrt)^T: coords P x w take one m x w factor, or
-    each row its own (P x m x w), and G x U x w coords one factor per G
-    (G x m x w). The einsum dots each (row, factor column) pair in one
-    order whatever the other rows are, in any of these layouts, so a row's
-    bits do not depend on which rows are projected with it (the tests hold
-    rows computed alone, among others or per row set bit-equal).
+    each row its own (P x m x w). The einsum dots each (row, factor column)
+    pair in one order whatever the other rows are, in either layout, so a
+    row's bits do not depend on which rows are projected with it (the tests
+    hold rows computed alone, among others or per row set bit-equal).
     """
-    spec = "gij,gkj->gik" if coords.ndim == 3 else "ij,ikj->ik" if proj_t.ndim == 3 else "ij,kj->ik"
-    return np.einsum(spec, coords, proj_t)
+    return np.einsum("ij,ikj->ik" if proj_t.ndim == 3 else "ij,kj->ik", coords, proj_t)
 
 
-def _add_tau(spread: np.ndarray, m: int, dc32=_U32, drow=0.0) -> np.ndarray:
+def _add_tau(spread: np.ndarray, m: int, dc32, drow) -> np.ndarray:
     """Bound on |float32 additive score - reference score| per question; inf when none holds.
 
     spread is (|x| + |a| + |b|) / |x - a + b| from the word norms (a null
-    word's norm reads 1) and m the row width. Write u = 2^-24, v = 2^-53
+    word's norm reads 1), m the row width, and dc32 and drow the scorer's
+    cosine and row errors (see _Scorer). Write u = 2^-24, v = 2^-53
     and eta = 2^-150 (the float32 rounding error in the subnormal range),
     and take every bound in the standard model of Higham, *Accuracy and
     Stability of Numerical Algorithms*, ch. 3 (a length-m dot is off by at
@@ -263,16 +263,16 @@ def _add_tau(spread: np.ndarray, m: int, dc32=_U32, drow=0.0) -> np.ndarray:
       few more roundings (gamma_4 v per unit of spread). Together:
       spread * e64 + e64, e64 = 2(m + 8)v.
     - Each cosine's float32 value is within dc32 of the exact cosine of its
-      float32 candidate row: u for plain rows (rounding the float64 block),
-      more for kernel rows (see _Scorer.of_kernels). Rounding the
-      coefficients to float32 costs u per unit of spread, and the float32
-      coefficient GEMM, three nonzero terms per score, gamma_3(u) < 3.001u,
-      both times the cosines' size, at most 1 + dc32 + drow. Each of these
-      roundings may add eta, (spread + 8) eta in all.
-    - A kernel candidate's float32 row is off its reference row by an
-      angle of at most drow (0 for plain rows, which are their own
-      reference). The additive score is linear in the candidate's unit row,
-      with a weight vector of norm within spread * e64 of one, so this adds
+      float32 candidate row, or, for plain rows, of the float64 block it
+      rounds (see _Scorer). Rounding the coefficients to float32 costs u per
+      unit of spread, and the float32 coefficient GEMM, three nonzero terms
+      per score, gamma_3(u) < 3.001u, both times the cosines' size, at most
+      1 + dc32 + drow. Each of these roundings may add eta, (spread + 8) eta
+      in all.
+    - A candidate's float32 row is off its reference row by an angle of at
+      most drow (0 for plain rows, which are their own reference). The
+      additive score is linear in the candidate's unit row, with a weight
+      vector of norm within spread * e64 of one, so this adds
       drow (1 + spread (4.001u + e64)) whatever the spread.
     - Clipping to [-1, 1] does not increase a difference, and null
       candidates are -1 on both paths.
@@ -286,7 +286,7 @@ def _add_tau(spread: np.ndarray, m: int, dc32=_U32, drow=0.0) -> np.ndarray:
     return np.where(spread <= 2.0**100, tau, np.inf)
 
 
-def _mul_bound(m: int, epsilon: float, shift: bool, dc32=1.0001 * _U32 + _ETA32) -> tuple[float, float, float, float]:
+def _mul_bound(m: int, epsilon: float, shift: bool, dc32: float) -> tuple[float, float, float, float]:
     """(k0, k1, dd, R) with |S - reference| <= (k0 + k1 |S|) / (|D| - dd) for float32 CosMUL scores.
 
     S is a float32 multiplicative score and D its float32 denominator. The
@@ -297,10 +297,9 @@ def _mul_bound(m: int, epsilon: float, shift: bool, dc32=1.0001 * _U32 + _ETA32)
 
     - One cosine: the reference (and the float64 block of plain rows) is
       within (m + 1)v of the exact cosine, and the float32 cosine within
-      dc32 of it: rounding the block to float32 costs 1.0001u + eta for
-      plain rows, and for kernel rows dc32 is their cosine error plus the
-      candidate's row term (see _add_tau): dc = dc32 + e64. Clipping and the
-      -1 pins of null words and candidates keep it.
+      dc32 of it, the scorer's cosine error plus its row error (see _Scorer
+      and _add_tau): dc = dc32 + e64. Clipping and the -1 pins of null
+      words and candidates keep it.
     - Shifted, s = (c + 1) / 2 is within ds = dc / 2 + u + eta + v of its
       reference (the float32 sum c + 1 <= 2 rounds once; halving is exact
       but in the subnormal range); unshifted, ds = dc. |s| <= 1 on both
@@ -514,6 +513,14 @@ class _Scorer:
     and each slab carries a proven bound on how far its float32 scores are
     from the reference ones, which _gold_ranks turns into exact ranks.
 
+    Both kinds of scorer carry their errors as (dc32, drow), one value of
+    each per row set: a float32 cosine is within dc32 of the exact cosine
+    of its float32 candidate row (or, for plain rows, of the float64 block
+    it rounds), and that row is off its reference row by an angle of at
+    most drow. Plain rows have dc32 = 1.0001u + eta, one float32 rounding
+    of a cosine, and drow = 0; of_kernels sets both for kernel rows. The
+    bounds take them alike (see _add_tau and _mul_bound).
+
     The candidate norms and null mask live in the workspace ws, unless fresh:
     the plain scorer, which outlives every kernel scorer of an evaluate call,
     owns its arrays. Per-block arrays come from ws.
@@ -532,7 +539,7 @@ class _Scorer:
         self.any_null = bool(null.any())
         # plain rows are their own reference; of_kernels sets these for kernel rows
         self.source = None  # (float64 coordinates, the kernels' float64 (f lam_sqrt)^T, G x m x w)
-        self.errors = None  # (cosine error dc32, row direction error drow), per row set
+        self.errors = (np.full(shape[0], 1.0001 * _U32 + _ETA32), np.zeros(shape[0]))  # (dc32, drow)
         self.suspect = None
 
     @classmethod
@@ -615,7 +622,7 @@ class _Scorer:
         return scorer
 
     def _reference_rows(self, g: np.ndarray, j: np.ndarray):
-        """float64 rows of the candidates j[p] of row sets g[p], their norms, and null flags (None: none null).
+        """float64 rows of the candidates j[p] of row sets g[p], their norms, and null flags.
 
         A run of consecutive candidates of one row set is read as a view.
         Kernel rows are re-projected from their coordinates, each through its
@@ -625,7 +632,7 @@ class _Scorer:
         run = slice(j[0], j[-1] + 1) if one and j[-1] - j[0] == len(j) - 1 and (np.diff(j) == 1).all() else j
         if self.source is None:
             rows = self.rows[g[0], run] if one else self.rows[g, j]
-            return rows, self.norms[g, j], self.null[g, j] if self.any_null else None
+            return rows, self.norms[g, j], self.null[g, j]
         coords, proj_t = self.source
         if one:
             rows = _project_rows(coords[run], proj_t[g[0]])
@@ -634,7 +641,7 @@ class _Scorer:
         norms = _row_norms(rows)
         null = norms < NULL_SPACE_NORM
         norms[null] = 1.0
-        return rows, norms, null if null.any() else None
+        return rows, norms, null
 
     def _cosines(self, units, t, g, j) -> np.ndarray:
         """Reference cosines of the pairs (units[t[i, p]], candidate j[p] of row set g[p]), T x P.
@@ -650,34 +657,20 @@ class _Scorer:
         tests hold a full row bit-equal to pairs computed alone or among
         pairs of other score rows).
         """
-        out, nulls = np.empty(t.shape), np.zeros(len(j), dtype=bool)
+        out, nulls = np.empty(t.shape), np.empty(len(j), dtype=bool)
         m = self.rows.shape[-1]
         width = (len(t) + 1) * m + (0 if self.source is None else (m + 1) * self.source[0].shape[1])
         for s in _slices(len(j), max(1, _CHUNK_ELEMS // width)):
-            cand, norms, null = self._reference_rows(g[s], j[s])
+            cand, norms, nulls[s] = self._reference_rows(g[s], j[s])
             for ti, o in zip(t, out):
                 ti = ti[s]
                 unit = np.broadcast_to(units[ti[0]], cand.shape) if (ti == ti[0]).all() else units[ti]
                 np.einsum("ij,ij->i", cand, unit, out=o[s])
             out[:, s] /= norms
-            if null is not None:
-                nulls[s] = null
         np.minimum(out, 1.0, out=out)
         np.maximum(out, -1.0, out=out)
         out[:, nulls] = -1.0
         return out
-
-    def _query(self, words: np.ndarray):
-        """Reference rows (G x U x m, float64) of each row set's query words, with their norms and null flags."""
-        if self.source is None:
-            stack = np.arange(len(words))[:, None]
-            return self.rows[stack, words], self.norms[stack, words], self.null[stack, words]
-        coords, proj_t = self.source
-        rows = _project_rows(coords[words], proj_t)
-        norms = _row_norms(rows)
-        null = norms < NULL_SPACE_NORM
-        norms[null] = 1.0
-        return rows, norms, null
 
     def scores(self, block: _Block, modes, epsilon: float, shift: bool, slab: int):
         """Yield a _Slab per mode and slab of a block's question slots.
@@ -705,8 +698,11 @@ class _Scorer:
         words, pos = block.words, block.pos
         ws, (g, n, m), u = self.ws, self.rows.shape, words.shape[1]
         stack = np.arange(g)[:, None]
-        query, qnorms, null_q = self._query(words)
+        # the query words' reference rows, one (row set, word) pair each
+        query, qnorms, null_w = self._reference_rows(np.repeat(np.arange(g), u), words.ravel())
+        query, qnorms = query.reshape(g, u, m), qnorms.reshape(g, u)
         units = query / qnorms[..., None]
+        dc32, drow = self.errors
         cos = ws.get("cos", (g * u, n), np.float32).reshape(g, u, n)
         if self.source is None:
             # a temporary: the float64 block lives only until its float32 rounding
@@ -734,11 +730,7 @@ class _Scorer:
                 if suspect is not None:
                     np.copyto(add, np.nan, where=suspect)
                 spread = (nx + na + nb) / scale
-                if self.errors is None:
-                    tau = _add_tau(spread, m)
-                else:
-                    tau = _add_tau(spread, m, self.errors[0][:, None], self.errors[1][:, None])
-                tau = tau.ravel()
+                tau = _add_tau(spread, m, dc32[:, None], drow[:, None]).ravel()
 
                 def ref(r, j, target=target.reshape(g * k, m), scale=scale.reshape(g * k, 1), k=k):
                     return self._cosines(target / scale, r[None], r // k, j)[0]
@@ -751,18 +743,14 @@ class _Scorer:
             np.clip(cos, -1.0, 1.0, out=cos)
             if self.any_null:
                 np.copyto(cos, -1.0, where=self.null[:, None, :])
-            null_w = null_q.ravel()
             any_null_w = bool(null_w.any())
             cos.reshape(g * u, n)[null_w] = -1.0
             if shift:
                 cos += 1.0
                 cos *= 0.5  # exact, as dividing by 2 is
             flat = cos.reshape(g * u, n)
-            if self.errors is None:
-                bounds = np.array([_mul_bound(m, epsilon, shift)] * g)
-            else:  # a kernel cosine's error is its own plus its row's
-                dc = (self.errors[0] + self.errors[1]).tolist()
-                bounds = np.array([_mul_bound(m, epsilon, shift, c) for c in dc])
+            # a cosine's error is its own plus its row's
+            bounds = np.array([_mul_bound(m, epsilon, shift, c) for c in (dc32 + drow).tolist()])
             word_units = units.reshape(g * u, m)
             rows_at = pos + (stack * u)[..., None]
             for at in _slices(pos.shape[1], slab):
@@ -860,78 +848,74 @@ def _gold_ranks(scores: np.ndarray, slab: _Slab, rows: np.ndarray, gold: np.ndar
     """Exact 1-based rank of the best gold candidate in each of the given rows of an R x |V| score block.
 
     scores are a slab's float32 scores as R rows, within its bounds of the
-    float64 reference scores; rows lists the rows to rank, and gold (R x L)
-    and excluded (R x 3, padded with -1) are the rows' index sets. Ranks are those of the reference scores
-    under stable descending order, the excluded candidates left out: a
-    candidate is ahead of the best gold one when its reference score is
-    higher, or equal at a lower index.
+    float64 reference scores; rows lists the rows to rank, and gold (R x L,
+    ascending, padded with its first index) and excluded (R x 3, padded
+    with -1) are the rows' index sets. Ranks are those of the reference
+    scores under stable descending order, the excluded candidates left out:
+    a candidate is ahead of the best gold one when its reference score is
+    higher, or equal at a lower index. The best gold candidate is picked by
+    reference score (the lower index on ties); call its score g.
 
-    The best gold candidate is picked by reference score (the lower index on
-    ties); call its score g. With tau the row's bound, a candidate whose
-    float32 score is above g + tau is ahead and one below g - tau is not.
-    With one gold candidate per row, g is not needed yet: it lies within
-    tau of the gold's float32 score c, so the band [c - 2 tau, c + 2 tau]
-    serves instead. Each row takes two counts: of the scores above the
-    band, and of those in or above it. Only the rows whose band holds more
-    than the gold itself and its excluded candidates, and those whose bound
-    is infinite (CosMUL without the shift), are decided again, in float32
-    with each candidate's own bound (slab.split) against g: one reference
-    call for the golds of every such row, and one for the candidates left
-    undecided. Excluded candidates are not counted.
-
-    Suspects (slab.suspect) score NaN, so no count takes them in, and the
-    band of a row with suspects is centred on g, taken by the reference:
-    the last call then scores every suspect of each row's row set, and
-    those ahead of the best gold are added.
+    Each row's band is centred on c, the highest float32 score of its
+    golds, with width 2 tau, tau the row's bound. g lies within tau of c,
+    so a candidate whose float32 score is above the band is ahead, and one
+    below it is not. Each row takes two counts: of the scores above the
+    band, and of those in or above it. A row whose band holds nothing but
+    its golds and excluded candidates is decided by them. The others are
+    left open: crowded rows, rows with no finite bound (CosMUL without the
+    shift), which count every candidate as in their band, rows with a
+    suspect gold (c is NaN), and rows whose row set has suspects. For the
+    open rows alone, one reference call scores the golds, which gives g
+    and the best gold; each candidate is then decided again in float32
+    with its own bound (slab.split) against g, and one more reference call
+    scores those left undecided and every suspect of the row's row set
+    (slab.suspect; they score NaN, so no count takes them in). Those ahead
+    of the best gold are added. Golds and excluded candidates are never
+    counted.
     """
-    n = scores.shape[1]
+    n, k = scores.shape[1], slab.scores.shape[1]
     tau, gold, excluded = slab.tau.ravel()[rows], gold[rows], excluded[rows]
-    suspect = None if slab.suspect is None else slab.suspect[rows // slab.scores.shape[1]]
-    single = gold.shape[1] == 1 and suspect is None
-    if single:
-        best = gold[:, 0]
-        center, width = scores[rows, best].astype(np.float64), 2 * tau
-    else:
-        gold_ref = slab.ref(np.repeat(rows, gold.shape[1]), gold.ravel()).reshape(gold.shape)
-        best = gold[np.arange(len(rows)), np.argmax(gold_ref, axis=1)]
-        center, width = gold_ref.max(axis=1), tau
-    ex = np.where(excluded < 0, best[:, None], excluded)  # the best gold is neither above its band nor ahead
-    lo, hi = _band(center, width)
+    at_gold = scores[rows[:, None], gold]
+    center = at_gold.max(axis=1).astype(np.float64)  # NaN when a gold is a suspect
+    lo, hi = _band(center, 2 * tau)
     counts = np.array([  # a row with no finite bound counts every candidate in its band
         (np.count_nonzero(scores[i] > high), np.count_nonzero(scores[i] >= low)) if high < np.inf else (0, n)
         for i, low, high in zip(rows.tolist(), lo.tolist(), hi.tolist())
     ], dtype=np.intp).reshape(-1, 2)
+    ex = np.where(excluded < 0, gold[:, :1], excluded)  # padding reads a gold: never above the band
     at_ex = scores[rows[:, None], ex]
     above_ex = at_ex > hi[:, None]
     ahead = counts[:, 0] - np.count_nonzero(above_ex, axis=1)
-    # the best gold is in its band, unless it is a suspect; excluded candidates
-    # in the band (padding repeats the best gold) crowd nothing
-    banded = 1 if suspect is None else ~suspect[np.arange(len(rows)), best]
-    banded = banded + np.count_nonzero((at_ex >= lo[:, None]) & ~above_ex & (excluded >= 0), axis=1)
-    crowd = counts[:, 1] - counts[:, 0] - banded
-    if suspect is None and not (crowd > 0).any():
+    # the distinct golds (padding repeats the first) and the excluded candidates in the band crowd nothing
+    distinct = (gold != gold[:, :1]) | (np.arange(gold.shape[1]) == 0)
+    banded = np.count_nonzero((at_gold >= lo[:, None]) & distinct, axis=1)
+    banded += np.count_nonzero((at_ex >= lo[:, None]) & ~above_ex & (excluded >= 0), axis=1)
+    left = (counts[:, 1] - counts[:, 0] > banded) | np.isnan(center)
+    if slab.suspect is not None:
+        left |= slab.suspect.any(axis=1)[rows // k]
+    left = np.flatnonzero(left)
+    if not len(left):
         return 1 + ahead
-    crowded = np.flatnonzero(crowd > 0)
-    level = np.empty(len(rows)) if single else center
-    if single:
-        level[crowded] = slab.ref(rows[crowded], best[crowded])
+    gold_ref = slab.ref(np.repeat(rows[left], gold.shape[1]), gold[left].ravel()).reshape(len(left), -1)
+    top = np.argmax(gold_ref, axis=1)
+    best, level = gold[left, top], gold_ref[np.arange(len(left)), top]
+    drops = np.column_stack((ex, gold))[left]
+    suspect = None if slab.suspect is None else slab.suspect[rows[left] // k]
     owners, members = [], []
-    drops = np.column_stack((ex, best))
-    # crowded rows a few at a time, each block no larger than the slab's scores
+    # open rows a few at a time, each block no larger than the slab's scores
     with np.errstate(over="ignore", invalid="ignore"):
-        for part in _slices(len(crowded), max(1, _CHUNK_ELEMS // (8 * n))):
-            c = crowded[part]
-            p, k = slab.split(rows[c], level[c])
-            k = k[:, None]
-            above = p > k
-            undecided = ~((p < -k) | above)  # NaN is never decided
-            at = np.arange(len(c))[:, None]
-            above[at, drops[c]] = undecided[at, drops[c]] = False
+        for part in _slices(len(left), max(1, _CHUNK_ELEMS // (8 * n))):
+            p, margin = slab.split(rows[left[part]], level[part])
+            margin = margin[:, None]
+            above = p > margin
+            undecided = ~((p < -margin) | above)  # NaN is never decided
+            at = np.arange(len(p))[:, None]
+            above[at, drops[part]] = undecided[at, drops[part]] = False
             if suspect is not None:
-                undecided &= ~suspect[c]
-            ahead[c] = np.count_nonzero(above, axis=1)
+                undecided &= ~suspect[part]
+            ahead[left[part]] = np.count_nonzero(above, axis=1)
             i, j = np.nonzero(undecided)
-            owners.append(c[i])
+            owners.append(part.start + i)
             members.append(j)
     if suspect is not None:
         i, j = np.nonzero(suspect)
@@ -942,10 +926,10 @@ def _gold_ranks(scores: np.ndarray, slab: _Slab, rows: np.ndarray, gold: np.ndar
     owner, j = owner[keep], j[keep]
     if not len(j):
         return 1 + ahead
-    ref = slab.ref(rows[owner], j)
+    ref = slab.ref(rows[left[owner]], j)
     lv = level[owner]
     before = (ref > lv) | ((ref == lv) & (j < best[owner]))
-    return 1 + ahead + np.bincount(owner[before], minlength=len(rows))
+    return 1 + ahead + np.bincount(left[owner[before]], minlength=len(rows))
 
 
 def _chunks(items, budget: int):
@@ -1421,14 +1405,17 @@ def evaluate(
     reference (see _Scorer._cosines): plain rows as they are, kernel rows
     re-projected pair by pair from the float64 coordinates through the
     kernel's float64 f lam_sqrt, whose bits do not depend on the other
-    pairs. Every float32 score lies within a proven bound of it (see
-    _add_tau, _mul_bound and _Scorer.of_kernels, whose bounds grow with the
-    largest rho_j = |c_j| |f lam_sqrt|_F / |r_j| of a kernel's ordinary
-    candidates). _gold_ranks counts the candidates clearly above or below
-    the gold word from the float32 scores and re-scores by the reference
-    only those within the bound of it, and the suspects: kernel candidates
-    past _RHO_CAP or too near NULL_SPACE_NORM to bound, which no count
-    takes in. So the ranks are those of the reference scores, the same on
+    pairs. Every float32 score lies within a proven bound of it, from one
+    error model for plain and kernel rows (see _Scorer, _add_tau and
+    _mul_bound; kernel bounds grow with the largest
+    rho_j = |c_j| |f lam_sqrt|_F / |r_j| of a kernel's ordinary
+    candidates, see _Scorer.of_kernels). _gold_ranks centres one band per
+    score row on the best float32 score of the question's golds (every
+    case variant of y), counts the candidates clearly above or below it
+    from the float32 scores, and goes to the reference only for rows whose
+    band holds other candidates or whose stack has suspects: kernel
+    candidates past _RHO_CAP or too near NULL_SPACE_NORM to bound, which
+    no count takes in. So the ranks are those of the reference scores, the same on
     any BLAS, thread count or block size, and those of cos_add_answer,
     cos_mul_answer and gfk_answer (which re-projects the table as the
     reference does); exact duplicates and 2v multiples tie.
@@ -1636,20 +1623,20 @@ def format_config_echo(config: EvalConfig, **extras) -> str:
 
 
 def write_report_csv(reports: dict[str, EvalReport], config: EvalConfig, f, **extras) -> None:
-    """Report CSV: relation,n,measure,accuracy,avg_rank plus micro rows."""
+    """Report CSV: relation,n,measure,accuracy,avg_rank plus micro rows.
+
+    Data rows are quoted as csv does, so a relation name with a comma or a
+    quote reads back as one field; other names are written as they are.
+    """
     f.write(format_config_echo(config, **extras) + "\n")
     f.write("relation,n,measure,accuracy,avg_rank\n")
+    out = csv.writer(f, lineterminator="\n")
     for measure, report in reports.items():
         for relation, res in report.per_relation.items():
-            f.write(
-                f"{relation},{res.n_questions},{measure},"
-                f"{res.accuracy:.6f},{res.average_rank:.4f}\n"
-            )
+            out.writerow([relation, res.n_questions, measure, f"{res.accuracy:.6f}", f"{res.average_rank:.4f}"])
         if report.n_questions:
-            f.write(
-                f"micro,{report.n_questions},{measure},"
-                f"{report.micro_accuracy:.6f},{report.micro_average_rank:.4f}\n"
-            )
+            out.writerow(["micro", report.n_questions, measure,
+                          f"{report.micro_accuracy:.6f}", f"{report.micro_average_rank:.4f}"])
         for relation, reason in report.skipped.items():
             f.write(f"# skipped {relation} ({measure}): {reason}\n")
         if report.n_oov:

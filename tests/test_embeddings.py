@@ -74,8 +74,12 @@ class TestLoad:
 
     def test_zero_vector_dropped_with_warning(self, tmp_path):
         path = write(tmp_path, "2 2\na 0 0\nb 1 0\n")
-        with pytest.warns(UserWarning, match="zero vector"):
+        with pytest.warns(UserWarning) as caught:
             table = load_text_embeddings(path)
+        # dropping the row leaves fewer words than the header declares
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 2
+        assert "zero vector" in messages[0] and "declares 2 words, loaded 1" in messages[1]
         assert "a" not in table
         assert "b" in table
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import tracemalloc
@@ -489,6 +490,21 @@ class TestEvaluate:
         write_report_csv(reports, cfg, out)
         comments = [l for l in out.getvalue().splitlines() if l.startswith("# null flags")]
         assert comments == ["# null flags (CosADD): 1"]
+
+    def test_report_csv_round_trips_relation_names(self):
+        names = ["capital-common", "capital, common", 'say "hi"']
+        report = EvalReport(measure="CosADD", per_relation={
+            name: RelationResult(n_questions=4, n_correct=1, rank_sum=10.0) for name in names
+        })
+        out = io.StringIO()
+        write_report_csv({"CosADD": report}, EvalConfig(measure="CosADD"), out)
+        lines = out.getvalue().splitlines()
+        # a name that needs no quoting keeps the plain comma-joined bytes
+        assert "capital-common,4,CosADD,0.250000,2.5000" in lines
+        rows = [r for r in csv.reader(lines) if not r[0].startswith("#")]
+        assert rows[0] == ["relation", "n", "measure", "accuracy", "avg_rank"]
+        assert rows[1:] == [[name, "4", "CosADD", "0.250000", "2.5000"] for name in names] + [
+            ["micro", "12", "CosADD", "0.250000", "2.5000"]]
 
     def test_rank_three_bookkeeping(self):
         table = build_rank_fixture()
@@ -1407,6 +1423,46 @@ class TestKernelRows:
         assert same.tobytes() == out.tobytes()
         # with no float32 out the product is float64, whatever the input
         assert kernel.project(vectors.astype(np.float32)).dtype == np.float64
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shift", [True, False])
+@pytest.mark.parametrize("kind", ["plain", "kernel"])
+def test_ranks_with_several_golds_equal_all_reference_ranks(kind, shift, seed):
+    # gold lists of 2-4 case variants: 20 is an exact copy of the gold 3, so
+    # the golds tie and 3 must win, which leaves 15, twice 3, behind it; 21
+    # is a near copy of 8; the non-gold 19 is a copy of the gold 23 at a
+    # lower index, so it ties ahead. In the first kernel's row set 25 (a
+    # gold) and 27 lie nearly in the null space of its f lam_sqrt: suspects.
+    rng = np.random.default_rng(seed)
+    n, w = 30, 10
+    coords = rng.standard_normal((n, w))
+    coords[20], coords[21], coords[15], coords[19] = coords[3], coords[8] + 1e-9, 2.0 * coords[3], coords[23]
+    items = [
+        ((0, 1, 2, 3), np.array([3, 20]), (0, 1, 2)),
+        ((5, 6, 7, 8), np.array([8, 21, 22]), (5, 6, 7)),
+        ((10, 11, 12, 13), np.array([13, 23, 24, 25]), (10, 11, 12)),
+        ((3, 8, 13, 23), np.array([19, 23]), (3, 8, 13)),
+    ]
+    if kind == "plain":
+        scorer = evaluation._Scorer(coords[None], evaluation._Workspace())
+        block = evaluation._Block.of([items])
+    else:
+        kernels = [_random_kernel(rng, w, 2) for _ in range(2)]
+        outside = np.linalg.svd(kernels[0].projection.T)[2][-1]
+        coords[25], coords[27] = outside + 1e-9 * rng.standard_normal((2, w))
+        scorer = _kernel_scorer(coords, kernels)
+        assert scorer.suspect is not None and scorer.suspect[0, [25, 27]].all()
+        block = evaluation._Block.of([items, items[::-1]])
+    epsilon = 1e-3 if shift or seed else 0.5
+    for slab in scorer.scores(block, ("add", "mul"), epsilon, shift, 10**6):
+        scores = slab.scores.reshape(-1, n)
+        rows = np.flatnonzero(~slab.null.ravel() if slab.mode == "add" else np.ones(len(scores), bool))
+        gold = block.gold.reshape(len(scores), -1)
+        excluded = block.excluded.reshape(len(scores), -1)
+        ranks = evaluation._gold_ranks(scores, slab, rows, gold, excluded)
+        want = [_reference_rank(slab, r, gold[r], excluded[r], n) for r in rows.tolist()]
+        assert ranks.tolist() == want, slab.mode
 
 
 class TestDimensionSweep:
