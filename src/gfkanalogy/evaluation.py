@@ -148,26 +148,26 @@ class Ranking:
 class _Workspace:
     """Reused buffers for one evaluate call.
 
-    get(name, shape) returns the leading shape[0] rows of the named buffer,
-    which is reallocated only when it has fewer rows or another row shape, so
-    the |V|-wide arrays of scoring are allocated a few times per call instead
-    of once per kernel, chunk or question. A view is valid until the next get
-    of its name.
+    get(name, shape) returns the leading shape[0] rows of the named float32
+    buffer, which is reallocated only when it has fewer rows or another row
+    shape, so the vocabulary-wide blocks of scoring ("rows", "cos", "scores",
+    "den") are allocated a few times per call instead of once per kernel,
+    chunk or question. A view is valid until the next get of its name.
     """
 
     def __init__(self):
         self._bufs: dict[str, np.ndarray] = {}
 
-    def get(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         buf = self._bufs[name] if name in self._bufs else None
-        if buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != shape[1:] or buf.dtype != dtype:
-            buf = self._bufs[name] = np.empty(shape, dtype=dtype)
+        if buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != shape[1:]:
+            buf = self._bufs[name] = np.empty(shape, dtype=np.float32)
         return buf[: shape[0]]
 
 
-def _row_norms(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row (last axis), in one pass with no rows-sized temporary."""
-    norms = np.einsum("...i,...i->...", rows, rows, out=out)
+    norms = np.einsum("...i,...i->...", rows, rows)
     return np.sqrt(norms, out=norms)
 
 
@@ -177,10 +177,11 @@ class _Block(NamedTuple):
     words (G x U) holds each list's distinct a, b, x indices in ascending
     order, padded with its first; pos (G x K x 3) the positions of each
     question's a, b, x in its list's words; gold (G x K x L) its gold indices
-    and excluded (G x K x 3) its excluded ones, padded with -1; real (G x K)
-    marks the slots that hold a question. A padding slot repeats its list's
-    first question, so it adds no distinct word, and gold rows are padded
-    with their first index, which never changes their argmax.
+    and excluded (G x K x E) its excluded ones, padded with -1 to the
+    longest list; real (G x K) marks the slots that hold a question. A
+    padding slot repeats its list's first question, so it adds no distinct
+    word, and gold rows are padded with their first index, which never
+    changes their argmax.
     """
 
     words: np.ndarray
@@ -196,7 +197,8 @@ class _Block(NamedTuple):
         slots = [e + e[:1] * (k - len(e)) for e in entries]
         most = max(len(item[1]) for e in entries for item in e)
         gold = [[[*item[1]] + [item[1][0]] * (most - len(item[1])) for item in e] for e in slots]
-        excluded = [[[*item[2]] + [-1] * (3 - len(item[2])) for item in e] for e in slots]
+        widest = max(len(item[2]) for e in entries for item in e)
+        excluded = [[[*item[2]] + [-1] * (widest - len(item[2])) for item in e] for e in slots]
         idx = np.array([[item[0][:3] for item in e] for e in slots], dtype=np.intp)
         # distinct words per list: sort each list's indices and number the runs
         flat = idx.reshape(len(entries), -1)
@@ -521,25 +523,20 @@ class _Scorer:
     of a cosine, and drow = 0; of_kernels sets both for kernel rows. The
     bounds take them alike (see _add_tau and _mul_bound).
 
-    The candidate norms and null mask live in the workspace ws, unless fresh:
-    the plain scorer, which outlives every kernel scorer of an evaluate call,
-    owns its arrays. Per-block arrays come from ws.
+    The scorer owns its per-candidate arrays (G x |V| norms and flags); the
+    vocabulary-wide blocks of scoring come from the workspace ws.
     """
 
-    def __init__(self, rows: np.ndarray, ws: _Workspace, fresh: bool = False):
+    def __init__(self, rows: np.ndarray, ws: _Workspace):
         self.rows = rows
         self.ws = ws
-        shape = rows.shape[:2]
-        norms = np.empty(shape, rows.dtype) if fresh else ws.get("norms", shape, rows.dtype)
-        null = np.empty(shape, dtype=bool) if fresh else ws.get("null", shape, bool)
-        np.less(_row_norms(rows, out=norms), NULL_SPACE_NORM, out=null)
-        norms[null] = 1.0
-        self.norms = norms
-        self.null = null
-        self.any_null = bool(null.any())
+        self.norms = _row_norms(rows)
+        self.null = self.norms < NULL_SPACE_NORM
+        self.norms[self.null] = 1.0
+        self.any_null = bool(self.null.any())
         # plain rows are their own reference; of_kernels sets these for kernel rows
         self.source = None  # (float64 coordinates, the kernels' float64 (f lam_sqrt)^T, G x m x w)
-        self.errors = (np.full(shape[0], 1.0001 * _U32 + _ETA32), np.zeros(shape[0]))  # (dc32, drow)
+        self.errors = (np.full(len(rows), 1.0001 * _U32 + _ETA32), np.zeros(len(rows)))  # (dc32, drow)
         self.suspect = None
 
     @classmethod
@@ -580,16 +577,14 @@ class _Scorer:
         errors (see _add_tau and _mul_bound).
         """
         scorer = cls(rows, ws)
-        g, n, m = rows.shape
+        g, _, m = rows.shape
         proj_t = np.stack([p.T for p in proj])
         pf = np.sqrt(np.einsum("gij,gij->g", proj_t, proj_t))
         (alpha, beta, lim, floor), (nu, n_abs, nu64, dc32) = _row_terms(coords.shape[1], m, pf)
         # the float32 floor rounded up, so that a norm at or above it is at or above the float64 one
         floor32 = np.nextafter(floor.astype(np.float32), np.float32(np.inf))
         norms, null = scorer.norms, scorer.null
-        irregular = np.less(norms, floor32[:, None], out=ws.get("irregular", (g, n), bool))
-        if scorer.any_null:
-            irregular |= null
+        irregular = (norms < floor32[:, None]) | null
         # rows whose float32 projection or norm may overflow
         big = (2.0**59 / pf).astype(np.float32)
         if cnorms.max() > big.min():
@@ -599,8 +594,8 @@ class _Scorer:
             norms[irregular] = 1.0
             raw = _row_norms(rows[irregular]).astype(np.float64)
             rows[irregular] = 0.0  # null or suspect: no float32 score reads them, and none is inf
-        ratio = np.divide(cnorms, norms, out=ws.get("ratio", (g, n), np.float32))
-        suspect = np.greater(ratio, lim[:, None], out=ws.get("suspect", (g, n), bool))
+        ratio = cnorms / norms
+        suspect = ratio > lim[:, None]
         null[...] = False
         if any_irregular:
             suspect |= irregular
@@ -703,7 +698,7 @@ class _Scorer:
         query, qnorms = query.reshape(g, u, m), qnorms.reshape(g, u)
         units = query / qnorms[..., None]
         dc32, drow = self.errors
-        cos = ws.get("cos", (g * u, n), np.float32).reshape(g, u, n)
+        cos = ws.get("cos", (g * u, n)).reshape(g, u, n)
         if self.source is None:
             # a temporary: the float64 block lives only until its float32 rounding
             np.divide(units @ self.rows.transpose(0, 2, 1), self.norms[:, None, :], out=cos)
@@ -722,7 +717,7 @@ class _Scorer:
                 coef[stack, q, x] = nx / scale
                 coef[stack, q, a] -= na / scale
                 coef[stack, q, b] += nb / scale
-                add = ws.get("scores", (a.size, n), np.float32).reshape(g, k, n)
+                add = ws.get("scores", (a.size, n)).reshape(g, k, n)
                 np.matmul(coef.astype(np.float32), cos, out=add)
                 np.clip(add, -1.0, 1.0, out=add)
                 if self.any_null:
@@ -757,7 +752,7 @@ class _Scorer:
                 w = rows_at[:, at].reshape(-1, 3)  # flat a, b, x word rows per score row
                 k = len(w) // g
                 k0, k1, dd, _ = np.repeat(bounds.T, k, axis=1)
-                mul, den = ws.get("scores", (len(w), n), np.float32), ws.get("den", (len(w), n), np.float32)
+                mul, den = ws.get("scores", (len(w), n)), ws.get("den", (len(w), n))
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     for i, (ia, ib, ix) in enumerate(w.tolist()):
                         np.multiply(flat[ib], flat[ix], out=mul[i])
@@ -820,13 +815,16 @@ def _scoring_items(resolved_questions, table: EmbeddingTable, exclude_inputs: bo
     """(indices, gold indices, excluded indices) per resolved question.
 
     The gold indices are every case variant of y in the vocabulary; the
-    excluded ones are the distinct a, b, x indices dropped from the
-    candidates, never a gold index.
+    excluded ones, dropped from the candidates, are every case variant of
+    a, b and x that is not a gold, in ascending order.
     """
     items = []
     for q, resolved in resolved_questions:
         gold = table.case_matches(q.y)
-        excluded = tuple(set(resolved[:3]).difference(gold.tolist())) if exclude_inputs else ()
+        excluded = ()
+        if exclude_inputs:
+            inputs = {i for word in (q.a, q.b, q.x) for i in table.case_matches(word).tolist()}
+            excluded = tuple(sorted(inputs.difference(gold.tolist())))
         items.append((resolved, gold, excluded))
     return items
 
@@ -849,7 +847,7 @@ def _gold_ranks(scores: np.ndarray, slab: _Slab, rows: np.ndarray, gold: np.ndar
 
     scores are a slab's float32 scores as R rows, within its bounds of the
     float64 reference scores; rows lists the rows to rank, and gold (R x L,
-    ascending, padded with its first index) and excluded (R x 3, padded
+    ascending, padded with its first index) and excluded (R x E, padded
     with -1) are the rows' index sets. Ranks are those of the reference
     scores under stable descending order, the excluded candidates left out:
     a candidate is ahead of the best gold one when its reference score is
@@ -959,27 +957,27 @@ def _rows_per_question(measures) -> int:
     return 1 + ("mul" in _modes(measures))
 
 
-def _stacks(block: _Block, groups, width: int, per_question: int, n: int):
+def _stacks(block: _Block, groups, width: int, measures, n: int):
     """Split row sets and their questions into stacks that are scored together.
 
     groups[i] lists the items scored on row set i, and block holds them,
     padded. Each row set takes width |V|-wide rows of its own (a kernel's
     projection; 0 for the vocabulary itself), a cosine row per distinct
-    input word and per_question score rows per question slot, all float32
-    for kernels. A stack is a run of row sets whose rows fit both
-    2 * _KERNEL_BATCH_ELEMS, so that the arrays of a stack of small kernels
-    take the bytes of the float64 arrays that built them, and _CHUNK_ELEMS;
-    it holds at least one. A row set over
-    _CHUNK_ELEMS is a stack of its own, scored in slabs of questions, and in
-    parts of at most _CHUNK_ELEMS / |V| - width - per_question distinct
-    words (see _chunks) when its words alone do not fit. Such a row set
-    leaves the stack size at 1, so one loop serves every case and only the
-    word split is conditional.
+    input word and, per question slot, the score rows the measures take
+    (_rows_per_question), all float32 for kernels. A stack is a run of row
+    sets whose rows fit both 2 * _KERNEL_BATCH_ELEMS, so that the arrays of
+    a stack of small kernels take the bytes of the float64 arrays that
+    built them, and _CHUNK_ELEMS; it holds at least one. A row set over
+    _CHUNK_ELEMS is a stack of its own, scored in slabs of questions (see
+    _ranked), and in parts of at most _CHUNK_ELEMS / |V| - width - (score
+    rows per question) distinct words (see _chunks) when its words alone do
+    not fit. Such a row set leaves the stack size at 1, so one loop serves
+    every case and only the word split is conditional.
 
     Yields (lo, hi, parts): the stack's row sets lo to hi - 1, and the
     blocks scored on them one after another.
     """
-    chunk_rows = _CHUNK_ELEMS // n
+    chunk_rows, per_question = _CHUNK_ELEMS // n, _rows_per_question(measures)
     u, k = block.words.shape[1], block.pos.shape[1]
     size = max(1, min(2 * _KERNEL_BATCH_ELEMS // n, chunk_rows) // (width + u + per_question * k))
     for lo in range(0, len(groups), size):
@@ -991,18 +989,20 @@ def _stacks(block: _Block, groups, width: int, per_question: int, n: int):
         yield lo, hi, parts
 
 
-def _ranked(scorer: _Scorer, block: _Block, measures, config: EvalConfig, budget: int):
+def _ranked(scorer: _Scorer, block: _Block, measures, config: EvalConfig):
     """Gold ranks of a block's questions, scored on the row sets of scorer.
 
     Returns measure -> (ranks, hits, null flags), arrays over the questions
     in list order; hits mark rank 1. A question whose additive target has no
     direction has no ranking: it is a worst-case miss, ranked behind every
-    candidate left. budget is the |V|-wide rows the block may take: its
+    candidate left. Each of the G row sets takes _CHUNK_ELEMS / (G |V|)
+    |V|-wide rows: its kernel rows (none for the vocabulary itself), its
     cosine rows, and score rows for as many question slots at a time as fit.
     """
     modes = _modes(measures)
-    (g, k), n = block.real.shape, scorer.rows.shape[1]
-    size = max(1, (budget // g - block.words.shape[1]) // _rows_per_question(measures))
+    (g, k), (n, m) = block.real.shape, scorer.rows.shape[1:]
+    width = 0 if scorer.source is None else m
+    size = max(1, (_CHUNK_ELEMS // n // g - width - block.words.shape[1]) // _rows_per_question(measures))
     ranks = {mode: np.zeros((g, k), dtype=np.intp) for mode in modes}
     hits = {mode: np.zeros((g, k), dtype=bool) for mode in modes}
     nulls = {mode: np.zeros((g, k), dtype=bool) for mode in modes}
@@ -1089,6 +1089,10 @@ def gfk_answer(
     """Additive or multiplicative ranking with cosines taken in kernel space."""
     if mode not in ("add", "mul"):
         raise ValueError(f"mode must be 'add' or 'mul', got {mode!r}")
+    if kernel.ambient_dim != table.dim:
+        raise ValueError(
+            f"kernel ambient dimension {kernel.ambient_dim} does not match the table's dimension {table.dim}"
+        )
     # the rows evaluate's reference re-projects, whose bits no GEMM blocking changes
     rows = _project_rows(table.vectors, kernel.projection.T)
     return _answer(q, table, rows, mode, epsilon, shift_cosines, exclude_inputs)
@@ -1307,7 +1311,16 @@ class _Relation:
             basis = None if w is None else _pool_basis(table.vectors, self.pool, w)
             self.frames[w] = (basis, {})
         basis, spectra = self.frames[w]
-        coords = table.vectors if basis is None else table.vectors @ basis.T
+        if basis is None:
+            coords = table.vectors
+        else:
+            # in blocks of rows: one product over the whole table lets a threaded
+            # BLAS pack a copy of all of it (53 MB more peak memory on a 20k x 300
+            # table with two threads), which the blocks bound to their own size
+            coords = np.empty((len(table), w))
+            step = max(1, _KERNEL_BATCH_ELEMS // table.dim)
+            for lo in range(0, len(table), step):
+                np.matmul(table.vectors[lo : lo + step], basis.T, out=coords[lo : lo + step])
         pools = []
         for head_idx, tail_idx, items in self.groups:
             head, tail = _pool_spectra(
@@ -1430,11 +1443,11 @@ def evaluate(
     measures keep its float64 pool coordinates and their float32 copy
     (|V| x w each) and a stack's float32 rows and per-candidate flags (G x |V| x 2d and a few G x |V|).
 
-    The |V|-wide arrays of scoring live in one workspace for the whole call
-    and are reused, not reallocated, from stack to stack. The plain
-    scorer's candidate norms are arrays of its own, since they outlive
-    every kernel, and its float64 product block is a temporary, freed once
-    rounded to float32, so that the kernels score without it.
+    The vocabulary-wide blocks of scoring live in one workspace for the
+    whole call and are reused, not reallocated, from stack to stack; each
+    scorer owns its candidate norms and flags (G x |V|). The plain scorer's
+    float64 product block is a temporary, freed once rounded to float32,
+    so that the kernels score without it.
 
     sweep_state is not a tuning option: dimension_sweep passes the state it
     builds once for all its dimensions (see there), and the reports equal
@@ -1453,7 +1466,7 @@ def evaluate(
         sweep_state.check(dataset, table, config, bool(gfk_measures))
     keep = config.subspace_dim if sweep_state is None else sweep_state.max_dim
     ws = _Workspace()
-    plain_scorer = _Scorer(table.vectors[None], ws, fresh=True) if plain_measures else None
+    plain_scorer = _Scorer(table.vectors[None], ws) if plain_measures else None
     reports = {m: EvalReport(measure=m) for m in measures}
     for relation, questions in dataset.relations.items():
         if sweep_state is None:
@@ -1468,11 +1481,8 @@ def evaluate(
             continue
 
         if plain_measures:
-            [(_, _, parts)] = _stacks(
-                rel.plain_block, [rel.items], 0, _rows_per_question(plain_measures), len(table)
-            )
-            budget = _CHUNK_ELEMS // len(table)
-            results = [_ranked(plain_scorer, p, plain_measures, config, budget) for p in parts]
+            [(_, _, parts)] = _stacks(rel.plain_block, [rel.items], 0, plain_measures, len(table))
+            results = [_ranked(plain_scorer, p, plain_measures, config) for p in parts]
             for m in plain_measures:
                 reports[m].per_relation[relation] = _tally(results, m)
 
@@ -1531,7 +1541,6 @@ def _score_relation_gfk(coords, source, pools, block, d, measures, config, ws):
     with np.errstate(over="ignore"):
         cnorms = _row_norms(coords).astype(np.float32)
     size = max(1, _KERNEL_BATCH_ELEMS // (12 * w * d))
-    per_question = _rows_per_question(measures)
     results = []
     for start in range(0, len(pools), size):
         heads, tails, groups = zip(*pools[start : start + size])
@@ -1541,16 +1550,15 @@ def _score_relation_gfk(coords, source, pools, block, d, measures, config, ws):
         )
         kernels = gfk(principal_angles(head, tail))
         sub_block = block.take(start, start + len(groups))
-        for lo, hi, parts in _stacks(sub_block, groups, 2 * d, per_question, n):
-            rows = ws.get("rows", ((hi - lo) * n, 2 * d), np.float32).reshape(hi - lo, n, 2 * d)
+        for lo, hi, parts in _stacks(sub_block, groups, 2 * d, measures, n):
+            rows = ws.get("rows", ((hi - lo) * n, 2 * d)).reshape(hi - lo, n, 2 * d)
             proj = []  # each kernel's own f lam_sqrt
             for i in range(lo, hi):
                 kernel = kernels[i]
                 kernel.project(source, out=rows[i - lo])
                 proj.append(kernel.projection)
             scorer = _Scorer.of_kernels(rows, ws, coords, cnorms, proj)
-            budget = _CHUNK_ELEMS // n - (hi - lo) * 2 * d
-            results.extend(_ranked(scorer, part, measures, config, budget) for part in parts)
+            results.extend(_ranked(scorer, part, measures, config) for part in parts)
     return results
 
 

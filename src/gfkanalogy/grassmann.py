@@ -458,9 +458,14 @@ def gfk_similarity(kernel: GfkKernel, x: np.ndarray, y: np.ndarray) -> float:
 
     A vector that falls in the kernel's null space (projected norm < 1e-12)
     has no usable direction; the similarity is then pinned to -1 (worst).
+    Raises ValueError when a vector's dimension is not the kernel's.
     """
-    a = kernel.project(np.asarray(x, dtype=np.float64))
-    b = kernel.project(np.asarray(y, dtype=np.float64))
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    for name, v in (("x", x), ("y", y)):
+        if v.shape[-1:] != (kernel.ambient_dim,):
+            raise ValueError(f"{name} has shape {v.shape}; the kernel's ambient dimension is {kernel.ambient_dim}")
+    a = kernel.project(x)
+    b = kernel.project(y)
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
     if na < NULL_SPACE_NORM or nb < NULL_SPACE_NORM:

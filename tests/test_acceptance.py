@@ -7,6 +7,7 @@ lines. Every tolerance is pinned here; nothing is deferred to calibration.
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,6 +372,6 @@ def test_optional_large_scale_path(tmp_path):
         "--measure", "all", "--subspace-dim", "40", "--epsilon", "0.001",
         "--out", out,
     ])
-    content = open(out).read()
+    content = Path(out).read_text()
     ok = rc == 0 and content.count("micro,") == 4
     check("large-scale eval completes and reports all four measures", ok)

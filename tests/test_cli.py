@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,11 +69,11 @@ class TestBuildPpmi:
         assert not (tmp_path / "missing").exists()
 
     def test_out_that_is_the_corpus_is_refused(self, toy_corpus, capsys):
-        before = open(toy_corpus, "rb").read()
+        before = Path(toy_corpus).read_bytes()
         rc = main(["build-ppmi", "--corpus", toy_corpus, "--out", toy_corpus, "--dim", "4"])
         assert rc == 2
         assert "refusing to overwrite" in capsys.readouterr().err
-        assert open(toy_corpus, "rb").read() == before
+        assert Path(toy_corpus).read_bytes() == before
 
     def test_missing_corpus_exits_2(self, tmp_path, capsys):
         rc = main([
@@ -119,7 +120,7 @@ class TestEval:
         summary = capsys.readouterr().out
         for m in ("CosADD", "CosMUL", "GFKCosADD", "GFKCosMUL"):
             assert f"{m}: micro_accuracy=" in summary
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0].startswith("# measure=all")
         assert lines[1] == "relation,n,measure,accuracy,avg_rank"
         micro = [l for l in lines if l.startswith("micro,")]
@@ -157,7 +158,7 @@ class TestEval:
                 "--holdout", holdout, "--out", out,
             ])
             assert rc == 0
-            outputs.append(open(out).read())
+            outputs.append(Path(out).read_text())
         assert f"holdout=none" in outputs[0] and f"holdout=answer" in outputs[1]
 
     def test_threads_flag_is_refused(self, synth_files, monkeypatch, capsys):
@@ -184,7 +185,7 @@ class TestEval:
 
     def test_library_warning_is_one_plain_line(self, synth_files, tmp_path, capsys):
         emb, data = synth_files
-        lines = open(emb, encoding="utf-8").read().splitlines(keepends=True)
+        lines = Path(emb).read_text(encoding="utf-8").splitlines(keepends=True)
         dup = tmp_path / "dup.txt"
         dup.write_text("".join(lines + [lines[2]]), encoding="utf-8")
         previous = warnings.showwarning
@@ -201,14 +202,14 @@ class TestEval:
     def test_out_that_is_an_input_is_refused(self, synth_files, tmp_path, target, capsys):
         emb, data = synth_files
         path = emb if target == "embeddings" else data
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         (tmp_path / "sub").mkdir()
         out = path.replace(str(tmp_path), str(tmp_path / "sub" / ".."))  # another spelling
         rc = main(["eval", "--embeddings", emb, "--dataset", data, "--subspace-dim", "4",
                    "--out", out])
         assert rc == 2
         assert "refusing to overwrite" in capsys.readouterr().err
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
 
 
 class TestAngles:
@@ -221,7 +222,7 @@ class TestAngles:
             "--out", out,
         ])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[1] == "pair,subspace_dim,angle_index,theta_degrees"
         rows = [l.split(",") for l in lines[2:]]
         assert {r[0] for r in rows} == {"AX", "AB"}
@@ -265,12 +266,12 @@ class TestAngles:
 
     def test_out_that_is_the_dataset_is_refused(self, synth_files, capsys):
         emb, data = synth_files
-        before = open(data, "rb").read()
+        before = Path(data).read_bytes()
         rc = main(["angles", "--embeddings", emb, "--dataset", data,
                    "--relation", "rotation-0", "--dims", "1:4", "--out", data])
         assert rc == 2
         assert "refusing to overwrite" in capsys.readouterr().err
-        assert open(data, "rb").read() == before
+        assert Path(data).read_bytes() == before
 
 
 def write_relation(tmp_path, name, lines, dim=6, n_words=5, seed=5):
@@ -300,7 +301,7 @@ class TestAnglesPools:
         for data in (with_oov, without):
             out = str(tmp_path / "angles.csv")
             assert run_angles(emb, data, "1:3", out) == 0
-            rows.append(open(out).read().splitlines()[1:])
+            rows.append(Path(out).read_text().splitlines()[1:])
         assert rows[0] == rows[1]
         # the in-vocabulary questions' a, x and b words alone give the angles
         table = load_text_embeddings(emb)
@@ -324,7 +325,7 @@ class TestAnglesPools:
                 make()
             for pair in ("AX", "AB"):
                 assert f"skipping {pair} d={d}: {reason.value}" in err.splitlines()
-        rows = [l.split(",")[:2] for l in open(out).read().splitlines()[2:]]
+        rows = [l.split(",")[:2] for l in Path(out).read_text().splitlines()[2:]]
         assert sorted({tuple(r) for r in rows}) == [
             ("AB", "2"), ("AB", "3"), ("AX", "2"), ("AX", "3")]
         assert len(rows) == 2 * (2 + 3)
@@ -355,7 +356,7 @@ class TestAnglesPools:
                     skips.append(f"skipping {pair} d={d}: {err}")
                     continue
                 want += [f"{pair},{d},{i},{t:.6f}" for i, t in enumerate(np.degrees(theta), start=1)]
-        assert open(out).read().splitlines()[2:] == want
+        assert Path(out).read_text().splitlines()[2:] == want
         assert capsys.readouterr().err.splitlines() == skips == [
             f"skipping {pair} d=7: d=7 exceeds min(n=6, D=12)" for pair in ("AX", "AB")]
 
@@ -369,7 +370,7 @@ class TestSweep:
             "--measure", "all", "--dims", "3:5:2", "--holdout", "none", "--out", out,
         ])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[1] == "d,measure,accuracy"
         rows = [l.split(",") for l in lines[2:]]
         assert len(rows) == 2 * 4
@@ -390,12 +391,12 @@ class TestSweep:
 
     def test_out_that_is_the_embeddings_is_refused(self, synth_files, capsys):
         emb, data = synth_files
-        before = open(emb, "rb").read()
+        before = Path(emb).read_bytes()
         rc = main(["sweep", "--embeddings", emb, "--dataset", data, "--dims", "3:5:2",
                    "--out", emb])
         assert rc == 2
         assert "refusing to overwrite" in capsys.readouterr().err
-        assert open(emb, "rb").read() == before
+        assert Path(emb).read_bytes() == before
 
 
 class TestDimsParsing:

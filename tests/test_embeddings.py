@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,7 +274,7 @@ class TestRoundTripAndNormalize:
         p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
         save_text_embeddings(table, p1)
         save_text_embeddings(load_text_embeddings(p1), p2)
-        assert open(p1).read() == open(p2).read()
+        assert Path(p1).read_text() == Path(p2).read_text()
 
     def test_save_bytes_match_per_value_format(self, tmp_path):
         extremes = [0.1, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308, -1e-300]

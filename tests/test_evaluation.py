@@ -255,6 +255,11 @@ class TestGfkAnswer:
         with pytest.raises(ValueError, match="mode"):
             gfk_answer(question("w0", "w1", "w2", "w3"), table, GfkKernel.identity(4), mode="x")
 
+    def test_kernel_of_another_dimension_rejected(self):
+        table = random_table(9, 6, 4)
+        with pytest.raises(ValueError, match="kernel ambient dimension 6 does not match the table's dimension 4"):
+            gfk_answer(question("w0", "w1", "w2", "w3"), table, GfkKernel.identity(6))
+
 
 class TestRelationSubspaces:
     def test_head_is_top_right_singular_vectors(self):
@@ -629,6 +634,22 @@ class TestEvaluate:
         assert (res.n_correct, res.rank_sum) == (1, 1.0)
         assert cos_add_answer(ds.relations["r"][0], table).words(table)[:3] == ["Queen", "z", "queen"]
 
+    def test_case_variants_of_input_words_are_excluded(self):
+        # "B" is an exact copy of b, so against x - a + b it scores above the
+        # gold word y under both rules unless every case variant of a, b and x
+        # is left out of the candidates
+        e = np.eye(4)
+        vecs = np.array([e[0], e[1], e[0] + 1e-3 * e[2], e[1] + 0.3 * e[3], e[1]])
+        table = EmbeddingTable(["a", "b", "x", "y", "B"], vecs)
+        ds = RelationDataset()
+        ds.add(question("a", "b", "x", "y"))
+        for report in evaluate(ds, table, EvalConfig(measure="CosADD,CosMUL")).values():
+            res = report.per_relation["r"]
+            assert (res.n_correct, res.rank_sum) == (1, 1.0)
+        q = ds.relations["r"][0]
+        for ranking in (cos_add_answer(q, table), cos_mul_answer(q, table)):
+            assert ranking.words(table) == ["y"]
+
     @pytest.mark.parametrize("holdout", HOLDOUTS)
     def test_each_kernel_projects_the_vocabulary_once(self, monkeypatch, holdout):
         table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
@@ -781,10 +802,10 @@ class TestEvaluate:
         sizes = []
         init = evaluation._Scorer.__init__
 
-        def recorded(self, rows, ws, fresh=False):
-            if not fresh:
+        def recorded(self, rows, ws):
+            if rows.dtype == np.float32:  # a stack of kernels
                 sizes.append(len(rows))
-            init(self, rows, ws, fresh)
+            init(self, rows, ws)
 
         monkeypatch.setattr(evaluation._Scorer, "__init__", recorded)
         # (batch budget, chunk budget): one stack per relation, stacks of two
@@ -1432,17 +1453,21 @@ def test_ranks_with_several_golds_equal_all_reference_ranks(kind, shift, seed):
     # gold lists of 2-4 case variants: 20 is an exact copy of the gold 3, so
     # the golds tie and 3 must win, which leaves 15, twice 3, behind it; 21
     # is a near copy of 8; the non-gold 19 is a copy of the gold 23 at a
-    # lower index, so it ties ahead. In the first kernel's row set 25 (a
-    # gold) and 27 lie nearly in the null space of its f lam_sqrt: suspects.
+    # lower index, so it ties ahead. The last question excludes five words
+    # (its inputs and their case variants): 4, a copy of its gold 26 at a
+    # lower index, and 28, a copy of its b. In the first kernel's row set 25
+    # (a gold) and 27 lie nearly in the null space of its f lam_sqrt: suspects.
     rng = np.random.default_rng(seed)
     n, w = 30, 10
     coords = rng.standard_normal((n, w))
     coords[20], coords[21], coords[15], coords[19] = coords[3], coords[8] + 1e-9, 2.0 * coords[3], coords[23]
+    coords[4], coords[28] = coords[26], coords[17]
     items = [
         ((0, 1, 2, 3), np.array([3, 20]), (0, 1, 2)),
         ((5, 6, 7, 8), np.array([8, 21, 22]), (5, 6, 7)),
         ((10, 11, 12, 13), np.array([13, 23, 24, 25]), (10, 11, 12)),
         ((3, 8, 13, 23), np.array([19, 23]), (3, 8, 13)),
+        ((16, 17, 18, 26), np.array([26]), (4, 16, 17, 18, 28)),
     ]
     if kind == "plain":
         scorer = evaluation._Scorer(coords[None], evaluation._Workspace())

@@ -365,6 +365,13 @@ class TestSimilarity:
         kernel = gfk(principal_angles(sub, sub))  # G = 2 P P^T, null on e3, e4
         assert gfk_similarity(kernel, np.eye(4)[3], np.eye(4)[0]) == -1.0
 
+    def test_vector_of_another_dimension_rejected(self):
+        kernel = GfkKernel.identity(4)
+        with pytest.raises(ValueError, match=r"x has shape \(6,\); the kernel's ambient dimension is 4"):
+            gfk_similarity(kernel, np.ones(6), np.ones(4))
+        with pytest.raises(ValueError, match=r"y has shape \(3,\); the kernel's ambient dimension is 4"):
+            gfk_similarity(kernel, np.ones(4), np.ones(3))
+
     def test_projector_kernel_matches_plain_cosine_in_span(self):
         sub = span_basis(np.eye(5)[0], np.eye(5)[1])
         kernel = gfk(principal_angles(sub, sub))
