@@ -816,15 +816,21 @@ def _scoring_items(resolved_questions, table: EmbeddingTable, exclude_inputs: bo
 
     The gold indices are every case variant of y in the vocabulary; the
     excluded ones, dropped from the candidates, are every case variant of
-    a, b and x that is not a gold, in ascending order.
+    a, b and x that is not a gold, in ascending order. Each distinct word's
+    variants are looked up once per call.
     """
+    variants: dict[str, tuple[np.ndarray, set[int]]] = {}
     items = []
     for q, resolved in resolved_questions:
-        gold = table.case_matches(q.y)
+        for word in (q.a, q.b, q.x, q.y):
+            if word not in variants:
+                matches = table.case_matches(word)
+                variants[word] = matches, set(matches.tolist())
+        gold, gold_set = variants[q.y]
         excluded = ()
         if exclude_inputs:
-            inputs = {i for word in (q.a, q.b, q.x) for i in table.case_matches(word).tolist()}
-            excluded = tuple(sorted(inputs.difference(gold.tolist())))
+            inputs = variants[q.a][1] | variants[q.b][1] | variants[q.x][1]
+            excluded = tuple(sorted(inputs - gold_set))
         items.append((resolved, gold, excluded))
     return items
 

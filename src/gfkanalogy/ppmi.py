@@ -16,7 +16,8 @@ import scipy.sparse.linalg
 
 from .embeddings import EmbeddingTable
 
-# Below this size a dense SVD is cheaper and more robust than svds.
+# Below this size a dense SVD is cheaper and more robust than the ARPACK
+# eigensolve of X Xᵀ.
 DENSE_SVD_LIMIT = 5000
 
 # First scan ordinal of a key that is never scanned.
@@ -217,8 +218,12 @@ def truncated_svd_embed(
 def _truncated_svd(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k left singular vectors and values, descending.
 
-    Reproducible: svds starts from a fixed vector, and every singular vector's
-    sign is chosen so that its largest-magnitude entry is positive.
+    A sparse matrix X above ``DENSE_SVD_LIMIT`` takes one ARPACK eigensolve of
+    X Xᵀ (size n_rows, also for tall input): its eigenvectors are U, and
+    σᵢ = ‖Xᵀuᵢ‖, which stays accurate down to zero where sqrt(λᵢ) can read
+    the eigensolver's rounding noise as rank. Reproducible: ARPACK starts from a
+    fixed vector, and every singular vector's sign is chosen so that its
+    largest-magnitude entry is positive.
     """
     sparse = scipy.sparse.issparse(matrix)
     n_rows, n_cols = matrix.shape
@@ -227,8 +232,15 @@ def _truncated_svd(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
         u, sigma, _ = np.linalg.svd(dense, full_matrices=False)
         u, sigma = u[:, :k], sigma[:k]
     else:
-        v0 = np.random.default_rng(0).standard_normal(min(n_rows, n_cols))
-        u, sigma, _ = scipy.sparse.linalg.svds(matrix.astype(np.float64), k=k, v0=v0)
+        x = matrix.tocsr().astype(np.float64, copy=False)
+        xt = x.T.tocsr()  # a CSR product is faster than the CSC view x.T
+        gram = scipy.sparse.linalg.LinearOperator(
+            (n_rows, n_rows), matvec=lambda v: x @ (xt @ v), dtype=np.float64
+        )
+        v0 = np.random.default_rng(0).standard_normal(n_rows)
+        _, u = scipy.sparse.linalg.eigsh(gram, k=k, v0=v0)
+        xtu = xt @ u  # n_cols x k; column norms without a squared copy
+        sigma = np.sqrt(np.einsum("ij,ij->j", xtu, xtu))
         order = np.argsort(sigma)[::-1]
         u, sigma = u[:, order], sigma[order]
     pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]

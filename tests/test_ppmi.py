@@ -308,6 +308,59 @@ class TestTruncatedSvd:
             pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(5)]
             assert np.all(pivots > 0)
 
+    def test_wide_sparse_path_matches_dense(self, monkeypatch):
+        import gfkanalogy.ppmi as ppmi_mod
+
+        # the positional shape: fewer words than contexts
+        rng = np.random.default_rng(2)
+        dense = rng.random((20, 60))
+        dense[dense < 0.7] = 0.0
+        sparse = scipy.sparse.csr_matrix(dense)
+        words = [f"w{i}" for i in range(20)]
+        monkeypatch.setattr(ppmi_mod, "DENSE_SVD_LIMIT", 5)
+        via_eigsh = truncated_svd_embed(sparse, words, dim=6, eigen_weight=1.0)
+        monkeypatch.setattr(ppmi_mod, "DENSE_SVD_LIMIT", 5000)
+        via_dense = truncated_svd_embed(sparse, words, dim=6, eigen_weight=1.0)
+        sigma = np.linalg.norm(via_dense.vectors, axis=0)
+        np.testing.assert_allclose(np.linalg.norm(via_eigsh.vectors, axis=0), sigma, rtol=1e-12)
+        np.testing.assert_allclose(via_eigsh.vectors @ via_eigsh.vectors.T,
+                                   via_dense.vectors @ via_dense.vectors.T,
+                                   rtol=0, atol=1e-12 * sigma[0] ** 2)
+
+    def test_rank_deficient_sparse_path_warns_and_truncates(self, monkeypatch):
+        import gfkanalogy.ppmi as ppmi_mod
+
+        # rank 17 of 30: the other four eigenvalues of X Xᵀ come out as noise
+        # whose square roots are over ten times the rank tolerance, while the
+        # norms |Xᵀu| of their eigenvectors stay far below it
+        rng = np.random.default_rng(3)
+        dense = rng.random((30, 17)) @ rng.random((17, 45))
+        dense[:, rng.random(45) < 0.5] = 0.0
+        sparse = scipy.sparse.csr_matrix(dense)
+        words = [f"w{i}" for i in range(30)]
+        monkeypatch.setattr(ppmi_mod, "DENSE_SVD_LIMIT", 5)
+        with pytest.warns(UserWarning, match="rank"):
+            via_eigsh = truncated_svd_embed(sparse, words, dim=21, eigen_weight=1.0)
+        monkeypatch.setattr(ppmi_mod, "DENSE_SVD_LIMIT", 5000)
+        with pytest.warns(UserWarning, match="rank"):
+            via_dense = truncated_svd_embed(sparse, words, dim=21, eigen_weight=1.0)
+        assert via_eigsh.dim == via_dense.dim == 17
+        np.testing.assert_allclose(np.linalg.norm(via_eigsh.vectors, axis=0),
+                                   np.linalg.norm(via_dense.vectors, axis=0), rtol=1e-12)
+
+    def test_integer_counts_match_their_float_copy(self, monkeypatch):
+        import gfkanalogy.ppmi as ppmi_mod
+
+        rng = np.random.default_rng(4)
+        counts = rng.integers(0, 4, size=(30, 30)) * (rng.random((30, 30)) < 0.4)
+        sparse = scipy.sparse.csr_matrix(counts)
+        assert sparse.dtype == np.int64
+        words = [f"w{i}" for i in range(30)]
+        monkeypatch.setattr(ppmi_mod, "DENSE_SVD_LIMIT", 5)
+        as_int = truncated_svd_embed(sparse, words, dim=5)
+        as_float = truncated_svd_embed(sparse.astype(np.float64), words, dim=5)
+        np.testing.assert_array_equal(as_int.vectors, as_float.vectors)
+
 
 class TestCorpusReader:
     def test_blank_lines_separate_documents(self, tmp_path):
