@@ -21,6 +21,7 @@ Conventions, fixed here and relied on by the tests:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,11 @@ ORTHONORMAL_TOL = 1e-10
 # Below this sine a complement direction is numerically undefined; the matching
 # sin(t*theta) contribution is < 1e-8, so any orthonormal completion works.
 DEGENERATE_ANGLE = 1e-8
-# Below this angle the lambda coefficients switch to series expansions.
+# Below this angle lambda1 and lambda3 switch to a series expansion.
 SMALL_ANGLE = 1e-4
 NULL_SPACE_NORM = 1e-12
+# (-1)^(k+1) / (2k+1)!, k = 1..10: the Taylor coefficients of 1 - sin(x)/x in x^2
+_SINC_GAP_SERIES = tuple((-1) ** (k + 1) / math.factorial(2 * k + 1) for k in range(1, 11))
 # float64 rows a float32 projection casts at a time (1 MB of float32).
 _CAST_BLOCK_ELEMS = 262_144
 
@@ -306,16 +309,47 @@ def geodesic_point(pa: PrincipalAngleDecomposition, t: float) -> Subspace:
 def _lambda_coefficients(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal kernel coefficients (lambda1, lambda2, lambda3) per angle.
 
-    For theta < 1e-4 both ratios are evaluated by 4th-order series in
-    u = 2*theta, avoiding 0/0 and cancellation at the theta -> 0 limit
-    (lambda1 -> 2, lambda2 -> 0, lambda3 -> 0).
+    lambda1, lambda3 = 1 +- sin(2 theta) / (2 theta), and for theta < 1e-4
+    that ratio is a 4th-order series in u = 2*theta, avoiding 0/0 at the
+    theta -> 0 limit (lambda1 -> 2, lambda3 -> 0). lambda2 is taken as
+    -sin(theta)^2 / theta, which equals (cos 2theta - 1) / (2 theta) without
+    its cancellation, and is 0 at theta = 0.
     """
     u = 2.0 * theta
     small = theta < SMALL_ANGLE
     u_safe = np.where(small, 1.0, u)
     sin_ratio = np.where(small, 1.0 - u**2 / 6.0 + u**4 / 120.0, np.sin(u) / u_safe)
-    cos_ratio = np.where(small, -u / 2.0 + u**3 / 24.0, (np.cos(u) - 1.0) / u_safe)
-    return 1.0 + sin_ratio, cos_ratio, 1.0 - sin_ratio
+    lam2 = np.divide(-np.sin(theta) ** 2, theta, out=np.zeros_like(theta), where=theta > 0)
+    return 1.0 + sin_ratio, lam2, 1.0 - sin_ratio
+
+
+def _sinc_gap(theta: np.ndarray) -> np.ndarray:
+    """1 - sin(theta) / theta for theta in [0, pi/2], to about 1.5 ulp relative.
+
+    Summed from its Taylor series, so the cancellation of the direct form
+    near theta = 0 never happens; the terms up to theta^20 leave a
+    truncation below 1e-18 absolute on the whole range (about 2e-18
+    relative at pi/2).
+    """
+    t2 = theta * theta
+    gap = np.full_like(theta, _SINC_GAP_SERIES[-1])
+    for c in _SINC_GAP_SERIES[-2::-1]:
+        gap *= t2
+        gap += c
+    gap *= t2
+    return gap
+
+
+def _angle_blocks(top: np.ndarray, off: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """The 2d x 2d matrices [[diag(top), diag(off)], [diag(off), diag(bottom)]], one per row of angles."""
+    d = top.shape[-1]
+    out = np.zeros(top.shape[:-1] + (2 * d, 2 * d))
+    idx = np.arange(d)
+    out[..., idx, idx] = top
+    out[..., idx + d, idx + d] = bottom
+    out[..., idx, idx + d] = off
+    out[..., idx + d, idx] = off
+    return out
 
 
 @dataclass(frozen=True)
@@ -324,9 +358,10 @@ class GfkKernel:
 
     f is D x 2d with orthonormal columns (source directions next to
     complement directions); lam is the symmetric PSD 2d x 2d coefficient
-    matrix and lam_sqrt its symmetric square root. The evaluation path never
-    materializes the D x D kernel; it maps rows through the D x 2d product
-    f lam_sqrt, formed once per kernel.
+    matrix and lam_sqrt its symmetric square root (gfk builds both in closed
+    form, PSD by construction, without an eigensolver). The evaluation path
+    never materializes the D x D kernel; it maps rows through the D x 2d
+    product f lam_sqrt, formed once per kernel.
 
     A batch of kernels carries a leading batch axis on f, lam and lam_sqrt
     and is validated in a few stacked calls. kernel[i] is its i-th kernel: it
@@ -428,28 +463,22 @@ class GfkKernel:
 def gfk(pa: PrincipalAngleDecomposition) -> GfkKernel:
     """Closed-form geodesic flow kernel for a decomposed subspace pair.
 
-    Assembles the 2d x 2d coefficient matrix [[L1, L2], [L2, L3]] from the
-    per-angle lambdas, clamps any negative eigenvalues from roundoff at zero,
-    and stores the symmetric square root alongside. The factor f is
-    pa.directions itself. A batch of pairs gives a batch of kernels, from one
-    stacked eigh.
+    The 2d x 2d coefficient matrix [[L1, L2], [L2, L3]] from the per-angle
+    lambdas is d independent 2 x 2 blocks M, one per angle theta, with
+    eigenvalues 1 +- q, q = sin(theta) / theta. Each block's square root is
+    taken in closed form, (M + s I) / (sqrt(1 + q) + sqrt(1 - q)) with
+    s = sqrt((1 - q)(1 + q)), and 1 - q from its series: no eigensolver, and
+    both eigenvalues of the root are >= 0 by construction. The factor f is
+    pa.directions itself. A batch of pairs gives a batch of kernels; every
+    step is elementwise per angle, so each kernel has the bits it gets when
+    built alone.
     """
     lam1, lam2, lam3 = _lambda_coefficients(pa.theta)
-    d = pa.dim
-    lam = np.zeros(pa.theta.shape[:-1] + (2 * d, 2 * d))
-    idx = np.arange(d)
-    lam[..., idx, idx] = lam1
-    lam[..., idx + d, idx + d] = lam3
-    lam[..., idx, idx + d] = lam2
-    lam[..., idx + d, idx] = lam2
-
-    eigvals, eigvecs = np.linalg.eigh(lam)
-    if eigvals.min() < -ORTHONORMAL_TOL:
-        raise ValueError(f"kernel coefficients lost PSD-ness (min eig {eigvals.min():.2e})")
-    eigvals = np.clip(eigvals, 0.0, None)
-    lam_sqrt = (eigvecs * np.sqrt(eigvals)[..., None, :]) @ _t(eigvecs)
-    lam_sqrt = 0.5 * (lam_sqrt + _t(lam_sqrt))
-
+    gap = _sinc_gap(pa.theta)  # 1 - q
+    root_det = np.sqrt(gap * (2.0 - gap))
+    root_trace = np.sqrt(2.0 - gap) + np.sqrt(gap)
+    lam = _angle_blocks(lam1, lam2, lam3)
+    lam_sqrt = _angle_blocks((lam1 + root_det) / root_trace, lam2 / root_trace, (lam3 + root_det) / root_trace)
     return GfkKernel(f=pa.directions, lam=lam, lam_sqrt=lam_sqrt)
 
 

@@ -20,6 +20,9 @@ from .embeddings import EmbeddingTable
 # eigensolve of X Xᵀ.
 DENSE_SVD_LIMIT = 5000
 
+# Entries of Xᵀu held at a time while its column norms are summed (2 MB of float64).
+_NORM_BLOCK_ELEMS = 262_144
+
 # First scan ordinal of a key that is never scanned.
 _UNSCANNED = np.iinfo(np.int64).max
 
@@ -80,7 +83,8 @@ def build_cooccurrence(
     which they are a center with a kept neighbour; ``context_vocab`` lists
     context keys by the first (center, offset) at which they are scanned.
     Counting runs on token-id arrays, one offset at a time. Memory is
-    O(tokens + pairs) integers (one int64 key per counted pair) plus a
+    O(tokens + pairs) integers (one key per counted pair, sorted in place,
+    int32 when rows x columns fits, else int64) plus a
     types x (2 win + 1) table, never one Python object per pair.
     """
     if win < 1:
@@ -131,15 +135,18 @@ def build_cooccurrence(
         for j, c in enumerate(key_cells.tolist())
     }
 
-    # Second pass: one int64 key row * n_cols + col per pair, counted at once.
-    pair_keys = np.empty(total, dtype=np.int64)
+    # Second pass: one key row * n_cols + col per pair, int32 when they all
+    # fit (signed, so bincount can cast the rows to intp), sorted in place
+    # and counted by runs.
+    key_type = np.int32 if n_rows * n_cols <= np.iinfo(np.int32).max else np.int64
+    pair_keys = np.empty(total, dtype=key_type)
     filled = 0
     for center, context, off in offset_pairs():
         pair_keys[filled:filled + center.size] = (
             row_of[tok[center]] * n_cols + col_of[tok[context] * span + win + off]
         )
         filled += center.size
-    cells, data = np.unique(pair_keys, return_counts=True)
+    cells, data = _sorted_runs(pair_keys)
     rows, cols = np.divmod(cells, n_cols)
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
@@ -147,6 +154,16 @@ def build_cooccurrence(
         (data, cols, indptr), shape=(n_rows, n_cols), dtype=np.int64
     )
     return CooccurrenceCounts(word_vocab, context_vocab, counts, total)
+
+
+def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and how often each occurs; sorts keys in place."""
+    keys.sort()
+    run_start = np.empty(keys.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    return keys[starts], np.diff(starts, append=keys.size)
 
 
 def _scan_order(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,8 +256,14 @@ def _truncated_svd(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
         )
         v0 = np.random.default_rng(0).standard_normal(n_rows)
         _, u = scipy.sparse.linalg.eigsh(gram, k=k, v0=v0)
-        xtu = xt @ u  # n_cols x k; column norms without a squared copy
-        sigma = np.sqrt(np.einsum("ij,ij->j", xtu, xtu))
+        # squared column norms of Xᵀu, summed over row blocks of Xᵀ: the
+        # n_cols x k product is never held whole
+        sigma_sq = np.zeros(k)
+        step = max(1, _NORM_BLOCK_ELEMS // k)
+        for lo in range(0, n_cols, step):
+            block = xt[lo:lo + step] @ u
+            sigma_sq += np.einsum("ij,ij->j", block, block)
+        sigma = np.sqrt(sigma_sq)
         order = np.argsort(sigma)[::-1]
         u, sigma = u[:, order], sigma[order]
     pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,9 @@ from hypothesis import strategies as st
 
 from gfkanalogy.grassmann import (
     DEGENERATE_ANGLE,
+    SMALL_ANGLE,
     GfkKernel,
+    PrincipalAngleDecomposition,
     Subspace,
     geodesic_point,
     gfk,
@@ -43,6 +48,22 @@ def shared_direction_pair():
         np.cos(1.1) * q[:, 2] + np.sin(1.1) * q[:, 4],
     )
     return ph, pt
+
+
+def reference_block_root(theta):
+    """(1 - q, the root of one angle's block) with q = sin(theta) / theta.
+
+    The block [[lambda1, lambda2], [lambda2, lambda3]] is I + q F, F the
+    reflection across the line at -theta/2, so R = rotation by -theta/2
+    diagonalizes it: root = R diag(sqrt(1 + q), sqrt(1 - q)) R^T. 1 - q is
+    its Taylor series summed in exact rational arithmetic, rounded once.
+    """
+    x = Fraction(theta)
+    gap = sum(Fraction((-1) ** (k + 1), math.factorial(2 * k + 1)) * x ** (2 * k) for k in range(1, 30))
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    rot = np.array([[c, s], [-s, c]])
+    root = rot @ np.diag([math.sqrt(2 - gap), math.sqrt(gap)]) @ rot.T
+    return float(gap), root
 
 
 def assert_decomposition_invariants(ph, pt, pa):
@@ -342,6 +363,23 @@ class TestKernel:
 
         lam1, lam2, lam3 = _lambda_coefficients(np.array([0.0]))
         assert lam1[0] == 2.0 and lam2[0] == 0.0 and lam3[0] == 0.0
+
+    @pytest.mark.parametrize("theta", [
+        0.0, 1e-12, 1e-8, 1e-6, SMALL_ANGLE * (1 - 1e-9), SMALL_ANGLE * (1 + 1e-9),
+        0.3, 1.2, np.pi / 2, *np.linspace(0.0, np.pi / 2, 33)[1:-1],
+    ])
+    def test_block_root_matches_an_independent_root(self, theta):
+        # one angle's kernel, the only one of a batch of one
+        pa = PrincipalAngleDecomposition(
+            np.array([[theta]]), np.ones((1, 1, 1)), np.ones((1, 1, 1)), np.eye(2)[None]
+        )
+        kernel = gfk(pa)
+        lam, root = kernel.lam[0], kernel.lam_sqrt[0]
+        gap, reference = reference_block_root(theta)
+        assert np.array_equal(root, root.T)
+        np.testing.assert_allclose(root, reference, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(root @ root, lam, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.eigvalsh(lam), [gap, 2.0 - gap], rtol=0, atol=1e-15)
 
 
 class TestSimilarity:

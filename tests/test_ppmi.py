@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -153,6 +154,28 @@ class TestCooccurrence:
         counts = build_cooccurrence([["a", "rare", "b", "a", "b", "a", "b"]], win=1, min_count=2)
         # the first a sees only "rare" (dropped); pairs come from the rest
         assert counts.total == 8
+
+    def test_cells_past_the_int32_range(self):
+        # 70,000 distinct words in a row: rows x columns is 4.9e9 > 2**32,
+        # so every pair key needs 64 bits although there are only 139,998 pairs
+        n = 70_000
+        counts = build_cooccurrence([[f"w{i}" for i in range(n)]], win=1)
+        assert counts.counts.shape == (n, n)
+        assert counts.total == counts.counts.nnz == 2 * (n - 1)
+        assert counts.counts.sum() == 2 * (n - 1)
+        for i in (0, 1, n // 2, n - 2):
+            assert cell(counts, f"w{i}", f"w{i + 1}") == 1
+            assert cell(counts, f"w{i + 1}", f"w{i}") == 1
+        assert cell(counts, "w0", "w2") == 0
+
+    def test_one_word_with_a_power_of_two_of_columns(self):
+        # one row of exactly 128 positional columns: a key type that only just
+        # holds rows x columns could not hold the column count itself
+        n, win = 100, 64
+        counts = build_cooccurrence([["a"] * n], win=win, positional=True)
+        assert counts.counts.shape == (1, 2 * win)
+        for off in [*range(-win, 0), *range(1, win + 1)]:
+            assert cell(counts, "a", ("a", off)) == n - abs(off)
 
     def test_windows_do_not_cross_documents(self):
         counts = build_cooccurrence([["a", "b"], ["c", "d"]], win=5)
@@ -347,6 +370,27 @@ class TestTruncatedSvd:
         assert via_eigsh.dim == via_dense.dim == 17
         np.testing.assert_allclose(np.linalg.norm(via_eigsh.vectors, axis=0),
                                    np.linalg.norm(via_dense.vectors, axis=0), rtol=1e-12)
+
+    def test_positional_sparse_path_never_holds_xt_u(self, monkeypatch):
+        import gfkanalogy.ppmi as ppmi_mod
+
+        # positional contexts make X ten times wider than tall, so an
+        # n_cols x dim product Xᵀu would outweigh everything else the SVD holds
+        rng = np.random.default_rng(5)
+        tokens = [f"w{i}" for i in rng.zipf(1.1, size=20_000) % 3000]
+        matrix = ppmi_transform(build_cooccurrence([tokens], 5, positional=True))
+        n_rows, n_cols = matrix.shape
+        assert n_cols >= 10 * n_rows
+        dim = 50
+        monkeypatch.setattr(ppmi_mod, "DENSE_SVD_LIMIT", 5)
+        tracemalloc.start()
+        try:
+            table = truncated_svd_embed(matrix, [f"x{i}" for i in range(n_rows)], dim=dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.dim == dim
+        assert peak < n_cols * dim * 8
 
     def test_integer_counts_match_their_float_copy(self, monkeypatch):
         import gfkanalogy.ppmi as ppmi_mod
