@@ -2,6 +2,9 @@
 
 Desk-scale pipeline over whitespace-tokenized text. Context windows never
 cross document boundaries (documents are separated by blank lines).
+
+scipy is imported inside the functions that use it, so importing the package
+for evaluation alone loads NumPy only.
 """
 
 from __future__ import annotations
@@ -9,12 +12,14 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .embeddings import EmbeddingTable
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 # Below this size a dense SVD is cheaper and more robust than the ARPACK
 # eigensolve of X Xᵀ.
@@ -87,6 +92,8 @@ def build_cooccurrence(
     int32 when rows x columns fits, else int64) plus a
     types x (2 win + 1) table, never one Python object per pair.
     """
+    import scipy.sparse
+
     if win < 1:
         raise ValueError("window size must be >= 1")
     if isinstance(docs, list) and docs and isinstance(docs[0], str):
@@ -182,6 +189,8 @@ def ppmi_transform(c: CooccurrenceCounts) -> scipy.sparse.csr_matrix:
     Zero-count cells stay exactly zero; negative PMI cells are clamped to
     zero and dropped from the sparse structure.
     """
+    import scipy.sparse
+
     if c.total <= 0:
         raise ValueError("empty counts")
     counts = c.counts.tocoo()
@@ -242,6 +251,9 @@ def _truncated_svd(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     fixed vector, and every singular vector's sign is chosen so that its
     largest-magnitude entry is positive.
     """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     sparse = scipy.sparse.issparse(matrix)
     n_rows, n_cols = matrix.shape
     if not sparse or max(n_rows, n_cols) <= DENSE_SVD_LIMIT or k >= min(n_rows, n_cols):

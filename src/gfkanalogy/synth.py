@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .datasets import AnalogyQuestion, RelationDataset
 from .embeddings import EmbeddingTable
@@ -50,6 +49,8 @@ def coordinate_scales(dim: int, tau: float | None) -> np.ndarray:
 
 def random_rotation(rng: np.random.Generator, dim: int, angle: float) -> np.ndarray:
     """Rotation exp(angle * K) for a random skew K with unit spectral norm."""
+    import scipy.linalg  # loaded here, so that importing the package needs NumPy only
+
     g = rng.standard_normal((dim, dim))
     skew = (g - g.T) / 2.0
     skew /= np.linalg.norm(skew, ord=2)
