@@ -49,19 +49,22 @@ HOLDOUTS = ("none", "answer", "question")
 _CANONICAL = {m.lower(): m for m in MEASURES}
 # The cosine rule behind each measure; kernel measures apply it in kernel coordinates.
 _MODES = {"CosADD": "add", "CosMUL": "mul", "GFKCosADD": "add", "GFKCosMUL": "mul"}
-# Cap on |V|-wide elements alive per scoring chunk, to bound memory on big
-# vocabularies: the cosine rows of a chunk's u distinct words, one additive
-# score row per question, and one multiplicative row with its denominator. It
-# counts elements, not bytes: a plain cosine element takes 12 bytes (the
-# float64 product and its float32 rounding), a kernel cosine element 4 (a
-# float32 product, divided in place), a score element 4. Reference scores are
-# taken in chunks whose gathered float64 rows hold as many elements.
+# The scoring budget: a cap on the elements of every |V|-wide block of scoring,
+# plain or kernel, so that peak memory is the table, this budget per block and
+# O(|V| w) pool coordinates, however wide the vocabulary. A stack's block is,
+# per row set, its kernel rows (2d; none for the table itself), the cosine rows
+# of its u distinct words and per question slot a score row, plus a denominator
+# for CosMUL. It counts elements, not bytes: a plain cosine element takes 12
+# bytes (the float64 product and its float32 rounding), any other element 4.
+# Reference scores are taken in chunks whose gathered float64 rows hold as many
+# elements, and open score rows are decided again in parts of an eighth as many.
 _CHUNK_ELEMS = 5_000_000
-# Cap on the elements of one stacked batch of kernels (1 MB of the float64
-# arrays that build them); a stack of their float32 |V|-wide rows holds twice
-# as many elements, the same 1 MB. A few dozen small kernels already share each
-# LAPACK call's overhead; bigger batches only raise peak memory (kernel-sweep:
-# 120-kernel batches of 32 x 12 bases, +7% peak RSS).
+# Cap on the elements of one stacked batch of kernels while it is built (1 MB
+# of the float64 bases, factors and coefficients), and of each block of table
+# rows mapped into pool coordinates. A few dozen small kernels already share
+# each LAPACK call's overhead; bigger batches only raise peak memory
+# (kernel-sweep: 120-kernel batches of 32 x 12 bases, +7% peak RSS). Scoring
+# takes _CHUNK_ELEMS alone.
 _KERNEL_BATCH_ELEMS = 131_072
 # A kernel stack's candidate whose rho_j = |c_j| |P|_F / |r_j| (its pool
 # coordinates c_j, the kernel's f lam_sqrt P and its projected row r_j) is past
@@ -344,13 +347,15 @@ def _margin(x) -> np.ndarray:
 def _add_split(score: np.ndarray, level, tau) -> tuple[np.ndarray, np.ndarray]:
     """(p, k) that decide float32 additive score rows, within tau of their reference, against float64 levels g.
 
-    score is one row, or C rows with C levels and bounds. p = S - g32 in
-    float32. Where p > k the reference score is above g, where p < -k
-    below it; elsewhere it is undecided. g32 is off g by at most u|g| + eta,
-    and k = tau + u|g| + eta, widened, covers that and the rounding of p.
+    score is one row, or C rows with C levels and bounds, and becomes p =
+    S - g32 in place (pass a copy). Where p > k the reference score is
+    above g, where p < -k below it; elsewhere it is undecided. g32 is off g
+    by at most u|g| + eta, and k = tau + u|g| + eta, widened, covers that
+    and the rounding of p.
     """
     level = np.asarray(level)
-    return np.subtract(score, level.astype(np.float32)[..., None]), _margin(tau + _U32 * np.abs(level) + _ETA32)
+    score -= level.astype(np.float32)[..., None]
+    return score, _margin(tau + _U32 * np.abs(level) + _ETA32)
 
 
 def _mul_split(score: np.ndarray, den: np.ndarray, level, bound) -> tuple[np.ndarray, np.ndarray]:
@@ -358,9 +363,9 @@ def _mul_split(score: np.ndarray, den: np.ndarray, level, bound) -> tuple[np.nda
 
     den holds the scores' float32 denominators and bound is _mul_bound's
     (k0, k1, dd, R), each an array over the rows when there are C of them.
-    p = (S - g32) max(|D| - (dd + k1), 0) in float32, and
-    NaN (undecided) where S or g32 is not finite, which the caller lets
-    pass without floating-point warnings.
+    p = (S - g32) max(|D| - (dd + k1), 0) in float32, taken in place of
+    score and den (pass copies), and NaN (undecided) where S or g32 is not
+    finite, which the caller lets pass without floating-point warnings.
 
     Write delta = S - g. Where |D| - dd - k1 > 0 and |delta| (|D| - dd - k1)
     > k0 + k1 |g|, the candidate's bound (k0 + k1 |S|) / (|D| - dd) is below
@@ -371,12 +376,12 @@ def _mul_split(score: np.ndarray, den: np.ndarray, level, bound) -> tuple[np.nda
     """
     k0, k1, dd, r = bound
     level = np.asarray(level)
-    room = np.abs(den)
+    room = np.abs(den, out=den)
     room -= _margin(dd + k1)[..., None]
     np.maximum(room, 0.0, out=room)
-    p = np.subtract(score, level.astype(np.float32)[..., None])
-    p *= room
-    return p, _margin(k0 + k1 * np.abs(level) + 2 * r * (_U32 * np.abs(level) + _ETA32))
+    score -= level.astype(np.float32)[..., None]
+    score *= room
+    return score, _margin(k0 + k1 * np.abs(level) + 2 * r * (_U32 * np.abs(level) + _ETA32))
 
 
 def _targets(x: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -731,7 +736,7 @@ class _Scorer:
                     return self._cosines(target / scale, r[None], r // k, j)[0]
 
                 def split(i, level, rows=add.reshape(g * k, n), tau=tau):
-                    return _add_split(rows[i], level, tau[i])
+                    return _add_split(rows.take(i, axis=0), level, tau[i])
 
                 yield _Slab("add", at, add, null_t, tau.reshape(g, k), split, ref, self.suspect)
         if "mul" in modes:
@@ -770,7 +775,7 @@ class _Scorer:
                     np.copyto(mul.reshape(g, k, n), np.nan, where=suspect)
 
                 def split(i, level, mul=mul, den=den, k=k):
-                    return _mul_split(mul[i], den[i], level, bounds[i // k].T)
+                    return _mul_split(mul.take(i, axis=0), den.take(i, axis=0), level, bounds[i // k].T)
 
                 def ref(r, j, w=w, k=k):
                     t = w[r].T  # the a, b and x word rows of every pair
@@ -906,13 +911,15 @@ def _gold_ranks(scores: np.ndarray, slab: _Slab, rows: np.ndarray, gold: np.ndar
     drops = np.column_stack((ex, gold))[left]
     suspect = None if slab.suspect is None else slab.suspect[rows[left] // k]
     owners, members = [], []
-    # open rows a few at a time, each block no larger than the slab's scores
+    # open rows a few at a time: a part's gathered rows hold at most _CHUNK_ELEMS / 8 elements
     with np.errstate(over="ignore", invalid="ignore"):
         for part in _slices(len(left), max(1, _CHUNK_ELEMS // (8 * n))):
             p, margin = slab.split(rows[left[part]], level[part])
             margin = margin[:, None]
             above = p > margin
-            undecided = ~((p < -margin) | above)  # NaN is never decided
+            undecided = p < -margin
+            undecided |= above
+            np.logical_not(undecided, out=undecided)  # NaN is never decided
             at = np.arange(len(p))[:, None]
             above[at, drops[part]] = undecided[at, drops[part]] = False
             if suspect is not None:
@@ -971,21 +978,22 @@ def _stacks(block: _Block, groups, width: int, measures, n: int):
     projection; 0 for the vocabulary itself), a cosine row per distinct
     input word and, per question slot, the score rows the measures take
     (_rows_per_question), all float32 for kernels. A stack is a run of row
-    sets whose rows fit both 2 * _KERNEL_BATCH_ELEMS, so that the arrays of
-    a stack of small kernels take the bytes of the float64 arrays that
-    built them, and _CHUNK_ELEMS; it holds at least one. A row set over
-    _CHUNK_ELEMS is a stack of its own, scored in slabs of questions (see
-    _ranked), and in parts of at most _CHUNK_ELEMS / |V| - width - (score
-    rows per question) distinct words (see _chunks) when its words alone do
-    not fit. Such a row set leaves the stack size at 1, so one loop serves
-    every case and only the word split is conditional.
+    sets whose rows fit _CHUNK_ELEMS together, the one budget of every
+    |V|-wide block of scoring; it holds at least one. So a sub-batch of
+    small kernels over a small vocabulary is scored as one stack, and a
+    kernel over a wide one alone. A row set over _CHUNK_ELEMS is a stack of
+    its own, scored in slabs of questions (see _ranked), and in parts of at
+    most _CHUNK_ELEMS / |V| - width - (score rows per question) distinct
+    words (see _chunks) when its words alone do not fit. Such a row set
+    leaves the stack size at 1, so one loop serves every case and only the
+    word split is conditional.
 
     Yields (lo, hi, parts): the stack's row sets lo to hi - 1, and the
     blocks scored on them one after another.
     """
     chunk_rows, per_question = _CHUNK_ELEMS // n, _rows_per_question(measures)
     u, k = block.words.shape[1], block.pos.shape[1]
-    size = max(1, min(2 * _KERNEL_BATCH_ELEMS // n, chunk_rows) // (width + u + per_question * k))
+    size = max(1, chunk_rows // (width + u + per_question * k))
     for lo in range(0, len(groups), size):
         hi = min(lo + size, len(groups))
         if width + u + per_question <= chunk_rows:
@@ -1439,15 +1447,16 @@ def evaluate(
     cos_mul_answer and gfk_answer (which re-projects the table as the
     reference does); exact duplicates and 2v multiples tie.
 
-    A stack holds as many kernels of a sub-batch as fit 1 MB of float32
-    |V|-wide rows (2 * _KERNEL_BATCH_ELEMS): their projections, cosine rows
-    and two score rows per question. That is a few dozen small kernels on
-    a vocabulary of hundreds of words and one kernel on a wide one. A row
-    set whose questions exceed _CHUNK_ELEMS of such rows is scored in slabs
-    of questions, and in parts by distinct words if need be, that fit it
-    (see _stacks). Beyond the table and that budget, a relation's kernel
-    measures keep its float64 pool coordinates and their float32 copy
-    (|V| x w each) and a stack's float32 rows and per-candidate flags (G x |V| x 2d and a few G x |V|).
+    A stack holds as many kernels of a sub-batch as fit _CHUNK_ELEMS of
+    float32 |V|-wide rows: their projections, cosine rows and one or two
+    score rows per question. That is a whole sub-batch of small kernels on a
+    vocabulary of hundreds of words and one kernel on a wide one. A row set
+    whose questions exceed _CHUNK_ELEMS of such rows is scored in slabs of
+    questions, and in parts by distinct words if need be, that fit it (see
+    _stacks). So peak memory is the table + one _CHUNK_ELEMS budget for
+    every |V|-wide block of scoring, plain or kernel (a stack's rows, the
+    plain float64 product, a chunk of reference rows, a part of open rows)
+    + O(|V| w): a relation's pool coordinates, their float32 copy and norms.
 
     The vocabulary-wide blocks of scoring live in one workspace for the
     whole call and are reused, not reallocated, from stack to stack; each
@@ -1537,11 +1546,14 @@ def _score_relation_gfk(coords, source, pools, block, d, measures, config, ws):
     peaks at about twelve w x d arrays per kernel (the stacked bases,
     factors, 2d x 2d coefficients and their temporaries), so a sub-batch
     holds as many kernels as fit _KERNEL_BATCH_ELEMS, and at least one. A
-    sub-batch is scored in stacks (see _stacks): each kernel of a stack
-    projects source (coords, or their float32 copy) into its slice of the
-    workspace's float32 row buffer, and the stack's float64 reference
-    re-projects coords (see _Scorer.of_kernels). Returns the _ranked
-    results in group order.
+    sub-batch is scored in stacks, which the scoring budget _CHUNK_ELEMS
+    alone sizes (see _stacks): on a small vocabulary the whole sub-batch is
+    one stack. Each kernel of a stack projects source (coords, or their
+    float32 copy) into its slice of the workspace's float32 row buffer, and
+    the stack's float64 reference re-projects coords (see
+    _Scorer.of_kernels). A stack's scorer and a sub-batch's kernels are
+    dropped before the next ones are built. Returns the _ranked results in
+    group order.
     """
     n, w = coords.shape
     with np.errstate(over="ignore"):
@@ -1551,10 +1563,9 @@ def _score_relation_gfk(coords, source, pools, block, d, measures, config, ws):
     for start in range(0, len(pools), size):
         heads, tails, groups = zip(*pools[start : start + size])
         # the top-d spans that kernel_pools checked, one B x w x d batch per side
-        head, tail = (
+        kernels = gfk(principal_angles(*(
             Subspace(np.stack([s.vt[:d] for s in side]).transpose(0, 2, 1)) for side in (heads, tails)
-        )
-        kernels = gfk(principal_angles(head, tail))
+        )))
         sub_block = block.take(start, start + len(groups))
         for lo, hi, parts in _stacks(sub_block, groups, 2 * d, measures, n):
             rows = ws.get("rows", ((hi - lo) * n, 2 * d)).reshape(hi - lo, n, 2 * d)
@@ -1564,7 +1575,10 @@ def _score_relation_gfk(coords, source, pools, block, d, measures, config, ws):
                 kernel.project(source, out=rows[i - lo])
                 proj.append(kernel.projection)
             scorer = _Scorer.of_kernels(rows, ws, coords, cnorms, proj)
+            del proj  # the scorer holds them stacked
             results.extend(_ranked(scorer, part, measures, config) for part in parts)
+            del scorer  # not held while the next stack is built
+        del kernels, kernel  # nor the batch while the next one is built
     return results
 
 

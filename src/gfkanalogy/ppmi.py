@@ -249,18 +249,23 @@ def _truncated_svd(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     σᵢ = ‖Xᵀuᵢ‖, which stays accurate down to zero where sqrt(λᵢ) can read
     the eigensolver's rounding noise as rank. Reproducible: ARPACK starts from a
     fixed vector, and every singular vector's sign is chosen so that its
-    largest-magnitude entry is positive.
+    largest-magnitude entry is positive. Only that eigensolve imports
+    scipy.sparse.linalg, and an ndarray imports no scipy module at all.
     """
-    import scipy.sparse
-    import scipy.sparse.linalg
+    if isinstance(matrix, np.ndarray):
+        sparse = False
+    else:
+        import scipy.sparse
 
-    sparse = scipy.sparse.issparse(matrix)
+        sparse = scipy.sparse.issparse(matrix)
     n_rows, n_cols = matrix.shape
     if not sparse or max(n_rows, n_cols) <= DENSE_SVD_LIMIT or k >= min(n_rows, n_cols):
         dense = matrix.toarray() if sparse else np.asarray(matrix, dtype=np.float64)
         u, sigma, _ = np.linalg.svd(dense, full_matrices=False)
         u, sigma = u[:, :k], sigma[:k]
     else:
+        import scipy.sparse.linalg
+
         x = matrix.tocsr().astype(np.float64, copy=False)
         xt = x.T.tocsr()  # a CSR product is faster than the CSC view x.T
         gram = scipy.sparse.linalg.LinearOperator(

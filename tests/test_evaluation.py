@@ -709,6 +709,46 @@ class TestEvaluate:
         assert len(whole_sizes) == 4  # one batch per relation and holdout
         assert set(pair_sizes) == {2} and set(one_sizes) == {1}
 
+    def test_kernel_stacks_follow_the_scoring_budget(self, monkeypatch):
+        table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
+        # 1,000 more words: a vocabulary on which 28 kernels' rows take more than 1 MB
+        pad = np.random.default_rng(59).standard_normal((1000, 12))
+        table = EmbeddingTable(table.words + [f"pad{i}" for i in range(1000)], np.vstack([table.vectors, pad]))
+        table = table.normalized()
+        n, d = len(table), 4
+        cfg = EvalConfig(measure="GFKCosADD,GFKCosMUL", subspace_dim=d, holdout="question")
+        batches, stacks = [], []  # kernels per gfk call; (G, |V|-wide rows per row set) per stack
+        of_kernels, ranked = evaluation._Scorer.of_kernels, evaluation._ranked
+
+        def built(pa):
+            batches.append(len(pa.theta))
+            return gfk(pa)
+
+        def scorer(cls, rows, *args):
+            stacks.append([len(rows), None])
+            return of_kernels(rows, *args)
+
+        def scored(scorer, block, measures, config):
+            # each kernel's rows, a cosine row per distinct word, a score row and a denominator per slot
+            stacks[-1][1] = scorer.rows.shape[2] + block.words.shape[1] + 2 * block.pos.shape[1]
+            return ranked(scorer, block, measures, config)
+
+        monkeypatch.setattr(evaluation, "gfk", built)
+        monkeypatch.setattr(evaluation._Scorer, "of_kernels", classmethod(scorer))
+        monkeypatch.setattr(evaluation, "_ranked", scored)
+        # the default budget: each batch of 28 small kernels is scored as one stack
+        evaluate(ds, table, cfg)
+        assert batches == [28, 28] and [g for g, _ in stacks] == batches
+        # a budget of three kernels' rows: stacks of at most three, each within it
+        widest = max(rows for _, rows in stacks)
+        monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", 3 * n * widest)
+        batches.clear(), stacks.clear()
+        evaluate(ds, table, cfg)
+        assert sum(g for g, _ in stacks) == sum(batches) and max(g for g, _ in stacks) == 3
+        for g, rows in stacks:
+            if g > 1:
+                assert g * n * rows <= evaluation._CHUNK_ELEMS
+
     @pytest.mark.parametrize("holdout", ["answer", "question"])
     def test_two_subspaces_per_kernel_batch(self, monkeypatch, holdout):
         table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
@@ -1265,6 +1305,19 @@ def test_ranks_with_inputs_kept_equal_all_reference_ranks(monkeypatch, shift):
     evaluate(ds, table, cfg)
 
 
+def _memory_inputs():
+    """4,096 Gaussian words in R^256, and one relation of 90 questions over 20 of them."""
+    rng = np.random.default_rng(47)
+    n, big_d = 4096, 256
+    table = EmbeddingTable([f"w{i}" for i in range(n)], rng.standard_normal((n, big_d)))
+    ds = RelationDataset()
+    for i in range(0, 40, 4):
+        for j in range(0, 40, 4):
+            if j != i:
+                ds.add(question(f"w{i}", f"w{i + 1}", f"w{j}", f"w{j + 1}"))
+    return table, ds
+
+
 def _random_kernel(rng, w, d):
     """The flow kernel between two random d-dimensional subspaces of R^w."""
     head, tail = (Subspace(np.linalg.qr(rng.standard_normal((w, d)))[0]) for _ in range(2))
@@ -1392,14 +1445,8 @@ class TestKernelRows:
 
     @pytest.mark.parametrize("holdout", ["none", "answer"])
     def test_kernel_scoring_memory_follows_the_budget(self, monkeypatch, holdout):
-        rng = np.random.default_rng(47)
-        n, big_d, d = 4096, 256, 4
-        table = EmbeddingTable([f"w{i}" for i in range(n)], rng.standard_normal((n, big_d)))
-        ds = RelationDataset()
-        for i in range(0, 40, 4):
-            for j in range(0, 40, 4):
-                if j != i:
-                    ds.add(question(f"w{i}", f"w{i + 1}", f"w{j}", f"w{j + 1}"))
+        table, ds = _memory_inputs()
+        n, big_d, d = len(table), table.dim, 4
         kernel_pools, widths = evaluation._Relation.kernel_pools, []
 
         def recorded(rel, *args, **kwargs):
@@ -1424,10 +1471,56 @@ class TestKernelRows:
             # the kernels project the table itself, cast to float32 a block at a time
             assert w == big_d and peak < table.vectors.nbytes / 4
         else:
-            # pool coordinates (float64 and float32), then per stack the float32
-            # rows, flags and norms: O(|V| (w + 2d)) beside the chunk budget
+            # the scoring budget's blocks, a stack's float32 kernel rows among
+            # them, then the pool coordinates (float64 and float32): O(|V| w)
             assert w < big_d
-            assert peak < 12 * evaluation._CHUNK_ELEMS + 16 * n * (w + 2 * d)
+            assert peak < 12 * evaluation._CHUNK_ELEMS + 16 * n * w
+
+    @pytest.mark.parametrize("shift", [True, False])
+    def test_kernel_stacks_keep_memory_within_the_budget(self, monkeypatch, shift):
+        """Under holdout='question', stacks of several kernels; unshifted, every CosMUL row is open."""
+        table, ds = _memory_inputs()
+        n, d = len(table), 4
+        kernel_pools, widths = evaluation._Relation.kernel_pools, []
+        mul_split, make_stacks = evaluation._mul_split, evaluation._stacks
+        stacks, split_rows = [], []  # kernels per stack; rows per open-row part of CosMUL
+
+        def recorded(rel, *args, **kwargs):
+            coords, pools = kernel_pools(rel, *args, **kwargs)
+            widths.append(coords.shape[1])
+            return coords, pools
+
+        def split(score, *args):
+            split_rows.append(len(score))
+            return mul_split(score, *args)
+
+        def stacked(*args):
+            for lo, hi, parts in make_stacks(*args):
+                stacks.append(hi - lo)
+                yield lo, hi, parts
+
+        monkeypatch.setattr(evaluation._Relation, "kernel_pools", recorded)
+        monkeypatch.setattr(evaluation, "_mul_split", split)
+        monkeypatch.setattr(evaluation, "_stacks", stacked)
+        # 64 |V|-wide rows per block: four kernels of 2d + u + 2k = 16 rows each
+        monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", 64 * n)
+        cfg = EvalConfig(measure="GFKCosADD,GFKCosMUL", subspace_dim=d, holdout="question", shift_cosines=shift)
+        evaluate(ds, table, cfg)  # builds the table's lowercase index before the measurement
+        stacks.clear(), split_rows.clear()
+        tracemalloc.start()
+        try:
+            reports = evaluate(ds, table, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(rep.skipped for rep in reports.values())
+        assert max(stacks) == 4 and sum(stacks) == 45
+        if not shift:
+            assert sum(split_rows) == reports["GFKCosMUL"].n_questions == 90
+        # the scoring budget's blocks, a stack's float32 kernel rows among them,
+        # then the pool coordinates (float64 and float32): O(|V| w)
+        w = widths[-1]
+        assert peak < 12 * evaluation._CHUNK_ELEMS + 16 * n * w, (peak, w)
 
     def test_project_casts_float64_rows_in_blocks(self, monkeypatch):
         rng = np.random.default_rng(53)

@@ -2,8 +2,10 @@
 
 A fresh interpreter imports the package and the CLI, runs ``evaluate`` and
 ``dimension_sweep``, and reports which scipy submodules it has loaded. It then
-runs the PPMI pipeline and ``synth.generate``, whose outputs must carry the same
-bits as the same calls made in this process, where scipy is already loaded.
+takes the dense SVD path of ``truncated_svd_embed``, on an ndarray and on a
+small sparse matrix, and runs the PPMI pipeline and ``synth.generate``, whose
+outputs must carry the same bits as the same calls made in this process, where
+scipy is already loaded.
 """
 
 import ast
@@ -60,6 +62,19 @@ def _eval_and_sweep() -> dict:
     }
 
 
+def _dense_svds() -> tuple[dict[str, list[str]], dict[str, np.ndarray]]:
+    """``truncated_svd_embed`` on an ndarray, then on the same rows as a sparse matrix: what each loaded, and its vectors."""
+    rows = np.random.default_rng(3).standard_normal((30, 20))
+    words = [f"w{i}" for i in range(30)]
+    out = {"dense_svd.ndarray": ppmi.truncated_svd_embed(rows, words, dim=4).vectors}
+    loaded = {"ndarray": _loaded()}
+    import scipy.sparse
+
+    out["dense_svd.sparse"] = ppmi.truncated_svd_embed(scipy.sparse.csr_matrix(rows), words, dim=4).vectors
+    loaded["sparse"] = _loaded()
+    return loaded, out
+
+
 def _ppmi_and_synth() -> dict[str, np.ndarray]:
     """Every array the PPMI pipeline and the synthetic generator produce on small inputs."""
     rng = np.random.default_rng(2)
@@ -99,7 +114,8 @@ def _child(out_dir: str) -> None:
     import gfkanalogy.cli  # noqa: F401
 
     report = {"after_import": _loaded(), **_eval_and_sweep(), "after_eval": _loaded()}
-    np.savez(os.path.join(out_dir, "arrays.npz"), **_ppmi_and_synth())
+    report["after_dense_svd"], arrays = _dense_svds()
+    np.savez(os.path.join(out_dir, "arrays.npz"), **arrays, **_ppmi_and_synth())
     report["after_ppmi_and_synth"] = _loaded()
     with open(os.path.join(out_dir, "report.json"), "w") as f:
         json.dump(report, f)
@@ -130,6 +146,15 @@ def test_eval_and_sweep_load_no_scipy_submodule(child):
     assert len(report["sweep"]) == 3 * 4
 
 
+def test_dense_svd_loads_no_scipy_linear_algebra(child):
+    report, arrays = child
+    # an ndarray loads no scipy module; a sparse matrix under DENSE_SVD_LIMIT only scipy.sparse
+    assert report["after_dense_svd"] == {"ndarray": [], "sparse": ["scipy.sparse"]}
+    # the same SVD either way: the sparse input is densified before it
+    assert arrays["dense_svd.ndarray"].shape == (30, 4)
+    assert arrays["dense_svd.ndarray"].tobytes() == arrays["dense_svd.sparse"].tobytes()
+
+
 def test_ppmi_and_synth_load_scipy_when_called(child):
     report, _ = child
     assert report["after_ppmi_and_synth"] == list(SCIPY_SUBMODULES)
@@ -139,7 +164,7 @@ def test_results_match_this_process_bit_for_bit(child):
     report, arrays = child
     here = json.loads(json.dumps(_eval_and_sweep()))
     assert {k: report[k] for k in here} == here
-    expected = _ppmi_and_synth()
+    expected = {**_dense_svds()[1], **_ppmi_and_synth()}
     assert arrays.keys() == expected.keys()
     for name, value in expected.items():
         got = arrays[name]
