@@ -60,9 +60,10 @@ _MODES = {"CosADD": "add", "CosMUL": "mul", "GFKCosADD": "add", "GFKCosMUL": "mu
 # elements, and open score rows are decided again in parts of an eighth as many.
 _CHUNK_ELEMS = 5_000_000
 # Cap on the elements of one stacked batch of kernels while it is built (1 MB
-# of the float64 bases, factors and coefficients), and of each block of table
-# rows mapped into pool coordinates. A few dozen small kernels already share
-# each LAPACK call's overhead; bigger batches only raise peak memory
+# of the float64 bases, factors and coefficients), of each stacked pool SVD's
+# arrays and of each block of table rows mapped into pool coordinates. A few
+# dozen small kernels already share each LAPACK call's overhead; bigger
+# batches only raise peak memory
 # (kernel-sweep: 120-kernel batches of 32 x 12 bases, +7% peak RSS). Scoring
 # takes _CHUNK_ELEMS alone.
 _KERNEL_BATCH_ELEMS = 131_072
@@ -868,9 +869,11 @@ def _gold_ranks(scores: np.ndarray, slab: _Slab, rows: np.ndarray, gold: np.ndar
     Each row's band is centred on c, the highest float32 score of its
     golds, with width 2 tau, tau the row's bound. g lies within tau of c,
     so a candidate whose float32 score is above the band is ahead, and one
-    below it is not. Each row takes two counts: of the scores above the
-    band, and of those in or above it. A row whose band holds nothing but
-    its golds and excluded candidates is decided by them. The others are
+    below it is not. Each row counts the scores in or above the band; only
+    where that count exceeds its golds and excluded candidates in or above
+    the band does it also count those above the band (elsewhere only
+    excluded candidates can be). A row whose band holds nothing but its
+    golds and excluded candidates is decided by them. The others are
     left open: crowded rows, rows with no finite bound (CosMUL without the
     shift), which count every candidate as in their band, rows with a
     suspect gold (c is NaN), and rows whose row set has suspects. For the
@@ -887,19 +890,28 @@ def _gold_ranks(scores: np.ndarray, slab: _Slab, rows: np.ndarray, gold: np.ndar
     at_gold = scores[rows[:, None], gold]
     center = at_gold.max(axis=1).astype(np.float64)  # NaN when a gold is a suspect
     lo, hi = _band(center, 2 * tau)
-    counts = np.array([  # a row with no finite bound counts every candidate in its band
-        (np.count_nonzero(scores[i] > high), np.count_nonzero(scores[i] >= low)) if high < np.inf else (0, n)
-        for i, low, high in zip(rows.tolist(), lo.tolist(), hi.tolist())
-    ], dtype=np.intp).reshape(-1, 2)
+    finite = hi < np.inf  # a row with no finite bound, or a NaN centre, counts every candidate in its band
+    at_least = np.full(len(rows), n, dtype=np.intp)
+    at_least[finite] = [
+        np.count_nonzero(scores[i] >= low) for i, low in zip(rows[finite].tolist(), lo[finite].tolist())
+    ]
     ex = np.where(excluded < 0, gold[:, :1], excluded)  # padding reads a gold: never above the band
     at_ex = scores[rows[:, None], ex]
     above_ex = at_ex > hi[:, None]
-    ahead = counts[:, 0] - np.count_nonzero(above_ex, axis=1)
-    # the distinct golds (padding repeats the first) and the excluded candidates in the band crowd nothing
+    n_above_ex = np.count_nonzero(above_ex, axis=1)
+    # the distinct golds (padding repeats the first) and the excluded candidates at or above the band's
+    # lower edge; the golds are never above it, and those in it crowd nothing
     distinct = (gold != gold[:, :1]) | (np.arange(gold.shape[1]) == 0)
-    banded = np.count_nonzero((at_gold >= lo[:, None]) & distinct, axis=1)
-    banded += np.count_nonzero((at_ex >= lo[:, None]) & ~above_ex & (excluded >= 0), axis=1)
-    left = (counts[:, 1] - counts[:, 0] > banded) | np.isnan(center)
+    known = np.count_nonzero((at_gold >= lo[:, None]) & distinct, axis=1)
+    known += np.count_nonzero((at_ex >= lo[:, None]) & (excluded >= 0), axis=1)
+    # a row whose other candidates are all below the band has only excluded ones above it
+    above = n_above_ex.copy()
+    other = np.flatnonzero(finite & (at_least > known))
+    above[other] = [
+        np.count_nonzero(scores[i] > high) for i, high in zip(rows[other].tolist(), hi[other].tolist())
+    ]
+    ahead = above - n_above_ex
+    left = (at_least - above > known - n_above_ex) | np.isnan(center)
     if slab.suspect is not None:
         left |= slab.suspect.any(axis=1)[rows // k]
     left = np.flatnonzero(left)
@@ -1136,30 +1148,78 @@ def _kept(pool: list[int], excluded: frozenset[int]) -> tuple[int, ...]:
     return tuple(i for i in pool if i not in excluded)
 
 
-def _pool_spectra(
-    coords, head_idx, tail_idx, d, center, ambient_dim=None, spectra=None, keep=None
-) -> tuple[RowSpectrum, RowSpectrum]:
-    """Head and tail row spectra of coords at the pools' indices, checked for dimension d.
+class _PoolSpectra:
+    """Row spectra of holdout groups' head and tail pools, checked for a dimension d.
 
-    Raises the ValueError that taking either subspace of dimension d would
-    raise. ambient_dim is the embedding dimension when coords are pool
-    coordinates, so the effective-rank check is the one made on the full
-    rows. spectra, when given, keeps each pool's row_spectrum (with at most
-    keep right singular vectors) under its index tuple, so another holdout
-    group or subspace dimension with the same rows reuses that SVD.
+    pools lists each group's (head indices, tail indices) into the rows of
+    coords. Each distinct pool is factored once: the pools are grouped by
+    size, and each size is factored in stacked row_spectrum calls whose
+    arrays hold about _KERNEL_BATCH_ELEMS elements (at least one pool
+    each); each spectrum has the bits of its pool's own call. where
+    (G x 2 x 2) gives the stack and the position in it of each group's head
+    (side 0) and tail (side 1) pool. ambient_dim is the embedding dimension
+    when coords are pool coordinates, so the effective-rank check is the one
+    made on the full rows; keep caps the right singular vectors held.
     """
-    for label, idx in (("head", head_idx), ("tail", tail_idx)):
-        if len(idx) < d:
-            raise ValueError(
-                f"only {len(idx)} usable unique words in the {label} category; "
-                f"use a subspace dimension <= {len(idx)}"
-            )
-    spectra = {} if spectra is None else spectra
-    for idx in (head_idx, tail_idx):
-        if idx not in spectra:
-            spectra[idx] = row_spectrum(coords[list(idx)], center, ambient_dim=ambient_dim, keep=keep)
-        spectra[idx].check(d)
-    return spectra[head_idx], spectra[tail_idx]
+
+    def __init__(self, coords, pools, center, ambient_dim=None, keep=None):
+        by_size: dict[int, list[tuple[int, ...]]] = {}
+        for idx in dict.fromkeys(idx for pair in pools for idx in pair):
+            by_size.setdefault(len(idx), []).append(idx)
+        self.stacks, place = [], {}
+        for n, same in by_size.items():
+            # a call holds about four n x w arrays per pool (the gathered rows,
+            # their centred copy, the factors, the kept vectors); with a
+            # sixteenth of the budget in rows (18 pools of 14 x 32), kernel-sweep
+            # keeps the peak RSS of one SVD per pool, where an eighth took
+            # 0.3 MB more and a quarter 0.5 MB, for 1-2% more speed
+            step = max(1, _KERNEL_BATCH_ELEMS // max(1, 16 * n * coords.shape[1]))
+            for lo in range(0, len(same), step):
+                part = same[lo : lo + step]
+                place.update((idx, (len(self.stacks), j)) for j, idx in enumerate(part))
+                rows = coords[np.array(part, dtype=np.intp).reshape(len(part), n)]
+                self.stacks.append(row_spectrum(rows, center, ambient_dim=ambient_dim, keep=keep))
+        self.where = np.array([[place[idx] for idx in pair] for pair in pools], dtype=np.intp)
+        self.sizes = [tuple(len(idx) for idx in pair) for pair in pools]
+        # the largest d each pool supports: its effective rank, which min(n, D)
+        # bounds, or the singular vectors kept
+        limits = [np.minimum(spectra.rank, spectra.vt.shape[1]).tolist() for spectra in self.stacks]
+        self.limit = np.array([[limits[s][j] for s, j in pair] for pair in self.where.tolist()])
+
+    def pool(self, g: int, side: int) -> RowSpectrum:
+        """The spectrum of group g's head (side 0) or tail (side 1) pool."""
+        s, j = self.where[g, side]
+        return self.stacks[s][j]
+
+    def check(self, d: int) -> None:
+        """Raise the ValueError that taking a group's subspaces of dimension d would raise.
+
+        The first group, in order, that cannot support d raises, with the
+        checks and messages of subspace_from_rows on its full rows: the
+        head's and the tail's size, then each spectrum's own checks.
+        """
+        for g in np.flatnonzero((self.limit < d).any(axis=1) | (d < 1)).tolist():
+            for label, size in zip(("head", "tail"), self.sizes[g]):
+                if size < d:
+                    raise ValueError(
+                        f"only {size} usable unique words in the {label} category; "
+                        f"use a subspace dimension <= {size}"
+                    )
+            self.pool(g, 0).check(d)
+            self.pool(g, 1).check(d)
+
+    def bases(self, lo: int, hi: int, side: int, d: int) -> np.ndarray:
+        """The top-d bases (B x D x d) of one side's pools of groups lo to hi - 1.
+
+        One fancy index per stack that holds them, written straight into the
+        C-contiguous batch that Subspace takes as it is.
+        """
+        stack, at = self.where[lo:hi, side].T
+        out = np.empty((hi - lo, self.stacks[0].vt.shape[-1], d))
+        for s in np.unique(stack).tolist():
+            sel = stack == s
+            out[sel] = self.stacks[s].vt[at[sel], :d].transpose(0, 2, 1)
+        return out
 
 
 def _pool_width(big_d: int, pool_size: int, d: int, n_kernels: int) -> int | None:
@@ -1213,9 +1273,10 @@ def relation_subspaces(
     else:
         cur = _resolve_question(current, table, strict=True)
         head_excl, tail_excl = _holdout_exclusions(holdout, cur)
-    head_idx, tail_idx = _kept(head_pool, head_excl), _kept(tail_pool, tail_excl)
-    head, tail = _pool_spectra(table.vectors, head_idx, tail_idx, d, center)
-    return head.subspace(d), tail.subspace(d)
+    pools = [(_kept(head_pool, head_excl), _kept(tail_pool, tail_excl))]
+    spectra = _PoolSpectra(table.vectors, pools, center)
+    spectra.check(d)
+    return spectra.pool(0, 0).subspace(d), spectra.pool(0, 1).subspace(d)
 
 
 @dataclass
@@ -1279,9 +1340,10 @@ class _Relation:
     excluded indices) and the number dropped, and the holdout groups: per
     distinct exclusion set, the head and tail pool indices left and the
     group's items. Per pool-coordinate width w (None for embedding
-    coordinates) it caches, on first use, the w x D pool basis and the row
-    spectrum of every distinct group pool. No array here is |V| wide: the
-    vocabulary is mapped into pool coordinates anew at each dimension.
+    coordinates) it caches, on first use, the w x D pool basis and the
+    _PoolSpectra of the groups' pools, which factors every distinct pool
+    once, in stacked SVDs. No array here is |V| wide: the vocabulary is
+    mapped into pool coordinates anew at each dimension.
     """
 
     def __init__(self, questions, table: EmbeddingTable, holdout: str, exclude_inputs: bool):
@@ -1296,7 +1358,7 @@ class _Relation:
             (_kept(head_pool, head_excl), _kept(tail_pool, tail_excl), items)
             for (head_excl, tail_excl), items in groups.items()
         ]
-        self.frames: dict[int | None, tuple[np.ndarray | None, dict]] = {}
+        self.frames: dict[int | None, tuple[np.ndarray | None, _PoolSpectra | None]] = {}
 
     @cached_property
     def plain_block(self) -> _Block:
@@ -1309,12 +1371,13 @@ class _Relation:
         return _Block.of([items for _, _, items in self.groups])
 
     def kernel_pools(self, table: EmbeddingTable, d: int, center: bool, keep: int):
-        """The vocabulary's kernel-space rows and every holdout group's pool spectra in them.
+        """The vocabulary's kernel-space rows and the holdout groups' pool spectra in them.
 
-        Returns (coords, [(head, tail, items)]), one entry per holdout group,
-        with the row spectra of the group's head and tail pools; coords are
-        pool coordinates (|V| x w) when _pool_width finds them cheaper, else
-        the vectors themselves. Every group's pools are checked for d here,
+        Returns (coords, spectra): coords are pool coordinates (|V| x w) when
+        _pool_width finds them cheaper, else the vectors themselves, and
+        spectra the _PoolSpectra of every group's head and tail pool in them,
+        in group order, factored at the first call for this width. Every
+        group's pools are checked for d here, in a few array operations,
         before any kernel is built: raises ValueError when one cannot support
         d, with the checks and messages of subspace_from_rows on the group's
         full rows. The subspaces themselves are taken when their kernels are
@@ -1323,7 +1386,7 @@ class _Relation:
         w = _pool_width(table.dim, len(self.pool), d, len(self.groups))
         if w not in self.frames:
             basis = None if w is None else _pool_basis(table.vectors, self.pool, w)
-            self.frames[w] = (basis, {})
+            self.frames[w] = (basis, None)
         basis, spectra = self.frames[w]
         if basis is None:
             coords = table.vectors
@@ -1335,13 +1398,12 @@ class _Relation:
             step = max(1, _KERNEL_BATCH_ELEMS // table.dim)
             for lo in range(0, len(table), step):
                 np.matmul(table.vectors[lo : lo + step], basis.T, out=coords[lo : lo + step])
-        pools = []
-        for head_idx, tail_idx, items in self.groups:
-            head, tail = _pool_spectra(
-                coords, head_idx, tail_idx, d, center, table.dim, spectra, keep
-            )
-            pools.append((head, tail, items))
-        return coords, pools
+        if spectra is None:
+            pools = [(head_idx, tail_idx) for head_idx, tail_idx, _ in self.groups]
+            spectra = _PoolSpectra(coords, pools, center, table.dim, keep)
+            self.frames[w] = (basis, spectra)
+        spectra.check(d)
+        return coords, spectra
 
 
 class _SweepState:
@@ -1398,15 +1460,18 @@ def evaluate(
     vocabulary projection are then w wide instead of D. That one-time
     |V| x D x w product is paid only when it costs less than the D-wide
     kernel projections it narrows, so a relation with a single kernel (all of
-    them under holdout='none') stays in embedding coordinates. Each pool is
-    factored by one SVD, which holdout groups with the same pool share. A
+    them under holdout='none') stays in embedding coordinates. Each distinct
+    pool is factored once, which holdout groups with the same pool share:
+    a relation's pools of one size go through stacked SVDs (as many as fit
+    _KERNEL_BATCH_ELEMS), each pool with the bits of an SVD of its own. A
     relation's kernels are built as a stack: one principal_angles and one gfk
     call for each sub-batch of its holdout groups (as many as fit the 1 MB
     _KERNEL_BATCH_ELEMS), whose stacked LAPACK and BLAS calls give each
     kernel the bits it gets alone. A sub-batch's heads are one batched
-    Subspace, stacked from the spectra just before its kernels are built,
-    and so are its tails; every group's pools are checked for the dimension
-    before the relation's first kernel, so it is skipped or scored whole.
+    Subspace, gathered from the stacked spectra just before its kernels are
+    built, and so are its tails; every group's pools are checked for the
+    dimension, in a few array operations, before the relation's first
+    kernel, so it is skipped or scored whole.
 
     Scoring works on stacks of G row sets (see _Scorer): the vocabulary
     itself (G = 1) for the plain measures, or the float32 projections of G
@@ -1503,7 +1568,7 @@ def evaluate(
 
         if gfk_measures:
             try:
-                coords, pools = rel.kernel_pools(
+                coords, spectra = rel.kernel_pools(
                     table, config.subspace_dim, config.center_subspaces, keep
                 )
             except ValueError as err:
@@ -1515,8 +1580,9 @@ def evaluate(
             # as each kernel projects it, so no float32 copy of it is made
             with np.errstate(over="ignore"):  # past the float32 range: inf, and suspects
                 source = coords if coords is table.vectors else coords.astype(np.float32)
+            groups = [items for _, _, items in rel.groups]
             results = _score_relation_gfk(
-                coords, source, pools, rel.block, config.subspace_dim, gfk_measures, config, ws
+                coords, source, spectra, rel.block, groups, config.subspace_dim, gfk_measures, config, ws
             )
             del coords, source  # not held while the next relation is scored
             for m in gfk_measures:
@@ -1535,14 +1601,15 @@ def _tally(results, measure: str) -> RelationResult:
     )
 
 
-def _score_relation_gfk(coords, source, pools, block, d, measures, config, ws):
+def _score_relation_gfk(coords, source, spectra, block, groups, d, measures, config, ws):
     """Kernel-measure ranks for one relation's holdout groups, in pool coordinates.
 
-    pools lists each group's head and tail pool spectra with its items, and
-    block holds the groups' questions. The kernels are built in sub-batches,
-    one principal_angles and one gfk call each, of two batched Subspaces:
-    the top-d bases of the head and of the tail spectra (kernel_pools
-    checked them for d), stacked just before the call. Building a batch
+    spectra holds each group's head and tail pool spectra (a _PoolSpectra),
+    groups lists each group's items and block holds them. The kernels are
+    built in sub-batches, one principal_angles and one gfk call each, of two
+    batched Subspaces: the top-d bases of the head and of the tail spectra
+    (kernel_pools checked them for d), gathered by one fancy index per
+    stacked spectrum just before the call. Building a batch
     peaks at about twelve w x d arrays per kernel (the stacked bases,
     factors, 2d x 2d coefficients and their temporaries), so a sub-batch
     holds as many kernels as fit _KERNEL_BATCH_ELEMS, and at least one. A
@@ -1560,14 +1627,11 @@ def _score_relation_gfk(coords, source, pools, block, d, measures, config, ws):
         cnorms = _row_norms(coords).astype(np.float32)
     size = max(1, _KERNEL_BATCH_ELEMS // (12 * w * d))
     results = []
-    for start in range(0, len(pools), size):
-        heads, tails, groups = zip(*pools[start : start + size])
+    for start in range(0, len(groups), size):
+        stop = min(start + size, len(groups))
         # the top-d spans that kernel_pools checked, one B x w x d batch per side
-        kernels = gfk(principal_angles(*(
-            Subspace(np.stack([s.vt[:d] for s in side]).transpose(0, 2, 1)) for side in (heads, tails)
-        )))
-        sub_block = block.take(start, start + len(groups))
-        for lo, hi, parts in _stacks(sub_block, groups, 2 * d, measures, n):
+        kernels = gfk(principal_angles(*(Subspace(spectra.bases(start, stop, side, d)) for side in (0, 1))))
+        for lo, hi, parts in _stacks(block.take(start, stop), groups[start:stop], 2 * d, measures, n):
             rows = ws.get("rows", ((hi - lo) * n, 2 * d)).reshape(hi - lo, n, 2 * d)
             proj = []  # each kernel's own f lam_sqrt
             for i in range(lo, hi):
@@ -1598,9 +1662,10 @@ def dimension_sweep(
 
     What does not depend on d is built once per sweep and handed to each
     evaluate call: question resolution with gold and excluded indices, holdout
-    grouping, the pool basis (per basis width) and one SVD per holdout
-    group's pool, from whose leading max(dims) right singular vectors each d
-    takes its subspace after the same checks as subspace_from_rows. Nothing
+    grouping, the pool basis (per basis width) and the row spectrum of each
+    distinct holdout-group pool, from stacked SVDs of the pools of one size,
+    whose leading max(dims) right singular vectors give each d its subspaces
+    after the same checks as subspace_from_rows. Nothing
     |V|-wide is kept across dimensions: each d maps the vocabulary into pool
     coordinates again.
     """

@@ -77,12 +77,21 @@ class RowSpectrum:
 
     vt holds the right singular vectors as rows, by descending singular value
     (all of them unless row_spectrum was told to keep fewer), and rank the
-    effective rank that subspace() checks d against.
+    effective rank that subspace() checks d against. A batch, the spectra of
+    B row matrices of one size, carries a leading batch axis on vt
+    (B x keep x D) and a length-B rank array; spectrum[i] is its i-th
+    spectrum, a view of the batch's vt that takes subspaces and checks d.
     """
 
     vt: np.ndarray
     n: int
-    rank: int
+    rank: int | np.ndarray
+
+    def __getitem__(self, i: int) -> "RowSpectrum":
+        """Spectrum i of a batch."""
+        if self.vt.ndim != 3:
+            raise TypeError("only a batch of spectra can be indexed")
+        return RowSpectrum(self.vt[i], self.n, int(self.rank[i]))
 
     def subspace(self, d: int) -> Subspace:
         """The span of the top-d right singular vectors, after the checks on d."""
@@ -91,6 +100,8 @@ class RowSpectrum:
 
     def check(self, d: int) -> None:
         """Raise ValueError unless subspace(d) can be taken."""
+        if self.vt.ndim != 2:
+            raise TypeError("a batch of spectra is checked spectrum by spectrum: take spectrum[i]")
         big_d = self.vt.shape[1]
         if d < 1:
             raise ValueError("subspace dimension must be >= 1")
@@ -117,17 +128,21 @@ def row_spectrum(
     basis of part of a wider space, ``ambient_dim`` names that space's
     dimension so the count matches the one on the full rows. ``keep`` limits
     the right singular vectors held to the leading ``keep``.
+
+    A B x n x D stack of row matrices gives their batch of spectra, from one
+    stacked SVD that factors each matrix as the 2-d call would: spectrum i
+    has the bits of row_spectrum(rows[i]).
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    n, big_d = rows.shape
+    n, big_d = rows.shape[-2:]
     if center and n:
-        rows = rows - rows.mean(axis=0)
+        rows = rows - rows.mean(axis=-2, keepdims=True)
     _, sigma, vt = np.linalg.svd(rows, full_matrices=False)
     width = max(n, big_d if ambient_dim is None else ambient_dim)
-    tol = sigma[0] * width * np.finfo(np.float64).eps if sigma.size else 0.0
+    rank = np.count_nonzero(sigma > sigma[..., :1] * width * np.finfo(np.float64).eps, axis=-1)
     if keep is not None:
-        vt = vt[:keep].copy()
-    return RowSpectrum(vt=vt, n=n, rank=int(np.sum(sigma > tol)))
+        vt = vt[..., :keep, :].copy()
+    return RowSpectrum(vt=vt, n=n, rank=int(rank) if rows.ndim == 2 else rank)
 
 
 def subspace_from_rows(
@@ -366,7 +381,10 @@ class GfkKernel:
     A batch of kernels carries a leading batch axis on f, lam and lam_sqrt
     and is validated in a few stacked calls. kernel[i] is its i-th kernel: it
     shares the batch's arrays and forms its own product with f lam_sqrt, so
-    the batch never holds all of them at once.
+    the batch never holds all of them at once. A kernel built by
+    GfkKernel(f, lam, lam_sqrt) is checked; gfk builds its kernels without
+    the checks, from factors that principal_angles and the closed form make
+    valid by construction.
     """
 
     f: np.ndarray
@@ -386,6 +404,13 @@ class GfkKernel:
             raise ValueError("lam not symmetric")
         self._set(f, lam, lam_sqrt)
 
+    @classmethod
+    def _unchecked(cls, f, lam, lam_sqrt) -> "GfkKernel":
+        """A kernel of float64 C-contiguous arrays known to be valid, not checked again."""
+        kernel = object.__new__(cls)
+        kernel._set(f, lam, lam_sqrt)
+        return kernel
+
     def _set(self, f, lam, lam_sqrt) -> None:
         proj = f @ lam_sqrt if f.ndim == 2 else None
         for arr in (f, lam, lam_sqrt, proj):
@@ -400,9 +425,7 @@ class GfkKernel:
         """Kernel i of a batch, validated with the batch."""
         if self.f.ndim != 3:
             raise TypeError("only a batch of kernels can be indexed")
-        kernel = object.__new__(GfkKernel)
-        kernel._set(self.f[i], self.lam[i], self.lam_sqrt[i])
-        return kernel
+        return GfkKernel._unchecked(self.f[i], self.lam[i], self.lam_sqrt[i])
 
     @property
     def ambient_dim(self) -> int:
@@ -469,9 +492,11 @@ def gfk(pa: PrincipalAngleDecomposition) -> GfkKernel:
     taken in closed form, (M + s I) / (sqrt(1 + q) + sqrt(1 - q)) with
     s = sqrt((1 - q)(1 + q)), and 1 - q from its series: no eigensolver, and
     both eigenvalues of the root are >= 0 by construction. The factor f is
-    pa.directions itself. A batch of pairs gives a batch of kernels; every
-    step is elementwise per angle, so each kernel has the bits it gets when
-    built alone.
+    pa.directions itself, orthonormal as principal_angles built it, and the
+    coefficients are symmetric by construction, so the kernel is not checked
+    again. A batch of pairs gives a batch of kernels; every step is
+    elementwise per angle, so each kernel has the bits it gets when built
+    alone.
     """
     lam1, lam2, lam3 = _lambda_coefficients(pa.theta)
     gap = _sinc_gap(pa.theta)  # 1 - q
@@ -479,7 +504,7 @@ def gfk(pa: PrincipalAngleDecomposition) -> GfkKernel:
     root_trace = np.sqrt(2.0 - gap) + np.sqrt(gap)
     lam = _angle_blocks(lam1, lam2, lam3)
     lam_sqrt = _angle_blocks((lam1 + root_det) / root_trace, lam2 / root_trace, (lam3 + root_det) / root_trace)
-    return GfkKernel(f=pa.directions, lam=lam, lam_sqrt=lam_sqrt)
+    return GfkKernel._unchecked(np.ascontiguousarray(pa.directions, dtype=np.float64), lam, lam_sqrt)
 
 
 def gfk_similarity(kernel: GfkKernel, x: np.ndarray, y: np.ndarray) -> float:

@@ -777,18 +777,22 @@ class TestEvaluate:
     @pytest.mark.parametrize("holdout", ["answer", "question"])
     @pytest.mark.parametrize("dim,center", [(12, False), (40, True)])
     def test_each_projected_kernel_equals_its_pair_built_alone(self, monkeypatch, holdout, dim, center):
-        """Batched kernels keep the bits of gfk(principal_angles(head, tail)) on their pool spectra."""
+        """Batched kernels keep the bits of gfk(principal_angles(head, tail)) on each pool's own spectrum."""
         table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=dim, seed=3))
         table = table.normalized()
         d = 4
         kernel_pools, project = evaluation._Relation.kernel_pools, GfkKernel.project
         pools, widths, projected = [], [], []
 
-        def recorded_pools(rel, *args, **kwargs):
-            coords, groups = kernel_pools(rel, *args, **kwargs)
+        def recorded_pools(rel, table, d, center, keep):
+            coords, spectra = kernel_pools(rel, table, d, center, keep)
             widths.append(coords.shape[1])
-            pools.extend((head, tail) for head, tail, _ in groups)
-            return coords, groups
+            # each pool factored by a call of its own, not in a stacked SVD
+            pools.extend(
+                [row_spectrum(coords[list(idx)], center, ambient_dim=table.dim, keep=keep) for idx in pair]
+                for *pair, _ in rel.groups
+            )
+            return coords, spectra
 
         def recorded_project(kernel, *args, **kwargs):
             projected.append(kernel)
@@ -1731,9 +1735,10 @@ class TestSweepState:
     def test_each_pool_is_factored_once_per_sweep(self, monkeypatch):
         table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=40, seed=3))
         table = table.normalized()
-        factored = []
+        factored = []  # pools per row_spectrum call, all of them stacked
 
         def counted(rows, *args, **kwargs):
+            assert rows.ndim == 3
             factored.append(len(rows))
             return row_spectrum(rows, *args, **kwargs)
 
@@ -1754,8 +1759,80 @@ class TestSweepState:
         # the pool basis is shared by all three dimensions
         assert all(len(rel.frames) == 1 for rel in relations)
         n_groups = sum(len(rel.groups) for rel in relations)
-        assert len(factored) == 2 * n_groups
+        # every pool has 6 rows: one stacked call per relation factors all of its pools
+        assert sum(factored) == 2 * n_groups and len(factored) == len(relations)
         assert not [a.shape for a in _arrays_in(state) if a.ndim and len(a) == len(table)]
+
+    @pytest.mark.parametrize("holdout", ["answer", "question"])
+    @pytest.mark.parametrize("center", [False, True])
+    def test_stacked_pool_spectra_have_the_bits_of_each_pool(self, monkeypatch, holdout, center):
+        """Pools of mixed sizes, factored whole and one or two to a stacked call."""
+        table, ds = _stacking_fixture()
+        rel = evaluation._Relation(ds.relations["r"], table, holdout, True)
+        sizes = {len(idx) for head, tail, _ in rel.groups for idx in (head, tail)}
+        assert len(sizes) >= 2
+        calls = []
+
+        def counted(rows, *args, **kwargs):
+            calls.append(rows.shape[:2])
+            return row_spectrum(rows, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "row_spectrum", counted)
+        d, keep = 2, 3
+        width = None
+        for cap in (None, 1, 2):
+            if cap is not None:
+                # cap pools of the widest size to a call; smaller ones may take more
+                monkeypatch.setattr(evaluation, "_KERNEL_BATCH_ELEMS", 16 * cap * max(sizes) * width)
+            rel.frames.clear(), calls.clear()
+            coords, spectra = rel.kernel_pools(table, d, center, keep)
+            width = coords.shape[1]
+            distinct = {idx for head, tail, _ in rel.groups for idx in (head, tail)}
+            assert sum(b for b, _ in calls) == len(distinct)
+            if cap is not None:
+                widest = sum(len(idx) == max(sizes) for idx in distinct)
+                assert [b for b, n in calls if n == max(sizes)] == [min(cap, widest - i) for i in range(0, widest, cap)]
+            for g, (head, tail, _) in enumerate(rel.groups):
+                for side, idx in enumerate((head, tail)):
+                    alone = row_spectrum(coords[list(idx)], center, ambient_dim=table.dim, keep=keep)
+                    got = spectra.pool(g, side)
+                    assert got.vt.tobytes() == alone.vt.tobytes() and got.vt.shape == alone.vt.shape
+                    assert (got.n, got.rank) == (alone.n, alone.rank)
+                    np.testing.assert_array_equal(
+                        spectra.bases(g, g + 1, side, d)[0], alone.subspace(d).basis
+                    )
+
+    @pytest.mark.parametrize("make", [_low_rank_relation, _stacking_fixture])
+    def test_pool_checks_raise_what_the_first_failing_pool_raises(self, make):
+        """Each group's pools checked in order, as subspace_from_rows checks the full rows."""
+        table, ds = make()
+        rel = evaluation._Relation(next(iter(ds.relations.values())), table, "question", True)
+        messages = []
+        for d in range(1, 12):
+            want = None
+            for head, tail, _ in rel.groups:
+                try:
+                    for label, idx in (("head", head), ("tail", tail)):
+                        if len(idx) < d:
+                            raise ValueError(
+                                f"only {len(idx)} usable unique words in the {label} category; "
+                                f"use a subspace dimension <= {len(idx)}"
+                            )
+                    for idx in (head, tail):
+                        subspace_from_rows(table.vectors[list(idx)], d)
+                except ValueError as err:
+                    want = str(err)
+                    break
+            if want is None:
+                rel.kernel_pools(table, d, False, 11)
+            else:
+                with pytest.raises(ValueError) as got:
+                    rel.kernel_pools(table, d, False, 11)
+                assert str(got.value) == want, d
+                messages.append(want)
+        # both fixtures reach the pool-size message, the low-rank one the rank message too
+        assert any("usable unique words" in m for m in messages)
+        assert any("effective rank" in m for m in messages) or make is not _low_rank_relation
 
     def test_state_refused_for_other_inputs(self):
         table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -380,6 +381,88 @@ class TestKernel:
         np.testing.assert_allclose(root, reference, rtol=0, atol=1e-15)
         np.testing.assert_allclose(root @ root, lam, rtol=0, atol=1e-15)
         np.testing.assert_allclose(np.linalg.eigvalsh(lam), [gap, 2.0 - gap], rtol=0, atol=1e-15)
+
+    def test_gfk_kernels_skip_the_checks_a_built_kernel_runs(self, monkeypatch):
+        checked = []
+        post_init = GfkKernel.__post_init__
+
+        def counted(kernel):
+            checked.append(kernel.f.shape)
+            post_init(kernel)
+
+        monkeypatch.setattr(GfkKernel, "__post_init__", counted)
+        rng = np.random.default_rng(31)
+        pairs = [pair_with_angles(rng, 11, np.array([1e-9, 0.3, 1.2])) for _ in range(3)]
+        single = principal_angles(*pairs[0])
+        batch = principal_angles(*(batched(side) for side in zip(*pairs)))
+        for pa in (single, batch):
+            kernel = gfk(pa)
+            assert not checked  # neither the kernel nor, for a batch, kernel[i]
+            if pa is batch:
+                assert kernel[1].projection.shape == (11, 6) and not checked
+            again = GfkKernel(kernel.f, kernel.lam, kernel.lam_sqrt)
+            assert checked.pop() == kernel.f.shape
+            for name in ("f", "lam", "lam_sqrt"):
+                assert_same_bits(getattr(kernel, name), getattr(again, name))
+                assert not getattr(kernel, name).flags.writeable
+            if pa is single:
+                assert_same_bits(kernel.projection, again.projection)
+                assert_same_bits(kernel.f, pa.directions)
+
+    def test_a_built_kernel_is_checked(self):
+        kernel = gfk(principal_angles(*random_pair(3)))
+        f, lam, root = kernel.f, kernel.lam, kernel.lam_sqrt
+        with pytest.raises(ValueError, match="factor columns not orthonormal"):
+            GfkKernel(2.0 * f, lam, root)
+        skewed = lam.copy()
+        skewed[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="lam not symmetric"):
+            GfkKernel(f, skewed, root)
+        with pytest.raises(ValueError, match="shapes do not match"):
+            GfkKernel(f, lam[:2, :2], root)
+
+
+class TestRowSpectrumBatch:
+    @pytest.mark.parametrize("shape", [(3, 14, 32), (4, 21, 44), (5, 5, 12), (2, 30, 300), (3, 7, 6)])
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("keep", [None, 4])
+    def test_each_spectrum_has_the_bits_of_its_own_call(self, shape, center, keep):
+        rng = np.random.default_rng(sum(shape))
+        rows = rng.standard_normal(shape)
+        rows[0, 1] = rows[0, 0]  # a repeated row
+        rows[1] = rng.standard_normal((shape[1], 2)) @ rng.standard_normal((2, shape[2]))  # rank 2
+        for ambient_dim in (None, 2 * shape[2]):
+            batch = row_spectrum(rows, center, ambient_dim=ambient_dim, keep=keep)
+            kept = min(shape[1:]) if keep is None else keep
+            assert batch.vt.shape == (shape[0], kept, shape[2]) and batch.rank.shape == (shape[0],)
+            for i, pool in enumerate(rows):
+                alone, view = row_spectrum(pool, center, ambient_dim=ambient_dim, keep=keep), batch[i]
+                assert_same_bits(view.vt, alone.vt)
+                assert (view.n, view.rank) == (alone.n, alone.rank) and isinstance(view.rank, int)
+            assert batch[1].rank == 2
+            for d in (1, 3, kept + 1):
+                for i in range(shape[0]):
+                    try:
+                        want = row_spectrum(rows[i], center, ambient_dim=ambient_dim, keep=keep).subspace(d)
+                    except ValueError as err:
+                        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                            batch[i].subspace(d)
+                    else:
+                        assert_same_bits(batch[i].subspace(d).basis, want.basis)
+
+    def test_pools_without_rows(self):
+        batch = row_spectrum(np.empty((2, 0, 5)), True, keep=3)
+        assert batch.vt.shape == (2, 0, 5) and batch.rank.tolist() == [0, 0]
+        with pytest.raises(ValueError, match=r"min\(n=0, D=5\)"):
+            batch[1].check(1)
+
+    def test_a_batch_is_checked_spectrum_by_spectrum(self):
+        rows = np.random.default_rng(2).standard_normal((3, 4, 6))
+        batch = row_spectrum(rows)
+        with pytest.raises(TypeError, match=r"take spectrum\[i\]"):
+            batch.subspace(2)
+        with pytest.raises(TypeError, match="only a batch"):
+            batch[0][0]
 
 
 class TestSimilarity:
