@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfkanalogy import evaluation, grassmann
+from gfkanalogy import evaluation, grassmann, scoring
 from gfkanalogy.datasets import AnalogyQuestion, RelationDataset
 from gfkanalogy.embeddings import EmbeddingTable
 from gfkanalogy.evaluation import (
@@ -670,7 +670,7 @@ class TestEvaluate:
         # the default budgets, then one question per chunk and one kernel per batch
         for budget in (None, 1):
             if budget is not None:
-                monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", budget)
+                monkeypatch.setattr(scoring, "_CHUNK_ELEMS", budget)
                 monkeypatch.setattr(evaluation, "_KERNEL_BATCH_ELEMS", budget)
             calls.update(kernels=0, project=0)
             reports = evaluate(ds, table, EvalConfig(measure="all", subspace_dim=4, holdout=holdout))
@@ -718,7 +718,7 @@ class TestEvaluate:
         n, d = len(table), 4
         cfg = EvalConfig(measure="GFKCosADD,GFKCosMUL", subspace_dim=d, holdout="question")
         batches, stacks = [], []  # kernels per gfk call; (G, |V|-wide rows per row set) per stack
-        of_kernels, ranked = evaluation._Scorer.of_kernels, evaluation._ranked
+        of_kernels, ranked = scoring._Scorer.of_kernels, evaluation._ranked
 
         def built(pa):
             batches.append(len(pa.theta))
@@ -734,20 +734,20 @@ class TestEvaluate:
             return ranked(scorer, block, measures, config)
 
         monkeypatch.setattr(evaluation, "gfk", built)
-        monkeypatch.setattr(evaluation._Scorer, "of_kernels", classmethod(scorer))
+        monkeypatch.setattr(scoring._Scorer, "of_kernels", classmethod(scorer))
         monkeypatch.setattr(evaluation, "_ranked", scored)
         # the default budget: each batch of 28 small kernels is scored as one stack
         evaluate(ds, table, cfg)
         assert batches == [28, 28] and [g for g, _ in stacks] == batches
         # a budget of three kernels' rows: stacks of at most three, each within it
         widest = max(rows for _, rows in stacks)
-        monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", 3 * n * widest)
+        monkeypatch.setattr(scoring, "_CHUNK_ELEMS", 3 * n * widest)
         batches.clear(), stacks.clear()
         evaluate(ds, table, cfg)
         assert sum(g for g, _ in stacks) == sum(batches) and max(g for g, _ in stacks) == 3
         for g, rows in stacks:
             if g > 1:
-                assert g * n * rows <= evaluation._CHUNK_ELEMS
+                assert g * n * rows <= scoring._CHUNK_ELEMS
 
     @pytest.mark.parametrize("holdout", ["answer", "question"])
     def test_two_subspaces_per_kernel_batch(self, monkeypatch, holdout):
@@ -844,20 +844,20 @@ class TestEvaluate:
             # one chunk budget per holdout holds two kernels of each relation
             assert 2 * max(rows[holdout]) < 3 * min(rows[holdout])
         sizes = []
-        init = evaluation._Scorer.__init__
+        init = scoring._Scorer.__init__
 
         def recorded(self, rows, ws):
             if rows.dtype == np.float32:  # a stack of kernels
                 sizes.append(len(rows))
             init(self, rows, ws)
 
-        monkeypatch.setattr(evaluation._Scorer, "__init__", recorded)
+        monkeypatch.setattr(scoring._Scorer, "__init__", recorded)
         # (batch budget, chunk budget): one stack per relation, stacks of two
         # (the plain blocks then in slabs), one kernel per batch and stack
         settings = (
             lambda holdout: (10**9, 10**12),
             lambda holdout: (10**9, n * 2 * max(rows[holdout])),
-            lambda holdout: (1, evaluation._CHUNK_ELEMS),
+            lambda holdout: (1, scoring._CHUNK_ELEMS),
         )
         runs = []
         for budgets in settings:
@@ -866,7 +866,7 @@ class TestEvaluate:
             for cfg in configs:
                 batch_elems, chunk_elems = budgets(cfg.holdout)
                 monkeypatch.setattr(evaluation, "_KERNEL_BATCH_ELEMS", batch_elems)
-                monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", chunk_elems)
+                monkeypatch.setattr(scoring, "_CHUNK_ELEMS", chunk_elems)
                 for m, rep in evaluate(ds, table, cfg).items():
                     assert not rep.skipped
                     run[cfg, m] = {
@@ -926,7 +926,7 @@ class TestEvaluate:
         for i in range(0, 40, 4):
             ds.add(question(f"w{i}", f"w{i + 1}", f"w{i + 2}", f"w{i + 3}"))
         # 16 |V|-wide rows per block, where a unit copy of the table takes 256
-        monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", 16 * n)
+        monkeypatch.setattr(scoring, "_CHUNK_ELEMS", 16 * n)
         cfg = EvalConfig(measure="CosADD,CosMUL")
         evaluate(ds, table, cfg)  # builds the table's lowercase index before the measurement
         tracemalloc.start()
@@ -1001,14 +1001,14 @@ class TestEvaluate:
         # every relation and kernel of an evaluate call reuses one workspace
         table, ds = generate(SynthSpec(n_relations=3, pairs_per_relation=8, dim=12, seed=3))
         table = table.normalized()
-        init = evaluation._Workspace.__init__
+        init = scoring._Workspace.__init__
         setups = []
 
         def counted(self):
             setups.append(self)
             init(self)
 
-        monkeypatch.setattr(evaluation._Workspace, "__init__", counted)
+        monkeypatch.setattr(scoring._Workspace, "__init__", counted)
         cfg = EvalConfig(measure="all", subspace_dim=4, holdout="answer")
         reports = evaluate(ds, table, cfg)
         assert len(reports["GFKCosADD"].per_relation) == 3
@@ -1034,7 +1034,7 @@ class TestEvaluate:
         runs = []
         # budget below one |V|-wide row: one question per chunk; then no limit
         for chunk_elems in (1, 10**12):
-            monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", chunk_elems)
+            monkeypatch.setattr(scoring, "_CHUNK_ELEMS", chunk_elems)
             run = {}
             for holdout in HOLDOUTS:
                 cfg = EvalConfig(measure="all", subspace_dim=4, holdout=holdout, shift_cosines=shift)
@@ -1053,7 +1053,7 @@ class TestEvaluate:
         # kernel scorers shared with the plain scorer would change its tallies
         table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=8, seed=3))
         table = table.normalized()
-        monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", chunk_elems)
+        monkeypatch.setattr(scoring, "_CHUNK_ELEMS", chunk_elems)
 
         def tallies(rep):
             assert not rep.skipped
@@ -1126,8 +1126,8 @@ def _reference_rank(slab, row, gold, excluded, n):
 
 def _slabs(rows, items, epsilon, shift):
     """(slab, R x |V| float32 scores, R full rows of reference scores) of a stack's questions."""
-    scorer = evaluation._Scorer(rows, evaluation._Workspace())
-    block = evaluation._Block.of(items)
+    scorer = scoring._Scorer(rows, scoring._Workspace())
+    block = scoring._Block.of(items)
     n = rows.shape[1]
     for slab in scorer.scores(block, ("add", "mul"), epsilon, shift, 10**6):
         scores = slab.scores.reshape(-1, n).astype(np.float64)
@@ -1181,8 +1181,8 @@ class TestExactRanks:
         n = 600
         rows = rng.standard_normal((1, n, m))
         items = [((i, i + 1, i + 2, i + 3), np.array([i + 3]), (i, i + 1, i + 2)) for i in (0, 4, 8)]
-        scorer = evaluation._Scorer(rows, evaluation._Workspace())
-        for slab in scorer.scores(evaluation._Block.of([items]), ("add", "mul"), 1e-3, True, 10**6):
+        scorer = scoring._Scorer(rows, scoring._Workspace())
+        for slab in scorer.scores(scoring._Block.of([items]), ("add", "mul"), 1e-3, True, 10**6):
             for r in range(3):
                 full = slab.ref(np.full(n, r), np.arange(n))
                 for j in rng.choice(n, 5, replace=False).tolist():
@@ -1266,7 +1266,7 @@ class TestExactRanks:
     def test_evaluate_ranks_equal_all_reference_ranks(self, monkeypatch, holdout, shift):
         table, ds = _stacking_fixture()
         twins, twin_ds = _twins_table(26, 0)
-        gold_ranks, rows_rechecked = evaluation._gold_ranks, []
+        gold_ranks, rows_rechecked = scoring._gold_ranks, []
 
         def checked(scores, slab, rows, gold, excluded):
             counted = []
@@ -1281,7 +1281,7 @@ class TestExactRanks:
             rows_rechecked.extend(counted)
             return ranks
 
-        monkeypatch.setattr(evaluation, "_gold_ranks", checked)
+        monkeypatch.setattr(scoring, "_gold_ranks", checked)
         for tab, data in ((table, ds), (twins, twin_ds)):
             cfg = EvalConfig(measure="all", subspace_dim=2, holdout=holdout, shift_cosines=shift,
                              epsilon=0.5 if not shift else 0.001)
@@ -1293,7 +1293,7 @@ class TestExactRanks:
 def test_ranks_with_inputs_kept_equal_all_reference_ranks(monkeypatch, shift):
     # with exclude_inputs off every excluded slot is padding; a twin of the
     # gold word is the one other candidate in its band
-    gold_ranks = evaluation._gold_ranks
+    gold_ranks = scoring._gold_ranks
 
     def checked(scores, slab, rows, gold, excluded):
         assert (excluded < 0).all()
@@ -1302,7 +1302,7 @@ def test_ranks_with_inputs_kept_equal_all_reference_ranks(monkeypatch, shift):
         assert ranks.tolist() == want
         return ranks
 
-    monkeypatch.setattr(evaluation, "_gold_ranks", checked)
+    monkeypatch.setattr(scoring, "_gold_ranks", checked)
     table, ds = _twins_table(26, 0)
     cfg = EvalConfig(measure="all", subspace_dim=2, exclude_inputs=False, shift_cosines=shift,
                      epsilon=0.001 if shift else 0.5)
@@ -1333,9 +1333,9 @@ def _kernel_scorer(coords, kernels):
     rows = np.empty((len(kernels), len(coords), kernels[0].projection.shape[1]), dtype=np.float32)
     for kernel, out in zip(kernels, rows):
         kernel.project(coords, out=out)
-    cnorms = evaluation._row_norms(coords).astype(np.float32)
+    cnorms = scoring._row_norms(coords).astype(np.float32)
     proj = [kernel.projection for kernel in kernels]
-    return evaluation._Scorer.of_kernels(rows, evaluation._Workspace(), coords, cnorms, proj)
+    return scoring._Scorer.of_kernels(rows, scoring._Workspace(), coords, cnorms, proj)
 
 
 class TestKernelRows:
@@ -1372,11 +1372,11 @@ class TestKernelRows:
         coords[n - 3] *= near * NULL_SPACE_NORM / np.linalg.norm(coords[n - 3] @ proj)
         scorer = _kernel_scorer(coords, kernels)
         # a suspect widens no bound: the row term stays within the one at the cap
-        assert (scorer.errors[1] <= 1.1 * evaluation._gamma(w + 2, 2.0**-24) * evaluation._RHO_CAP).all()
+        assert (scorer.errors[1] <= 1.1 * scoring._gamma(w + 2, 2.0**-24) * scoring._RHO_CAP).all()
         if delta <= 1e-6:
             assert scorer.suspect is not None and scorer.suspect[0, [n - 1, n - 2]].all()
         items = [((i, i + 1, i + 2, i + 3), np.array([i + 3]), (i, i + 1, i + 2)) for i in (0, 1, 2)]
-        block = evaluation._Block.of([items, items[::-1]])
+        block = scoring._Block.of([items, items[::-1]])
         for slab in scorer.scores(block, ("add", "mul"), epsilon, shift, 10**6):
             k = slab.scores.shape[1]
             scores = slab.scores.reshape(-1, n)
@@ -1404,7 +1404,7 @@ class TestKernelRows:
             rows = np.flatnonzero(~slab.null.ravel() if slab.mode == "add" else np.ones(len(scores), bool))
             gold = block.gold.reshape(len(scores), -1)
             excluded = block.excluded.reshape(len(scores), -1)
-            ranks = evaluation._gold_ranks(scores, slab, rows, gold, excluded)
+            ranks = scoring._gold_ranks(scores, slab, rows, gold, excluded)
             want = [_reference_rank(slab, r, gold[r], excluded[r], n) for r in rows.tolist()]
             assert ranks.tolist() == want, slab.mode
 
@@ -1428,7 +1428,7 @@ class TestKernelRows:
                 for got, full in zip(scorer._reference_rows(g, pairs)[:2], want[:2]):  # rows and norms
                     assert got[at].tobytes() == full[j].tobytes(), among
         items = [((i, i + 1, i + 2, i + 3), np.array([i + 3]), (i, i + 1, i + 2)) for i in (0, 4, 8)]
-        block = evaluation._Block.of([items, items[::-1]])
+        block = scoring._Block.of([items, items[::-1]])
         for slab in scorer.scores(block, ("add", "mul"), 1e-3, True, 10**6):
             rows = slab.null.size
             full = [slab.ref(np.full(n, r), np.arange(n)) for r in range(rows)]
@@ -1460,7 +1460,7 @@ class TestKernelRows:
 
         monkeypatch.setattr(evaluation._Relation, "kernel_pools", recorded)
         # 16 |V|-wide rows per block, where a float32 copy of the table takes 128
-        monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", 16 * n)
+        monkeypatch.setattr(scoring, "_CHUNK_ELEMS", 16 * n)
         cfg = EvalConfig(measure="GFKCosADD,GFKCosMUL", subspace_dim=d, holdout=holdout)
         evaluate(ds, table, cfg)  # builds the table's lowercase index before the measurement
         tracemalloc.start()
@@ -1478,7 +1478,7 @@ class TestKernelRows:
             # the scoring budget's blocks, a stack's float32 kernel rows among
             # them, then the pool coordinates (float64 and float32): O(|V| w)
             assert w < big_d
-            assert peak < 12 * evaluation._CHUNK_ELEMS + 16 * n * w
+            assert peak < 12 * scoring._CHUNK_ELEMS + 16 * n * w
 
     @pytest.mark.parametrize("shift", [True, False])
     def test_kernel_stacks_keep_memory_within_the_budget(self, monkeypatch, shift):
@@ -1486,7 +1486,7 @@ class TestKernelRows:
         table, ds = _memory_inputs()
         n, d = len(table), 4
         kernel_pools, widths = evaluation._Relation.kernel_pools, []
-        mul_split, make_stacks = evaluation._mul_split, evaluation._stacks
+        mul_split, make_stacks = scoring._mul_split, evaluation._stacks
         stacks, split_rows = [], []  # kernels per stack; rows per open-row part of CosMUL
 
         def recorded(rel, *args, **kwargs):
@@ -1504,10 +1504,10 @@ class TestKernelRows:
                 yield lo, hi, parts
 
         monkeypatch.setattr(evaluation._Relation, "kernel_pools", recorded)
-        monkeypatch.setattr(evaluation, "_mul_split", split)
+        monkeypatch.setattr(scoring, "_mul_split", split)
         monkeypatch.setattr(evaluation, "_stacks", stacked)
         # 64 |V|-wide rows per block: four kernels of 2d + u + 2k = 16 rows each
-        monkeypatch.setattr(evaluation, "_CHUNK_ELEMS", 64 * n)
+        monkeypatch.setattr(scoring, "_CHUNK_ELEMS", 64 * n)
         cfg = EvalConfig(measure="GFKCosADD,GFKCosMUL", subspace_dim=d, holdout="question", shift_cosines=shift)
         evaluate(ds, table, cfg)  # builds the table's lowercase index before the measurement
         stacks.clear(), split_rows.clear()
@@ -1524,7 +1524,7 @@ class TestKernelRows:
         # the scoring budget's blocks, a stack's float32 kernel rows among them,
         # then the pool coordinates (float64 and float32): O(|V| w)
         w = widths[-1]
-        assert peak < 12 * evaluation._CHUNK_ELEMS + 16 * n * w, (peak, w)
+        assert peak < 12 * scoring._CHUNK_ELEMS + 16 * n * w, (peak, w)
 
     def test_project_casts_float64_rows_in_blocks(self, monkeypatch):
         rng = np.random.default_rng(53)
@@ -1567,22 +1567,22 @@ def test_ranks_with_several_golds_equal_all_reference_ranks(kind, shift, seed):
         ((16, 17, 18, 26), np.array([26]), (4, 16, 17, 18, 28)),
     ]
     if kind == "plain":
-        scorer = evaluation._Scorer(coords[None], evaluation._Workspace())
-        block = evaluation._Block.of([items])
+        scorer = scoring._Scorer(coords[None], scoring._Workspace())
+        block = scoring._Block.of([items])
     else:
         kernels = [_random_kernel(rng, w, 2) for _ in range(2)]
         outside = np.linalg.svd(kernels[0].projection.T)[2][-1]
         coords[25], coords[27] = outside + 1e-9 * rng.standard_normal((2, w))
         scorer = _kernel_scorer(coords, kernels)
         assert scorer.suspect is not None and scorer.suspect[0, [25, 27]].all()
-        block = evaluation._Block.of([items, items[::-1]])
+        block = scoring._Block.of([items, items[::-1]])
     epsilon = 1e-3 if shift or seed else 0.5
     for slab in scorer.scores(block, ("add", "mul"), epsilon, shift, 10**6):
         scores = slab.scores.reshape(-1, n)
         rows = np.flatnonzero(~slab.null.ravel() if slab.mode == "add" else np.ones(len(scores), bool))
         gold = block.gold.reshape(len(scores), -1)
         excluded = block.excluded.reshape(len(scores), -1)
-        ranks = evaluation._gold_ranks(scores, slab, rows, gold, excluded)
+        ranks = scoring._gold_ranks(scores, slab, rows, gold, excluded)
         want = [_reference_rank(slab, r, gold[r], excluded[r], n) for r in rows.tolist()]
         assert ranks.tolist() == want, slab.mode
 

@@ -5,7 +5,9 @@ A fresh interpreter imports the package and the CLI, runs ``evaluate`` and
 takes the dense SVD path of ``truncated_svd_embed``, on an ndarray and on a
 small sparse matrix, and runs the PPMI pipeline and ``synth.generate``, whose
 outputs must carry the same bits as the same calls made in this process, where
-scipy is already loaded.
+scipy is already loaded. The sources' own imports and names are read with
+``ast``: the scoring module imports neither evaluation nor scipy, and
+evaluation names none of the scorer's internals.
 """
 
 import ast
@@ -187,3 +189,51 @@ def test_ppmi_annotations_resolve_through_its_type_checking_imports():
     assert hints["CooccurrenceCounts"]["counts"] is scipy.sparse.csr_matrix
     assert hints["ppmi_transform"]["return"] is scipy.sparse.csr_matrix
     assert hints["truncated_svd_embed"]["matrix"] == scipy.sparse.spmatrix | np.ndarray
+
+
+# What turns row sets into exact ranks: the error model, the bands and the float64 reference.
+SCORER_INTERNALS = ("_Slab", "_band", "_gold_ranks", "_add_tau", "_mul_bound", "_row_terms", "_margin",
+                    "_add_split", "_mul_split", "_project_rows", "_targets", "_mul_reference", "_cosines")
+
+
+def _source_names(module) -> tuple[set[str], set[str]]:
+    """(names, imported modules) of a module's source: every identifier, attribute and imported name,
+    and every module it imports, at any depth, relative ones by their dotted tail."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+            if node.module:
+                modules.add(node.module)
+            else:  # from . import x imports the module x
+                modules.update(alias.name for alias in node.names)
+    return names, modules
+
+
+def test_evaluation_reaches_the_scorer_through_its_interface():
+    from gfkanalogy import evaluation
+
+    names, _ = _source_names(evaluation)
+    assert names.isdisjoint(SCORER_INTERNALS), sorted(names.intersection(SCORER_INTERNALS))
+    from gfkanalogy import scoring
+
+    # each internal is defined in the scoring module alone (_cosines as a _Scorer method),
+    # and evaluation does not re-export it
+    for name in SCORER_INTERNALS[:-1]:
+        assert hasattr(scoring, name) and not hasattr(evaluation, name), name
+    for name in ("_CHUNK_ELEMS", "_RHO_CAP", "_gamma"):
+        assert not hasattr(evaluation, name), name
+
+
+def test_scoring_imports_neither_evaluation_nor_scipy():
+    from gfkanalogy import scoring
+
+    _, modules = _source_names(scoring)
+    assert not any(m.split(".")[0] == "scipy" or m.split(".")[-1] == "evaluation" for m in modules), modules
