@@ -117,7 +117,24 @@ def parse_msr(path: str, tag_column: int = 4) -> RelationDataset:
 
 
 def write_google(dataset: RelationDataset, path: str) -> None:
-    """Write a dataset in the Google questions format."""
+    """Write a dataset in the Google questions format.
+
+    A value that parse_google could not read back raises ValueError naming
+    it, before the file is opened: an empty token or one containing
+    whitespace, a first token that starts with ':' (its line would read as
+    a relation header), and a relation name that is empty, has leading or
+    trailing whitespace, or holds a line break.
+    """
+    for relation, questions in dataset.relations.items():
+        if not relation or relation != relation.strip() or "\n" in relation or "\r" in relation:
+            raise ValueError(f"cannot write relation {relation!r}: names must be non-empty, with no line "
+                             "break and no leading or trailing whitespace")
+        for q in questions:
+            for token in q.tokens():
+                if token.split() != [token]:
+                    raise ValueError(f"cannot write token {token!r}: tokens must be non-empty with no whitespace")
+            if q.a.startswith(":"):
+                raise ValueError(f"cannot write first token {q.a!r}: a line starting with ':' is a relation header")
     with open(path, "w", encoding="utf-8") as f:
         for relation, questions in dataset.relations.items():
             f.write(f": {relation}\n")

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfkanalogy.datasets import (
     AnalogyQuestion,
@@ -7,6 +11,10 @@ from gfkanalogy.datasets import (
     parse_msr,
     write_google,
 )
+
+
+# letters, whitespace that str.split and str.strip see, line breaks and the header mark
+TRICKY = st.sampled_from(["a", "B", ":", ")", " ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", "\u00e9"])
 
 
 def write(tmp_path, text, name="data.txt"):
@@ -99,6 +107,38 @@ class TestRoundTrip:
             assert [q.tokens() for q in back.relations[name]] == [
                 q.tokens() for q in ds.relations[name]
             ]
+
+
+    @pytest.mark.parametrize("relation, tokens, bad", [
+        ("smile", (":)", "smile", "x", "y"), "':)'"),
+        ("r", ("a b", "c", "d", "e"), "'a b'"),
+        (" padded ", ("a", "b", "c", "d"), "' padded '"),
+        ("two\nlines", ("a", "b", "c", "d"), "'two\\nlines'"),
+    ])
+    def test_unreadable_values_refused_before_the_file_opens(self, tmp_path, relation, tokens, bad):
+        ds = RelationDataset()
+        ds.add(AnalogyQuestion(*tokens, relation))
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            write_google(ds, str(path))
+        assert not path.exists()
+
+    @given(st.lists(
+        st.tuples(st.text(alphabet=TRICKY, min_size=1, max_size=6),
+                  st.tuples(*[st.text(alphabet=TRICKY, min_size=1, max_size=4)] * 4)),
+        min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_written_datasets_read_back_equal_or_are_refused(self, tmp_path_factory, drawn):
+        ds = RelationDataset(source="google")
+        for relation, tokens in drawn:
+            ds.add(AnalogyQuestion(*tokens, relation))
+        path = tmp_path_factory.mktemp("google") / "out.txt"
+        try:
+            write_google(ds, str(path))
+        except ValueError:
+            assert not path.exists()
+            return
+        assert parse_google(str(path)).relations == ds.relations
 
 
 class TestQuestion:
