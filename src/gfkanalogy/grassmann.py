@@ -30,8 +30,6 @@ ORTHONORMAL_TOL = 1e-10
 # Below this sine a complement direction is numerically undefined; the matching
 # sin(t*theta) contribution is < 1e-8, so any orthonormal completion works.
 DEGENERATE_ANGLE = 1e-8
-# Below this angle lambda1 and lambda3 switch to a series expansion.
-SMALL_ANGLE = 1e-4
 NULL_SPACE_NORM = 1e-12
 # (-1)^(k+1) / (2k+1)!, k = 1..10: the Taylor coefficients of 1 - sin(x)/x in x^2
 _SINC_GAP_SERIES = tuple((-1) ** (k + 1) / math.factorial(2 * k + 1) for k in range(1, 11))
@@ -321,21 +319,21 @@ def geodesic_point(pa: PrincipalAngleDecomposition, t: float) -> Subspace:
     return Subspace(basis)
 
 
-def _lambda_coefficients(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lambda_coefficients(theta: np.ndarray, gap: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Diagonal kernel coefficients (lambda1, lambda2, lambda3) per angle.
 
-    lambda1, lambda3 = 1 +- sin(2 theta) / (2 theta), and for theta < 1e-4
-    that ratio is a 4th-order series in u = 2*theta, avoiding 0/0 at the
-    theta -> 0 limit (lambda1 -> 2, lambda3 -> 0). lambda2 is taken as
-    -sin(theta)^2 / theta, which equals (cos 2theta - 1) / (2 theta) without
-    its cancellation, and is 0 at theta = 0.
+    lambda1, lambda3 = 1 +- sin(2 theta) / (2 theta) and lambda2 =
+    -sin(theta)^2 / theta. With q = sin(theta) / theta = 1 - gap (gap from
+    _sinc_gap unless given), sin(2 theta) / (2 theta) = q cos(theta), so
+    lambda3 = gap cos(theta) + 2 sin(theta / 2)^2, two terms >= 0 on
+    [0, pi/2]: no cancellation and no division at any angle. lambda1 =
+    2 - lambda3 and lambda2 = -sin(theta) (1 - gap); at theta = 0 the three
+    are exactly 2, 0 and 0.
     """
-    u = 2.0 * theta
-    small = theta < SMALL_ANGLE
-    u_safe = np.where(small, 1.0, u)
-    sin_ratio = np.where(small, 1.0 - u**2 / 6.0 + u**4 / 120.0, np.sin(u) / u_safe)
-    lam2 = np.divide(-np.sin(theta) ** 2, theta, out=np.zeros_like(theta), where=theta > 0)
-    return 1.0 + sin_ratio, lam2, 1.0 - sin_ratio
+    if gap is None:
+        gap = _sinc_gap(theta)
+    lam3 = gap * np.cos(theta) + 2.0 * np.sin(0.5 * theta) ** 2
+    return 2.0 - lam3, -np.sin(theta) * (1.0 - gap), lam3
 
 
 def _sinc_gap(theta: np.ndarray) -> np.ndarray:
@@ -498,8 +496,8 @@ def gfk(pa: PrincipalAngleDecomposition) -> GfkKernel:
     elementwise per angle, so each kernel has the bits it gets when built
     alone.
     """
-    lam1, lam2, lam3 = _lambda_coefficients(pa.theta)
     gap = _sinc_gap(pa.theta)  # 1 - q
+    lam1, lam2, lam3 = _lambda_coefficients(pa.theta, gap)
     root_det = np.sqrt(gap * (2.0 - gap))
     root_trace = np.sqrt(2.0 - gap) + np.sqrt(gap)
     lam = _angle_blocks(lam1, lam2, lam3)
