@@ -182,8 +182,8 @@ def _scoring_items(resolved_questions, table: EmbeddingTable, exclude_inputs: bo
 def _answer(q, table, scorer: _Scorer, mode, epsilon, shift, exclude_inputs) -> Ranking:
     """One question ranked by the reference scores of every candidate, in a stable full sort.
 
-    scorer.answer takes the reference evaluate ranks by, so on the same rows
-    the two rank alike. The returned arrays are the ranking's own.
+    The scores are scorer.answer's, the reference that evaluate ranks by, so
+    on the same rows the two rank alike. The arrays are the ranking's own.
     """
     [item] = _scoring_items([(q, _resolve_question(q, table, strict=True))], table, exclude_inputs)
     scores, null_q, n_null = scorer.answer(item, mode, epsilon, shift)

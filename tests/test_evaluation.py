@@ -260,6 +260,19 @@ class TestGfkAnswer:
         with pytest.raises(ValueError, match="kernel ambient dimension 6 does not match the table's dimension 4"):
             gfk_answer(question("w0", "w1", "w2", "w3"), table, GfkKernel.identity(6))
 
+    def test_words_off_the_kernel_span_are_counted_as_null_candidates(self):
+        # the kernel acts in the plane of the first two axes; w9 lies off it
+        rng = np.random.default_rng(12)
+        rows = np.zeros((10, 4))
+        rows[:9, :2] = rng.standard_normal((9, 2))
+        rows[9, 2:] = 1.0
+        table = EmbeddingTable([f"w{i}" for i in range(10)], rows)
+        kernel = gfk(principal_angles(subspace_from_rows(rows[:4], 1), subspace_from_rows(rows[4:8], 1)))
+        for mode in ("add", "mul"):
+            ranking = gfk_answer(question("w0", "w1", "w2", "w3"), table, kernel, mode=mode)
+            assert ranking.diagnostics == {"null_candidates": 1}
+        assert ranking.scores[list(ranking.indices).index(9)] == 0.0  # shifted cosines of -1
+
 
 class TestRelationSubspaces:
     def test_head_is_top_right_singular_vectors(self):
