@@ -122,14 +122,17 @@ def write_google(dataset: RelationDataset, path: str) -> None:
     A value that parse_google could not read back raises ValueError naming
     it, before the file is opened: an empty token or one containing
     whitespace, a first token that starts with ':' (its line would read as
-    a relation header), and a relation name that is empty, has leading or
-    trailing whitespace, or holds a line break.
+    a relation header), a relation name that is empty, has leading or
+    trailing whitespace, or holds a line break, and a question filed under
+    another relation's key (it would read back under that key).
     """
     for relation, questions in dataset.relations.items():
         if not relation or relation != relation.strip() or "\n" in relation or "\r" in relation:
             raise ValueError(f"cannot write relation {relation!r}: names must be non-empty, with no line "
                              "break and no leading or trailing whitespace")
         for q in questions:
+            if q.relation != relation:
+                raise ValueError(f"cannot write question {' '.join(q.tokens())!r} of {q.relation!r} under {relation!r}")
             for token in q.tokens():
                 if token.split() != [token]:
                     raise ValueError(f"cannot write token {token!r}: tokens must be non-empty with no whitespace")

@@ -233,7 +233,7 @@ def gfk_answer(
     # the scorer evaluate takes for a kernel over the table itself, whose reference re-projects the table
     with np.errstate(over="ignore"):
         cnorms = _row_norms(table.vectors).astype(np.float32)
-    scorer = _kernel_scorer([kernel], _Workspace(), table.vectors, table.vectors, cnorms)
+    scorer = _Scorer.of_kernels([kernel], _Workspace(), table.vectors, table.vectors, cnorms)
     return _answer(q, table, scorer, mode, epsilon, shift_cosines, exclude_inputs)
 
 
@@ -586,10 +586,10 @@ def evaluate(
     dimension, in a few array operations, before the relation's first
     kernel, so it is skipped or scored whole.
 
-    Ranks are exact, from the scoring module. Each kernel of a stack
-    projects the pool coordinates, cast to float32 once per relation, or the
-    table itself, a block of rows at a time (see _kernel_scorer). Peak memory
-    is the table + the scoring budget per |V|-wide block + O(|V| w): a
+    Ranks are exact, from the scoring module: its _Scorer.of_kernels has each
+    kernel of a stack project the pool coordinates, cast to float32 once per
+    relation, or the table itself, a block of rows at a time. Peak memory is
+    the table + the scoring budget per |V|-wide block + O(|V| w): a
     relation's pool coordinates, their float32 copy and norms.
 
     sweep_state is not a tuning option: dimension_sweep passes the state it
@@ -677,10 +677,10 @@ def _score_relation_gfk(coords, source, spectra, block, groups, d, measures, con
     factors, 2d x 2d coefficients and their temporaries), so a sub-batch
     holds as many kernels as fit _KERNEL_BATCH_ELEMS, and at least one. A
     sub-batch is scored in stacks, which the scoring budget alone sizes
-    (see _stacks): on a small vocabulary the whole sub-batch is
-    one stack, scored by one _kernel_scorer. A stack's scorer and a
-    sub-batch's kernels are dropped before the next ones are built. Returns
-    the _ranked results in group order.
+    (see _stacks): on a small vocabulary the whole sub-batch is one stack.
+    Each stack's _Scorer.of_kernels projects source by its kernels, with
+    cnorms taken once here; it and the sub-batch's kernels are dropped
+    before the next ones are built. Returns the _ranked results in group order.
     """
     n, w = coords.shape
     with np.errstate(over="ignore"):
@@ -692,26 +692,11 @@ def _score_relation_gfk(coords, source, spectra, block, groups, d, measures, con
         # the top-d spans that kernel_pools checked, one B x w x d batch per side
         kernels = gfk(principal_angles(*(Subspace(spectra.bases(start, stop, side, d)) for side in (0, 1))))
         for lo, hi, parts in _stacks(block.take(start, stop), groups[start:stop], 2 * d, measures, n):
-            scorer = _kernel_scorer([kernels[i] for i in range(lo, hi)], ws, coords, source, cnorms)
+            scorer = _Scorer.of_kernels([kernels[i] for i in range(lo, hi)], ws, coords, source, cnorms)
             results.extend(_ranked(scorer, part, measures, config) for part in parts)
             del scorer  # not held while the next stack is built
         del kernels  # nor the batch while the next one is built
     return results
-
-
-def _kernel_scorer(kernels, ws: _Workspace, coords, source, cnorms) -> _Scorer:
-    """A scorer over the rows of source projected by each kernel, in float32 (see _Scorer.of_kernels).
-
-    Each kernel projects source (coords, or their float32 copy) into its
-    slice of the workspace's float32 row buffer, and the scorer's float64
-    reference re-projects coords through the kernel's own f lam_sqrt; cnorms
-    are the norms of coords rounded to float32.
-    """
-    n, m = len(coords), kernels[0].projection.shape[1]
-    rows = ws.get("rows", (len(kernels) * n, m)).reshape(len(kernels), n, m)
-    for kernel, out in zip(kernels, rows):
-        kernel.project(source, out=out)
-    return _Scorer.of_kernels(rows, ws, coords, cnorms, [kernel.projection for kernel in kernels])
 
 
 def dimension_sweep(

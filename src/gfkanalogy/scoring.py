@@ -423,7 +423,7 @@ class _Scorer:
 
     rows (G x |V| x m) is the vocabulary itself (G = 1, float64) for the
     plain measures, or the float32 projections of G kernels for the kernel
-    measures (see of_kernels), so each kernel projects the vocabulary once.
+    measures, made by of_kernels, so each kernel projects the vocabulary once.
     A cosine is (unit query row . raw candidate row) / |candidate row|, so
     no scorer keeps a unit copy of its rows. Plain rows give a float64
     block of query-candidate products, divided by the candidate norms and
@@ -468,17 +468,18 @@ class _Scorer:
         self.suspect = None
 
     @classmethod
-    def of_kernels(cls, rows: np.ndarray, ws: _Workspace, coords, cnorms, proj) -> "_Scorer":
-        """A scorer over float32 kernel rows: rows[i] is coords projected through proj[i] in float32.
+    def of_kernels(cls, kernels, ws: _Workspace, coords, source, cnorms) -> "_Scorer":
+        """A scorer over float32 kernel rows: row set i is coords projected by kernels[i].
 
-        proj[i] is the w x 2d factor f lam_sqrt of kernel i (GfkKernel.projection),
-        and rows[i] its GfkKernel.project(coords) into a float32 buffer.
-
-        coords (|V| x w, float64) are pool coordinates or the vectors, and
-        cnorms their row norms rounded to float32. The reference re-projects
-        each pair it scores from coords through the kernel's float64
-        f lam_sqrt (see _project_rows), and takes the norm and null flag of
-        that row, so a pair's reference bits depend on its own two rows only.
+        Kernel rows are made here alone: each kernel writes its slice of the
+        workspace's float32 "rows" buffer with one GfkKernel.project(source,
+        out=...), so r~_j = fl32(fl32(c_j) fl32(P)) as _row_terms bounds it.
+        coords (|V| x w, float64) are pool coordinates or the vectors; source
+        is coords or their float32 copy; cnorms are the norms of coords in
+        float32. The reference re-projects each pair it scores from coords
+        through the kernel's float64 P = f lam_sqrt (GfkKernel.projection; see
+        _project_rows), and takes the norm and null flag of that row, so a
+        pair's reference bits depend on its own two rows only.
 
         Each candidate of a row set is one of three kinds (see _row_terms
         for the terms):
@@ -504,9 +505,12 @@ class _Scorer:
         With the float32 cosine's own error dc32, these are the scorer's
         errors (see _add_tau and _mul_bound).
         """
+        g, n, m = len(kernels), len(coords), kernels[0].projection.shape[1]
+        rows = ws.get("rows", (g * n, m)).reshape(g, n, m)
+        for kernel, out in zip(kernels, rows):
+            kernel.project(source, out=out)
         scorer = cls(rows, ws)
-        g, _, m = rows.shape
-        proj_t = np.stack([p.T for p in proj])
+        proj_t = np.stack([kernel.projection.T for kernel in kernels])
         pf = np.sqrt(np.einsum("gij,gij->g", proj_t, proj_t))
         (alpha, beta, lim, floor), (nu, n_abs, nu64, dc32) = _row_terms(coords.shape[1], m, pf)
         # the float32 floor rounded up, so that a norm at or above it is at or above the float64 one

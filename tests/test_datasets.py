@@ -123,6 +123,13 @@ class TestRoundTrip:
             write_google(ds, str(path))
         assert not path.exists()
 
+    def test_question_under_another_relation_refused_before_the_file_opens(self, tmp_path):
+        ds = RelationDataset(relations={"capitals": [AnalogyQuestion("a", "b", "c", "d", "family")]})
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=r"'a b c d'.*'family'.*'capitals'"):
+            write_google(ds, str(path))
+        assert not path.exists()
+
     @given(st.lists(
         st.tuples(st.text(alphabet=TRICKY, min_size=1, max_size=6),
                   st.tuples(*[st.text(alphabet=TRICKY, min_size=1, max_size=4)] * 4)),

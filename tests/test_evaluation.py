@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -597,6 +598,27 @@ class TestEvaluate:
         assert report.oov_counts["r"] == 1
         assert report.n_oov == 1
 
+    def test_relation_with_no_in_vocabulary_question_skipped_for_every_measure(self):
+        table, ds = generate(SynthSpec(n_relations=1, pairs_per_relation=6, dim=12, seed=3))
+        [relation] = ds.relations
+        q = ds.relations[relation][0]
+        ds.add(question(q.a, q.b, q.x, "zzz", relation))  # one OOV question among in-vocabulary ones
+        ds.add(question("zzz", q.b, q.x, q.y, "lost"))  # a relation of OOV questions only
+        ds.add(question(q.a, q.b, "yyy", "zzz", "lost"))
+        cfg = EvalConfig(measure="all", subspace_dim=2)
+        reports = evaluate(ds, table, cfg)
+        assert tuple(reports) == MEASURES
+        for rep in reports.values():
+            assert rep.skipped == {"lost": "no in-vocabulary questions"}
+            assert rep.oov_counts == {relation: 1, "lost": 2} and rep.n_oov == 3
+            assert list(rep.per_relation) == [relation]
+            assert rep.per_relation[relation].n_questions == len(ds.relations[relation]) - 1
+        out = io.StringIO()
+        write_report_csv(reports, cfg, out)
+        comments = [l for l in out.getvalue().splitlines() if l.startswith(("# skipped", "# oov"))]
+        assert comments == [line for m in MEASURES for line in (
+            f"# skipped lost ({m}): no in-vocabulary questions", f"# oov questions dropped ({m}): 3")]
+
     def test_exclude_inputs_never_drops_gold_even_when_equal_to_b(self):
         rng = np.random.default_rng(18)
         table = EmbeddingTable(
@@ -737,9 +759,9 @@ class TestEvaluate:
             batches.append(len(pa.theta))
             return gfk(pa)
 
-        def scorer(cls, rows, *args):
-            stacks.append([len(rows), None])
-            return of_kernels(rows, *args)
+        def scorer(cls, kernels, *args):
+            stacks.append([len(kernels), None])
+            return of_kernels(kernels, *args)
 
         def scored(scorer, block, measures, config):
             # each kernel's rows, a cosine row per distinct word, a score row and a denominator per slot
@@ -1343,12 +1365,8 @@ def _random_kernel(rng, w, d):
 
 def _kernel_scorer(coords, kernels):
     """A scorer over the float32 rows of a stack of kernels, as evaluate builds it."""
-    rows = np.empty((len(kernels), len(coords), kernels[0].projection.shape[1]), dtype=np.float32)
-    for kernel, out in zip(kernels, rows):
-        kernel.project(coords, out=out)
     cnorms = scoring._row_norms(coords).astype(np.float32)
-    proj = [kernel.projection for kernel in kernels]
-    return scoring._Scorer.of_kernels(rows, scoring._Workspace(), coords, cnorms, proj)
+    return scoring._Scorer.of_kernels(kernels, scoring._Workspace(), coords, coords, cnorms)
 
 
 class TestKernelRows:
@@ -1459,6 +1477,29 @@ class TestKernelRows:
             r, j = rng.integers(0, rows, 700), rng.integers(0, n, 700)
             want_pairs = np.array([full[ri][ji] for ri, ji in zip(r.tolist(), j.tolist())])
             assert slab.ref(r, j).tobytes() == want_pairs.tobytes(), slab.mode
+
+    def test_coordinates_past_the_float32_range_of_a_row_are_suspects(self):
+        rng = np.random.default_rng(61)
+        n, w = 30, 12
+        coords = rng.standard_normal((n, w))
+        coords[3] *= 1e20  # past 2^59 / |f lam_sqrt|_F: its float32 row or norm may overflow
+        kernels = [_random_kernel(rng, w, 3) for _ in range(2)]
+        items = [((i, i + 1, i + 2, i + 3), np.array([i + 3]), (i, i + 1, i + 2)) for i in (0, 4, 8)]
+        block = scoring._Block.of([items, items[::-1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scorer = _kernel_scorer(coords, kernels)
+            # only the scaled row, and by its coordinates alone: its float32 norm is no smaller than the others
+            assert scorer.suspect is not None and np.argwhere(scorer.suspect).tolist() == [[0, 3], [1, 3]]
+            for slab in scorer.scores(block, ("add", "mul"), 1e-3, True, 10**6):
+                scores = slab.scores.reshape(-1, n)
+                assert np.isnan(scores[:, 3]).all()
+                rows = np.flatnonzero(~slab.null.ravel() if slab.mode == "add" else np.ones(len(scores), bool))
+                gold = block.gold.reshape(len(scores), -1)
+                excluded = block.excluded.reshape(len(scores), -1)
+                ranks = scoring._gold_ranks(scores, slab, rows, gold, excluded)
+                want = [_reference_rank(slab, r, gold[r], excluded[r], n) for r in rows.tolist()]
+                assert ranks.tolist() == want, slab.mode
 
     @pytest.mark.parametrize("holdout", ["none", "answer"])
     def test_kernel_scoring_memory_follows_the_budget(self, monkeypatch, holdout):

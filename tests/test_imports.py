@@ -7,7 +7,7 @@ small sparse matrix, and runs the PPMI pipeline and ``synth.generate``, whose
 outputs must carry the same bits as the same calls made in this process, where
 scipy is already loaded. The sources' own imports and names are read with
 ``ast``: the scoring module imports neither evaluation nor scipy, and
-evaluation names none of the scorer's internals.
+evaluation names none of the scorer's internals and makes no kernel rows.
 """
 
 import ast
@@ -230,6 +230,14 @@ def test_evaluation_reaches_the_scorer_through_its_interface():
         assert hasattr(scoring, name) and not hasattr(evaluation, name), name
     for name in ("_CHUNK_ELEMS", "_RHO_CAP", "_gamma"):
         assert not hasattr(evaluation, name), name
+
+
+def test_evaluation_makes_no_kernel_rows():
+    """_Scorer.of_kernels alone projects the vocabulary by a kernel and reads its f lam_sqrt."""
+    from gfkanalogy import evaluation
+
+    names, _ = _source_names(evaluation)
+    assert names.isdisjoint({"project", "projection"}), sorted(names.intersection({"project", "projection"}))
 
 
 def test_scoring_imports_neither_evaluation_nor_scipy():
