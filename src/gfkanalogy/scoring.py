@@ -467,6 +467,17 @@ class _Scorer:
         self.errors = (np.full(len(rows), 1.0001 * _U32 + _ETA32), np.zeros(len(rows)))  # (dc32, drow)
         self.suspect = None
 
+    @staticmethod
+    def kernel_inputs(coords: np.ndarray, cast: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(source, cnorms) for of_kernels, made once for every kernel that projects coords.
+
+        source is coords cast to float32, or coords themselves if not cast
+        (GfkKernel.project then casts a block of rows at a time); cnorms are
+        their norms rounded to float32. Rows past the float32 range hold inf.
+        """
+        with np.errstate(over="ignore"):  # such rows are of_kernels' suspects
+            return (coords.astype(np.float32) if cast else coords), _row_norms(coords).astype(np.float32)
+
     @classmethod
     def of_kernels(cls, kernels, ws: _Workspace, coords, source, cnorms) -> "_Scorer":
         """A scorer over float32 kernel rows: row set i is coords projected by kernels[i].
@@ -474,12 +485,11 @@ class _Scorer:
         Kernel rows are made here alone: each kernel writes its slice of the
         workspace's float32 "rows" buffer with one GfkKernel.project(source,
         out=...), so r~_j = fl32(fl32(c_j) fl32(P)) as _row_terms bounds it.
-        coords (|V| x w, float64) are pool coordinates or the vectors; source
-        is coords or their float32 copy; cnorms are the norms of coords in
-        float32. The reference re-projects each pair it scores from coords
-        through the kernel's float64 P = f lam_sqrt (GfkKernel.projection; see
-        _project_rows), and takes the norm and null flag of that row, so a
-        pair's reference bits depend on its own two rows only.
+        coords (|V| x w, float64) are pool coordinates or the vectors, source
+        and cnorms their kernel_inputs. The reference re-projects each pair
+        from coords through the kernel's float64 P = f lam_sqrt (its
+        projection; see _project_rows) and takes that row's norm and null
+        flag, so a pair's reference bits depend on its own two rows only.
 
         Each candidate of a row set is one of three kinds (see _row_terms
         for the terms):

@@ -1365,8 +1365,8 @@ def _random_kernel(rng, w, d):
 
 def _kernel_scorer(coords, kernels):
     """A scorer over the float32 rows of a stack of kernels, as evaluate builds it."""
-    cnorms = scoring._row_norms(coords).astype(np.float32)
-    return scoring._Scorer.of_kernels(kernels, scoring._Workspace(), coords, coords, cnorms)
+    source, cnorms = scoring._Scorer.kernel_inputs(coords, cast=False)
+    return scoring._Scorer.of_kernels(kernels, scoring._Workspace(), coords, source, cnorms)
 
 
 class TestKernelRows:
