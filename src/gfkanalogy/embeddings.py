@@ -12,7 +12,12 @@ import warnings
 
 import numpy as np
 
-UNIT_NORM_TOL = 1e-12
+# A unit row rounded to float32 has a norm within 2^-24 of 1 and its float64
+# norm adds about m 2^-53 (m values): twice 2^-24 covers both up to m = 2^27,
+# so rows of a normalized table are unit again and normalized() is idempotent.
+UNIT_NORM_TOL = float(np.finfo(np.float32).eps)
+# The least float64 magnitude that rounds to an infinite float32 (to even, up)
+_FLOAT32_LIMIT = 2.0**128 - 2.0**103
 # Rows of a table are normalized in blocks of about this many values (512 kB),
 # so the squared copy that np.linalg.norm makes is a block, not the table.
 _NORM_BLOCK_ELEMS = 1 << 16
@@ -22,12 +27,16 @@ class EmbeddingTable:
     """Vocabulary plus dense D-dimensional word vectors, one row per word.
 
     Words map to unique row indices in insertion order. Vectors are stored
-    as float64 because the subspace/angle computations downstream are
-    sensitive near zero angles.
+    as float32, as pretrained word vectors ship: the given values are
+    rounded once, and a value past the float32 range raises ValueError
+    naming its word. Computations that need float64 (subspaces, principal
+    angles, reference scores) upcast the rows they read, exactly.
     """
 
     def __init__(self, words: list[str], vectors: np.ndarray):
-        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+        given = np.asarray(vectors)
+        with np.errstate(over="ignore"):  # a value past the float32 range is named below
+            vectors = np.ascontiguousarray(given, dtype=np.float32)
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be a 2-d array, got shape {vectors.shape}")
         if len(words) != vectors.shape[0]:
@@ -38,8 +47,9 @@ class EmbeddingTable:
             raise ValueError("embedding dimension must be at least 1")
         finite = np.isfinite(vectors).all(axis=1)
         if not finite.all():
-            bad = words[int(np.argmin(finite))]
-            raise ValueError(f"non-finite value in the vector for word {bad!r}")
+            i = int(np.argmin(finite))
+            what = "value past the float32 range" if np.isfinite(given[i]).all() else "non-finite value"
+            raise ValueError(f"{what} in the vector for word {words[i]!r}")
         index: dict[str, int] = {}
         for i, w in enumerate(words):
             if w in index:
@@ -111,17 +121,19 @@ class EmbeddingTable:
         return rows
 
     def normalized(self) -> "EmbeddingTable":
-        """Copy of the table with unit-norm rows.
+        """Copy of the table with unit-norm rows, divided in float64 and rounded once.
 
-        Rows whose norm is already within 1e-12 of 1 are left bit-identical,
-        which makes normalization exactly idempotent. Zero rows are rejected;
-        drop them first (the text loader already does).
+        Rows whose norm is already within UNIT_NORM_TOL of 1 are left
+        bit-identical, which makes normalization exactly idempotent. Zero
+        rows are rejected; drop them first (the text loader already does).
         """
-        return EmbeddingTable(self.words, self.vectors / _unit_divisors(self.words, self.vectors)[:, None])
+        vectors = self.vectors.astype(np.float64)
+        vectors /= _unit_divisors(self.words, vectors)[:, None]
+        return EmbeddingTable(self.words, vectors)
 
 
 def _unit_divisors(words: list[str], vectors: np.ndarray) -> np.ndarray:
-    """Each row's norm, or 1 for a row whose norm is within UNIT_NORM_TOL of 1.
+    """Each float64 row's norm, or 1 for a row whose norm is within UNIT_NORM_TOL of 1.
 
     The norms are taken by the same np.linalg.norm(axis=1) call on blocks
     of rows, which gives each row the bits of one call on the whole array
@@ -143,25 +155,27 @@ def load_text_embeddings(path: str, normalize: bool = False) -> EmbeddingTable:
     Policy on dirty input: duplicate words keep the first occurrence (warn),
     all-zero vectors are dropped (warn), and a count that disagrees with the
     header is warned about. Structural problems (bad header, wrong number of
-    values on a line, a nan or infinite value) raise ValueError with the
-    offending line number.
+    values on a line, a nan or infinite value, a value past the float32
+    range) raise ValueError with the offending line number.
 
     A regular file (good header, D parseable values on every non-blank line,
-    all finite, no duplicate word, no zero row, as many words as declared)
-    is parsed in one streaming pass by numpy's C reader. Any other file is
-    re-read line by line, which gives the same table and the same
-    line-numbered errors and warnings as reading every file that way.
-    normalize gives the rows of normalized(), divided in place: the loaded
-    table owns the array it was parsed into, so no second copy is made.
+    all within the float32 range, no duplicate word, no zero row, as many
+    words as declared) is parsed in one streaming pass by numpy's C reader.
+    Any other file is re-read line by line, which gives the same table and
+    the same line-numbered errors and warnings as reading every file that
+    way. Values are parsed to float64; normalize divides them by their row
+    norms as normalized() does, and the table holds their one rounding to
+    float32.
     """
-    table = _load_regular(path)
-    if table is None:
-        table = _load_lines(path)
+    table = _load_regular(path, normalize)
+    return _load_lines(path, normalize) if table is None else table
+
+
+def _table(words: list[str], vectors: np.ndarray, normalize: bool) -> EmbeddingTable:
+    """The table of parsed float64 rows, normalized in place first if asked."""
     if normalize:
-        table.vectors.setflags(write=True)
-        table.vectors /= _unit_divisors(table.words, table.vectors)[:, None]
-        table.vectors.setflags(write=False)
-    return table
+        vectors /= _unit_divisors(words, vectors)[:, None]
+    return EmbeddingTable(words, vectors)
 
 
 def _read_header(f, path: str) -> tuple[int, int]:
@@ -176,7 +190,7 @@ def _read_header(f, path: str) -> tuple[int, int]:
     raise ValueError(f"{path}: line 1: malformed header {header.strip()!r}")
 
 
-def _load_regular(path: str) -> EmbeddingTable | None:
+def _load_regular(path: str, normalize: bool = False) -> EmbeddingTable | None:
     """The table of a regular file, or None when the file needs ``_load_lines``.
 
     A malformed header raises at once, with the line loop's message.
@@ -205,19 +219,20 @@ def _load_regular(path: str) -> EmbeddingTable | None:
         except ValueError:
             return None
     # a word with no values leaves more words than rows, and loadtxt accepts
-    # any row width the rows agree on: the shape check catches both
+    # any row width the rows agree on: the shape check catches both; a NaN
+    # fails the range check
     if (
         vectors.shape != (len(words), dim)
         or declared != len(words)
-        or not np.isfinite(vectors).all()
+        or not (-_FLOAT32_LIMIT < vectors.min() and vectors.max() < _FLOAT32_LIMIT)
         or not vectors.any(axis=1).all()
         or len(set(words)) != len(words)
     ):
         return None
-    return EmbeddingTable(words, vectors)
+    return _table(words, vectors, normalize)
 
 
-def _load_lines(path: str) -> EmbeddingTable:
+def _load_lines(path: str, normalize: bool = False) -> EmbeddingTable:
     """Read any file one line at a time, applying the dirty-input policy per line."""
     words: list[str] = []
     rows: list[np.ndarray] = []
@@ -240,6 +255,8 @@ def _load_lines(path: str) -> EmbeddingTable:
                 raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
             if not np.isfinite(vec).all():
                 raise ValueError(f"{path}: line {lineno}: non-finite value")
+            if np.abs(vec).max() >= _FLOAT32_LIMIT:
+                raise ValueError(f"{path}: line {lineno}: value past the float32 range")
             if word in seen:
                 warnings.warn(f"{path}: line {lineno}: duplicate word {word!r}, keeping first")
                 continue
@@ -253,11 +270,11 @@ def _load_lines(path: str) -> EmbeddingTable:
         raise ValueError(f"{path}: no usable embedding rows")
     if len(words) != declared:
         warnings.warn(f"{path}: header declares {declared} words, loaded {len(words)}")
-    return EmbeddingTable(words, np.vstack(rows))
+    return _table(words, np.vstack(rows), normalize)
 
 
 def save_text_embeddings(table: EmbeddingTable, path: str) -> None:
-    """Write the text format with 17 significant digits (float64 round-trip).
+    """Write the text format with 9 significant digits, which read back the float32 values exactly.
 
     A word the loader could not read back (empty, or containing whitespace)
     raises ValueError naming it, before the file is opened.
@@ -267,7 +284,7 @@ def save_text_embeddings(table: EmbeddingTable, path: str) -> None:
             raise ValueError(
                 f"cannot save word {word!r}: words must be non-empty with no whitespace"
             )
-    fmt = " ".join(["%.17g"] * table.dim) + "\n"
+    fmt = " ".join(["%.9g"] * table.dim) + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{len(table)} {table.dim}\n")
         for word, row in zip(table.words, table.vectors):

@@ -231,7 +231,7 @@ def gfk_answer(
             f"kernel ambient dimension {kernel.ambient_dim} does not match the table's dimension {table.dim}"
         )
     # the scorer evaluate takes for a kernel over the table itself, whose reference re-projects the table
-    source, cnorms = _Scorer.kernel_inputs(table.vectors, cast=False)
+    source, cnorms = _Scorer.kernel_inputs(table.vectors)
     scorer = _Scorer.of_kernels([kernel], _Workspace(), table.vectors, source, cnorms)
     return _answer(q, table, scorer, mode, epsilon, shift_cosines, exclude_inputs)
 
@@ -587,10 +587,9 @@ def evaluate(
 
     Ranks are exact, from the scoring module: its _Scorer.of_kernels has each
     kernel of a stack project the pool coordinates, cast to float32 once per
-    relation by _Scorer.kernel_inputs, or the table itself, a block of rows at
-    a time. Peak memory is
-    the table + the scoring budget per |V|-wide block + O(|V| w): a
-    relation's pool coordinates, their float32 copy and norms.
+    relation by _Scorer.kernel_inputs, or the float32 table itself. Peak
+    memory is the table + the scoring budget per |V|-wide block + O(|V| w):
+    a relation's pool coordinates, their float32 copy and norms.
 
     sweep_state is not a tuning option: dimension_sweep passes the state it
     builds once for all its dimensions (see there), and the reports equal
@@ -639,8 +638,8 @@ def evaluate(
                     reports[m].skipped[relation] = str(err)
                 continue
             # pool coordinates, projected by every kernel of the relation, are
-            # cast to float32 once; the table itself is not copied
-            source, cnorms = _Scorer.kernel_inputs(coords, cast=coords is not table.vectors)
+            # cast to float32 once; the float32 table itself is not copied
+            source, cnorms = _Scorer.kernel_inputs(coords)
             groups = [items for _, _, items in rel.groups]
             results = _score_relation_gfk(
                 coords, source, cnorms, spectra, rel.block, groups, config.subspace_dim, gfk_measures, config, ws

@@ -33,8 +33,6 @@ DEGENERATE_ANGLE = 1e-8
 NULL_SPACE_NORM = 1e-12
 # (-1)^(k+1) / (2k+1)!, k = 1..10: the Taylor coefficients of 1 - sin(x)/x in x^2
 _SINC_GAP_SERIES = tuple((-1) ** (k + 1) / math.factorial(2 * k + 1) for k in range(1, 11))
-# float64 rows a float32 projection casts at a time (1 MB of float32).
-_CAST_BLOCK_ELEMS = 262_144
 
 
 @dataclass(frozen=True)
@@ -444,25 +442,16 @@ class GfkKernel:
         with f lam_sqrt; out, when given, receives it.
 
         The product is float64, whatever the dtype of vectors, unless out is
-        float32: then it is a float32 product with a float32 copy of
-        f lam_sqrt, taken in blocks of rows (_CAST_BLOCK_ELEMS) of a row
-        matrix. float32 rows are read as they are; float64 rows are cast
-        a block at a time, so no float32 copy of them is made, and values
-        past the float32 range become inf, and their rows inf or NaN.
+        float32: then it is a float32 product of the rows in float32 (read as
+        they are when they are float32) and a float32 copy of f lam_sqrt.
+        Values past the float32 range become inf, and their rows inf or NaN.
         """
         if self._proj is None:
             raise TypeError("a batch of kernels projects kernel by kernel: take kernels[i]")
-        vectors = np.asarray(vectors)
         if out is None or out.dtype != np.float32:
             return np.matmul(np.asarray(vectors, dtype=np.float64), self._proj, out=out)
-        proj = self._proj.astype(np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
-            if vectors.ndim != 2:
-                return np.matmul(vectors.astype(np.float32), proj, out=out)
-            step = max(1, _CAST_BLOCK_ELEMS // vectors.shape[1])
-            for lo in range(0, len(vectors), step):
-                np.matmul(vectors[lo : lo + step].astype(np.float32, copy=False), proj, out=out[lo : lo + step])
-        return out
+            return np.matmul(np.asarray(vectors, dtype=np.float32), self._proj.astype(np.float32), out=out)
 
     def materialize(self) -> np.ndarray:
         """Dense D x D kernel, for diagnostics and tests only."""

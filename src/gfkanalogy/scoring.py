@@ -1,9 +1,9 @@
 """Exact ranks of analogy questions from float32 scores and proven error bounds.
 
-Scoring works on stacks of G row sets (see _Scorer): the vocabulary itself
-(G = 1) for the plain measures, or the float32 projections of G kernels. A
-stack's cosines, one row per distinct question word per row set, come from
-one batched product, and every later |V|-wide pass runs in float32: the
+Scoring works on stacks of G float32 row sets (see _Scorer): the table itself
+(G = 1) for the plain measures, or the projections of G kernels. A stack's
+cosines, one row per distinct question word per row set, come from one
+batched float32 product, and every |V|-wide pass runs in float32: the
 additive and multiplicative blocks, null handling and the two counts per
 score row behind the gold ranks. The additive block and the clips take a
 fixed number of NumPy calls per stack; the multiplicative rows and the
@@ -11,18 +11,18 @@ counts take a few per score row, which on a wide vocabulary moves less
 memory than calls over the whole slab.
 
 Ranks are still exact. A score is defined per pair by a float64 reference
-(see _Scorer._cosines): plain rows as they are, kernel rows re-projected
-pair by pair from the float64 coordinates through the kernel's float64
-f lam_sqrt, whose bits do not depend on the other pairs. Every float32 score
-lies within a proven bound of it, from one error model for plain and kernel
-rows (see _Scorer, _add_tau and _mul_bound; kernel bounds grow with the
-largest rho_j = |c_j| |f lam_sqrt|_F / |r_j| of a kernel's ordinary
-candidates, see _Scorer.of_kernels). _gold_ranks centres one band per score
+(see _Scorer._cosines): plain rows upcast to float64, kernel rows
+re-projected pair by pair from their upcast coordinates through the kernel's
+float64 f lam_sqrt, whose bits do not depend on the other pairs. Every
+float32 score lies within a proven bound of it, from one error model for
+plain and kernel rows (see _Scorer, _row_terms, _add_tau and _mul_bound;
+kernel bounds grow with the largest rho_j = |c_j| |f lam_sqrt|_F / |r_j| of
+a kernel's ordinary candidates). _gold_ranks centres one band per score
 row on the best float32 score of the question's golds (every case variant
 of y), counts the candidates clearly above or below it from the float32
 scores, and goes to the reference only for rows whose band holds other
-candidates or whose stack has suspects: kernel candidates past _RHO_CAP or
-too near NULL_SPACE_NORM to bound, which no count takes in. So the ranks are
+candidates or whose stack has suspects: candidates past _RHO_CAP or too
+near NULL_SPACE_NORM to bound, which no count takes in. So the ranks are
 those of the reference scores (_Scorer.answer gives them for one question),
 the same on any BLAS, thread count or block size; exact duplicates and 2v
 multiples tie.
@@ -31,10 +31,9 @@ A stack holds as many row sets as fit _CHUNK_ELEMS of |V|-wide rows: their
 kernel rows, cosine rows and one or two score rows per question; a row set
 over it is scored in slabs of questions, and in parts by distinct words if
 need be (see _stacks). So each |V|-wide block of scoring (a stack's rows,
-the plain float64 product, a chunk of reference rows, a part of open rows)
-takes at most that one budget. The blocks live in one _Workspace per call
-and are reused from stack to stack; each scorer owns its candidate norms and
-flags (G x |V|).
+a chunk of reference rows, a part of open rows) takes at most that one
+budget. The blocks live in one _Workspace per call and are reused from
+stack to stack; each scorer owns its candidate norms and flags (G x |V|).
 """
 
 from __future__ import annotations
@@ -53,10 +52,9 @@ _MODES = {"CosADD": "add", "CosMUL": "mul", "GFKCosADD": "add", "GFKCosMUL": "mu
 # O(|V| w) pool coordinates, however wide the vocabulary. A stack's block is,
 # per row set, its kernel rows (2d; none for the table itself), the cosine rows
 # of its u distinct words and per question slot a score row, plus a denominator
-# for CosMUL. It counts elements, not bytes: a plain cosine element takes 12
-# bytes (the float64 product and its float32 rounding), any other element 4.
-# Reference scores are taken in chunks whose gathered float64 rows hold as many
-# elements, and open score rows are decided again in parts of an eighth as many.
+# for CosMUL, all float32. Reference scores are taken in chunks whose gathered
+# float64 rows, and open score rows decided again in parts, hold an eighth as
+# many elements.
 _CHUNK_ELEMS = 5_000_000
 
 # A kernel stack's candidate whose rho_j = |c_j| |P|_F / |r_j| (its pool
@@ -91,9 +89,9 @@ class _Workspace:
         return buf[: shape[0]]
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row (last axis), in one pass with no rows-sized temporary."""
-    norms = np.einsum("...i,...i->...", rows, rows)
+def _row_norms(rows: np.ndarray, dtype=None) -> np.ndarray:
+    """Euclidean norm of each row (last axis), in one pass with no rows-sized temporary, summed in dtype if given."""
+    norms = np.einsum("...i,...i->...", rows, rows, dtype=dtype)
     return np.sqrt(norms, out=norms)
 
 
@@ -164,11 +162,14 @@ def _project_rows(coords: np.ndarray, proj_t: np.ndarray) -> np.ndarray:
     """float64 rows c f lam_sqrt of coordinate rows c, each a row-wise dot of its own coordinates, never a GEMM.
 
     proj_t holds (f lam_sqrt)^T: coords P x w take one m x w factor, or
-    each row its own (P x m x w). The einsum dots each (row, factor column)
-    pair in one order whatever the other rows are, in either layout, so a
-    row's bits do not depend on which rows are projected with it (the tests
-    hold rows computed alone, among others or per row set bit-equal).
+    each row its own (P x m x w). float32 coordinates are upcast before the
+    dots, as an einsum of mixed dtypes may group its sums otherwise. The
+    einsum dots each (row, factor column) pair in one order whatever the
+    other rows are, in either layout, so a row's bits do not depend on which
+    rows are projected with it (the tests hold rows computed alone, among
+    others or per row set bit-equal).
     """
+    coords = coords.astype(np.float64, copy=False)
     return np.einsum("ij,ikj->ik" if proj_t.ndim == 3 else "ij,kj->ik", coords, proj_t)
 
 
@@ -184,24 +185,21 @@ def _add_tau(spread: np.ndarray, m: int, dc32, drow) -> np.ndarray:
     most gamma_m |u||w|, gamma_m = mv / (1 - mv)). The unit query rows are
     float64 data both paths share, with norms at most 1 + (m + 2)v.
 
-    - The reference's row-wise dots (and, for the plain rows, the float64
-      cosine block, a GEMM divided by the candidate norm) are each within
-      (m + 1)v of the exact cosine of the rows, and the float64
-      coefficients +-|w| / |t| and the target t = x - a + b each carry a
-      few more roundings (gamma_4 v per unit of spread). Together:
-      spread * e64 + e64, e64 = 2(m + 8)v.
+    - The reference's row-wise dots are each within (m + 1)v of the exact
+      cosine of the rows, and the float64 coefficients +-|w| / |t| and the
+      target t = x - a + b each carry a few more roundings (gamma_4 v per
+      unit of spread). Together: spread * e64 + e64, e64 = 2(m + 8)v.
     - Each cosine's float32 value is within dc32 of the exact cosine of its
-      float32 candidate row, or, for plain rows, of the float64 block it
-      rounds (see _Scorer). Rounding the coefficients to float32 costs u per
-      unit of spread, and the float32 coefficient GEMM, three nonzero terms
-      per score, gamma_3(u) < 3.001u, both times the cosines' size, at most
-      1 + dc32 + drow. Each of these roundings may add eta, (spread + 8) eta
-      in all.
+      float32 candidate row (see _Scorer). Rounding the coefficients to
+      float32 costs u per unit of spread, and the float32 coefficient GEMM,
+      three nonzero terms per score, gamma_3(u) < 3.001u, both times the
+      cosines' size, at most 1 + dc32 + drow. Each of these roundings may
+      add eta, (spread + 8) eta in all.
     - A candidate's float32 row is off its reference row by an angle of at
-      most drow (0 for plain rows, which are their own reference). The
-      additive score is linear in the candidate's unit row, with a weight
-      vector of norm within spread * e64 of one, so this adds
-      drow (1 + spread (4.001u + e64)) whatever the spread.
+      most drow (0 for plain rows, whose reference rows are their exact
+      float64 upcasts). The additive score is linear in the candidate's
+      unit row, with a weight vector of norm within spread * e64 of one, so
+      this adds drow (1 + spread (4.001u + e64)) whatever the spread.
     - Clipping to [-1, 1] does not increase a difference, and null
       candidates are -1 on both paths.
 
@@ -223,11 +221,10 @@ def _mul_bound(m: int, epsilon: float, shift: bool, dc32: float) -> tuple[float,
     m is the row width; u, v, eta and e64 are as for _add_tau, and
     epsilon stands for |epsilon|.
 
-    - One cosine: the reference (and the float64 block of plain rows) is
-      within (m + 1)v of the exact cosine, and the float32 cosine within
-      dc32 of it, the scorer's cosine error plus its row error (see _Scorer
-      and _add_tau): dc = dc32 + e64. Clipping and the -1 pins of null
-      words and candidates keep it.
+    - One cosine: the reference is within (m + 1)v of the exact cosine,
+      and the float32 cosine within dc32 of it, the scorer's cosine error
+      plus its row error (see _Scorer and _add_tau): dc = dc32 + e64.
+      Clipping and the -1 pins of null words and candidates keep it.
     - Shifted, s = (c + 1) / 2 is within ds = dc / 2 + u + eta + v of its
       reference (the float32 sum c + 1 <= 2 rounds once; halving is exact
       but in the subnormal range); unshifted, ds = dc. |s| <= 1 on both
@@ -337,8 +334,8 @@ def _mul_reference(s: np.ndarray, epsilon: float, shift: bool) -> np.ndarray:
     return out
 
 
-def _row_terms(w: int, m: int, pf: np.ndarray):
-    """Error terms of kernels' float32 rows: (alpha, beta, lim, floor) per kernel, and (nu, n_abs, nu64, dc32).
+def _row_terms(w: int | None, m: int, pf: np.ndarray):
+    """Error terms of float32 row sets: (alpha, beta, lim, floor) per row set, and (nu, n_abs, nu64, dc32).
 
     A kernel's float32 row set holds r~_j = fl32(fl32(c_j) fl32(P)), the
     projection of candidate j's w coordinates c_j through the kernel's
@@ -374,10 +371,15 @@ def _row_terms(w: int, m: int, pf: np.ndarray):
       (m + 1) eta / NULL_SPACE_NORM + eta for subnormal products.
 
     Each term is widened by 0.1% for second-order terms and the rounding
-    of cn_j.
+    of cn_j. Plain rows (w None) are the float32 table, and each one's
+    reference row is its exact upcast: the rule is the same with no
+    projection term, alpha = beta = 0 (see _Scorer).
     """
-    alpha = 1.001 * ((_gamma(w + 2, _U32) + _gamma(w, _U64)) * pf + 2 * _ETA32 * math.sqrt(m * w))
-    beta = 2.002 * _ETA32 * (math.sqrt(w) * pf + math.sqrt(m) * w + 1)
+    if w is None:
+        alpha = beta = np.zeros_like(pf)
+    else:
+        alpha = 1.001 * ((_gamma(w + 2, _U32) + _gamma(w, _U64)) * pf + 2 * _ETA32 * math.sqrt(m * w))
+        beta = 2.002 * _ETA32 * (math.sqrt(w) * pf + math.sqrt(m) * w + 1)
     nu, nu64 = (1.001 * (_gamma(m + 1, unit) / 2 + unit) for unit in (_U32, _U64))
     n_abs = 1.002 * math.sqrt(m * _ETA32)
     lim = (_RHO_CAP / pf).astype(np.float32)
@@ -419,64 +421,113 @@ class _Slab(NamedTuple):
 
 
 class _Scorer:
-    """Cosine scoring over a stack of G row sets, each one row per vocabulary word.
+    """Cosine scoring over a stack of G float32 row sets, each one row per vocabulary word.
 
-    rows (G x |V| x m) is the vocabulary itself (G = 1, float64) for the
-    plain measures, or the float32 projections of G kernels for the kernel
-    measures, made by of_kernels, so each kernel projects the vocabulary once.
-    A cosine is (unit query row . raw candidate row) / |candidate row|, so
-    no scorer keeps a unit copy of its rows. Plain rows give a float64
-    block of query-candidate products, divided by the candidate norms and
-    rounded once to float32; kernel rows give one float32 product with the
-    float32 unit query rows, divided in place by their float32 norms.
-    Candidates whose norm is below NULL_SPACE_NORM have no direction; their
-    cosine against any query is pinned to -1 so they sink to the bottom of
-    every ranking.
+    rows (G x |V| x m) is the float32 table itself (G = 1) for the plain
+    measures, or the float32 projections of G kernels for the kernel
+    measures, made by of_kernels, so each kernel projects the vocabulary
+    once. A cosine is (unit query row . raw candidate row) / |candidate row|,
+    so no scorer keeps a unit copy of its rows: both kinds of row give one
+    float32 product with the float32 unit query rows, divided in place by
+    the rows' float32 norms.
 
     What a score is, is defined per pair by the float64 reference (see
     _cosines): the additive score is the cosine of the unit target
     (x - a + b) / |x - a + b| and the candidate, the multiplicative one
     s_b s_x / (s_a + eps) of the reference cosines. The reference reads
-    plain rows as they are and re-projects kernel rows pair by pair, and
-    the query words' reference rows are the query rows of both paths.
-    Every vocabulary-wide pass after the cosine product runs in float32,
-    and each slab carries a proven bound on how far its float32 scores are
-    from the reference ones, which _gold_ranks turns into exact ranks.
+    plain rows upcast to float64 and re-projects kernel rows pair by pair,
+    and the query words' reference rows are the query rows of both paths.
+    Every vocabulary-wide pass runs in float32, and each slab carries a
+    proven bound on how far its float32 scores are from the reference ones,
+    which _gold_ranks turns into exact ranks.
 
-    Both kinds of scorer carry their errors as (dc32, drow), one value of
-    each per row set: a float32 cosine is within dc32 of the exact cosine
-    of its float32 candidate row (or, for plain rows, of the float64 block
-    it rounds), and that row is off its reference row by an angle of at
-    most drow. Plain rows have dc32 = 1.0001u + eta, one float32 rounding
-    of a cosine, and drow = 0; of_kernels sets both for kernel rows. The
-    bounds take them alike (see _add_tau and _mul_bound).
+    Both kinds of row take one float32-row rule (see _row_terms): source
+    is None for plain rows, or (coords, (f lam_sqrt)^T per kernel) for
+    kernel rows, and cnorms the coordinates' norms rounded to float32 (see
+    of_kernels). Each candidate of a row set is one of three kinds:
+    - null: its float32 norm is so far below NULL_SPACE_NORM that its
+      reference norm is too; its cosine against any query is pinned to -1
+      on both paths, so it sinks to the bottom of every ranking.
+    - ordinary: its float32 norm is at least the floor, so its reference
+      row is not null either, and rho_j = cn_j pf / n~_j is at most
+      _RHO_CAP.
+    - a suspect: any other, such as a kernel row nearly in the null space
+      of f lam_sqrt (a large rho_j), a norm too close to NULL_SPACE_NORM to
+      tell, or coordinates past 2^59 / pf, whose float32 row or norm may
+      overflow. Suspects score NaN in every float32 score row, so no count
+      or bound takes them in, and _gold_ranks scores them by the reference
+      in every score row of their row set.
+    A plain row is the identity projection of itself with no rounding:
+    alpha = beta = 0, pf = 1 and cn_j = n~_j, so its only suspects are
+    rows near NULL_SPACE_NORM or with a float32 norm of 2^59 or more.
+
+    The scorer carries its errors as (dc32, drow), one value of each per
+    row set: a float32 cosine is within dc32 of the exact cosine of its
+    float32 candidate row, and that row is off its reference row by an
+    angle of at most drow. A row set's drow takes the largest rho_j of its
+    ordinary candidates, through cn_j / n~_j <= r: their float32 rows are
+    off their reference rows by at most e = (alpha r + beta / floor) /
+    (1 / (1 + nu) - (n_abs + beta) / floor - alpha r) times the latter's
+    norm, so the angle between the two rows is at most arcsin(e) <=
+    e / sqrt(1 - e^2). Against a unit query row, or any unit vector, their
+    cosines differ by at most that angle: drow, widened by 0.1%, which is 0
+    for plain rows. The bounds take both alike (see _add_tau and
+    _mul_bound).
 
     The scorer owns its per-candidate arrays (G x |V| norms and flags); the
     vocabulary-wide blocks of scoring come from the workspace ws.
     """
 
-    def __init__(self, rows: np.ndarray, ws: _Workspace):
-        self.rows = rows
-        self.ws = ws
-        self.norms = _row_norms(rows)
-        self.null = self.norms < NULL_SPACE_NORM
-        self.norms[self.null] = 1.0
-        self.any_null = bool(self.null.any())
-        # plain rows are their own reference; of_kernels sets these for kernel rows
-        self.source = None  # (float64 coordinates, the kernels' float64 (f lam_sqrt)^T, G x m x w)
-        self.errors = (np.full(len(rows), 1.0001 * _U32 + _ETA32), np.zeros(len(rows)))  # (dc32, drow)
-        self.suspect = None
+    def __init__(self, rows: np.ndarray, ws: _Workspace, source=None, cnorms=None):
+        self.rows, self.ws, self.source = rows, ws, source
+        g, m = len(rows), rows.shape[-1]
+        self.norms = norms = _row_norms(rows)
+        pf = np.ones(g) if source is None else np.sqrt(np.einsum("gij,gij->g", source[1], source[1]))
+        cnorms = norms.copy() if source is None else np.broadcast_to(cnorms, norms.shape)
+        w = None if source is None else source[0].shape[1]
+        (alpha, beta, lim, floor), (nu, n_abs, nu64, dc32) = _row_terms(w, m, pf)
+        # the float32 floor rounded up, so that a norm at or above it is at or above the float64 one
+        floor32 = np.nextafter(floor.astype(np.float32), np.float32(np.inf))
+        irregular = norms < floor32[:, None]
+        # rows whose float32 projection or norm may overflow (their cosines are not read)
+        big = (2.0**59 / pf).astype(np.float32)
+        if cnorms.max() > big.min():
+            irregular |= cnorms > big[:, None]
+        any_irregular = bool(irregular.any())
+        if any_irregular:
+            raw = norms[irregular].astype(np.float64)
+            norms[irregular] = 1.0
+        ratio = cnorms / norms
+        suspect = ratio > lim[:, None]
+        self.null = null = np.zeros(norms.shape, dtype=bool)
+        if any_irregular:
+            suspect |= irregular
+            i, j = np.nonzero(irregular)
+            with np.errstate(invalid="ignore"):
+                high = ((raw + n_abs) / (1 - nu) + alpha[i] * cnorms[i, j] + beta[i]) * (1 + nu64) + n_abs
+            dead = high < NULL_SPACE_NORM * (1 - 2.0**-30)
+            null[i[dead], j[dead]] = True
+            suspect[i[dead], j[dead]] = False
+        any_suspect = bool(suspect.any())
+        peak = np.max(ratio, axis=1, initial=0.0, where=~suspect) if any_suspect else ratio.max(axis=1)
+        r = peak.astype(np.float64) * (1 + 3 * _U32) + 2.0**-100
+        e = (alpha * r + beta / floor) / (1 / (1 + nu) - (n_abs + beta) / floor - alpha * r)
+        self.any_null = bool(null.any())
+        self.suspect = suspect if any_suspect else None
+        # past e = 1/2 take the largest difference of two cosines, 2
+        self.errors = (np.full(g, dc32), np.where(e < 0.5, 1.001 * e / np.sqrt(1 - np.minimum(e, 0.5) ** 2), 2.0))
 
     @staticmethod
-    def kernel_inputs(coords: np.ndarray, cast: bool) -> tuple[np.ndarray, np.ndarray]:
+    def kernel_inputs(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(source, cnorms) for of_kernels, made once for every kernel that projects coords.
 
-        source is coords cast to float32, or coords themselves if not cast
-        (GfkKernel.project then casts a block of rows at a time); cnorms are
-        their norms rounded to float32. Rows past the float32 range hold inf.
+        source is coords in float32: the float32 table itself, or a float32
+        copy of pool coordinates, whose values past the float32 range become
+        inf. cnorms are their float64 norms rounded to float32, taken with no
+        float64 copy of float32 coords.
         """
-        with np.errstate(over="ignore"):  # such rows are of_kernels' suspects
-            return (coords.astype(np.float32) if cast else coords), _row_norms(coords).astype(np.float32)
+        with np.errstate(over="ignore"):  # such rows are suspects
+            return coords.astype(np.float32, copy=False), _row_norms(coords, np.float64).astype(np.float32)
 
     @classmethod
     def of_kernels(cls, kernels, ws: _Workspace, coords, source, cnorms) -> "_Scorer":
@@ -485,96 +536,35 @@ class _Scorer:
         Kernel rows are made here alone: each kernel writes its slice of the
         workspace's float32 "rows" buffer with one GfkKernel.project(source,
         out=...), so r~_j = fl32(fl32(c_j) fl32(P)) as _row_terms bounds it.
-        coords (|V| x w, float64) are pool coordinates or the vectors, source
-        and cnorms their kernel_inputs. The reference re-projects each pair
-        from coords through the kernel's float64 P = f lam_sqrt (its
-        projection; see _project_rows) and takes that row's norm and null
-        flag, so a pair's reference bits depend on its own two rows only.
-
-        Each candidate of a row set is one of three kinds (see _row_terms
-        for the terms):
-        - null: its float32 norm is so far below NULL_SPACE_NORM that its
-          reference norm is too; it scores -1 on both paths.
-        - ordinary: its float32 norm is at least the floor, so its reference
-          row is not null either, and rho_j = cn_j pf / n~_j is at most
-          _RHO_CAP.
-        - a suspect: any other, such as a row nearly in the null space of
-          f lam_sqrt (a large rho_j), a norm too close to NULL_SPACE_NORM to
-          tell, or coordinates past 2^59 / pf, whose float32 rows may
-          overflow. Suspects score NaN in every float32 score row, so no
-          count or bound takes them in, and _gold_ranks scores them by the
-          reference in every score row of their row set.
-
-        A row set's bounds take the largest rho_j of its ordinary
-        candidates, through cn_j / n~_j <= r: their float32 rows are off
-        their reference rows by at most e = (alpha r + beta / floor) /
-        (1 / (1 + nu) - (n_abs + beta) / floor - alpha r) times the latter's
-        norm, so the angle between the two rows is at most arcsin(e) <=
-        e / sqrt(1 - e^2). Against a unit query row, or any unit vector,
-        their cosines differ by at most that angle: drow, widened by 0.1%.
-        With the float32 cosine's own error dc32, these are the scorer's
-        errors (see _add_tau and _mul_bound).
+        coords (|V| x w) are float64 pool coordinates or the float32 table,
+        source and cnorms their kernel_inputs. The reference re-projects each
+        pair from coords, upcast, through the kernel's float64 P = f lam_sqrt
+        (its projection; see _project_rows) and takes that row's norm and
+        null flag, so a pair's reference bits depend on its own two rows
+        only.
         """
         g, n, m = len(kernels), len(coords), kernels[0].projection.shape[1]
         rows = ws.get("rows", (g * n, m)).reshape(g, n, m)
         for kernel, out in zip(kernels, rows):
             kernel.project(source, out=out)
-        scorer = cls(rows, ws)
         proj_t = np.stack([kernel.projection.T for kernel in kernels])
-        pf = np.sqrt(np.einsum("gij,gij->g", proj_t, proj_t))
-        (alpha, beta, lim, floor), (nu, n_abs, nu64, dc32) = _row_terms(coords.shape[1], m, pf)
-        # the float32 floor rounded up, so that a norm at or above it is at or above the float64 one
-        floor32 = np.nextafter(floor.astype(np.float32), np.float32(np.inf))
-        norms, null = scorer.norms, scorer.null
-        irregular = (norms < floor32[:, None]) | null
-        # rows whose float32 projection or norm may overflow
-        big = (2.0**59 / pf).astype(np.float32)
-        if cnorms.max() > big.min():
-            irregular |= cnorms > big[:, None]
-        any_irregular = bool(irregular.any())
-        if any_irregular:
-            norms[irregular] = 1.0
-            raw = _row_norms(rows[irregular]).astype(np.float64)
-            rows[irregular] = 0.0  # null or suspect: no float32 score reads them, and none is inf
-        ratio = cnorms / norms
-        suspect = ratio > lim[:, None]
-        null[...] = False
-        if any_irregular:
-            suspect |= irregular
-            i, j = np.nonzero(irregular)
-            with np.errstate(invalid="ignore"):
-                high = ((raw + n_abs) / (1 - nu) + alpha[i] * cnorms[j] + beta[i]) * (1 + nu64) + n_abs
-            dead = high < NULL_SPACE_NORM * (1 - 2.0**-30)
-            null[i[dead], j[dead]] = True
-            suspect[i[dead], j[dead]] = False
-        any_suspect = bool(suspect.any())
-        peak = np.max(ratio, axis=1, initial=0.0, where=~suspect) if any_suspect else ratio.max(axis=1)
-        r = peak.astype(np.float64) * (1 + 3 * _U32) + 2.0**-100
-        e = (alpha * r + beta / floor) / (1 / (1 + nu) - (n_abs + beta) / floor - alpha * r)
-        scorer.any_null = bool(null.any())
-        scorer.suspect = suspect if any_suspect else None
-        # past e = 1/2 take the largest difference of two cosines, 2
-        scorer.errors = (np.full(g, dc32), np.where(e < 0.5, 1.001 * e / np.sqrt(1 - np.minimum(e, 0.5) ** 2), 2.0))
-        scorer.source = (np.ascontiguousarray(coords), proj_t)
-        return scorer
+        return cls(rows, ws, (np.ascontiguousarray(coords), proj_t), cnorms)
 
     def _reference_rows(self, g: np.ndarray, j: np.ndarray):
         """float64 rows of the candidates j[p] of row sets g[p], their norms, and null flags.
 
         A run of consecutive candidates of one row set is read as a view.
-        Kernel rows are re-projected from their coordinates, each through its
-        row set's factor (_project_rows); a null row's norm reads 1.
+        Plain rows are upcast; kernel rows are re-projected from their
+        coordinates, each through its row set's factor (_project_rows). A
+        null row's norm reads 1.
         """
         one = bool((g == g[0]).all())
         run = slice(j[0], j[-1] + 1) if one and j[-1] - j[0] == len(j) - 1 and (np.diff(j) == 1).all() else j
         if self.source is None:
-            rows = self.rows[g[0], run] if one else self.rows[g, j]
-            return rows, self.norms[g, j], self.null[g, j]
-        coords, proj_t = self.source
-        if one:
-            rows = _project_rows(coords[run], proj_t[g[0]])
+            rows = (self.rows[g[0], run] if one else self.rows[g, j]).astype(np.float64)
         else:
-            rows = _project_rows(coords[j], proj_t[g])
+            coords, proj_t = self.source
+            rows = _project_rows(coords[run], proj_t[g[0]]) if one else _project_rows(coords[j], proj_t[g])
         norms = _row_norms(rows)
         null = norms < NULL_SPACE_NORM
         norms[null] = 1.0
@@ -588,7 +578,8 @@ class _Scorer:
         per unit row), divided by the candidate's norm, clipped to [-1, 1], and
         -1 for a null candidate, so its bits depend on its own two rows only,
         never on the other pairs of the call. Pairs go in chunks whose
-        gathered rows (and kernel factors) fit _CHUNK_ELEMS. A chunk whose
+        gathered rows (and kernel coordinates and factors) fit an eighth of
+        _CHUNK_ELEMS, which keeps a chunk's passes in cache. A chunk whose
         pairs share one unit row reads it as a broadcast view rather than as
         gathered copies; the einsum dots each row pair alike either way (the
         tests hold a full row bit-equal to pairs computed alone or among
@@ -596,8 +587,10 @@ class _Scorer:
         """
         out, nulls = np.empty(t.shape), np.empty(len(j), dtype=bool)
         m = self.rows.shape[-1]
-        width = (len(t) + 1) * m + (0 if self.source is None else (m + 1) * self.source[0].shape[1])
-        for s in _slices(len(j), max(1, _CHUNK_ELEMS // width)):
+        width = (len(t) + 1) * m  # float64 elements gathered per pair: its rows, coordinates and factor
+        if self.source is not None:
+            width += self.source[0].shape[1] * (1 if (g == g[0]).all() else m + 1)
+        for s in _slices(len(j), max(1, _CHUNK_ELEMS // (8 * width))):
             cand, norms, nulls[s] = self._reference_rows(g[s], j[s])
             for ti, o in zip(t, out):
                 ti = ti[s]
@@ -641,12 +634,9 @@ class _Scorer:
         units = query / qnorms[..., None]
         dc32, drow = self.errors
         cos = ws.get("cos", (g * u, n)).reshape(g, u, n)
-        if self.source is None:
-            # a temporary: the float64 block lives only until its float32 rounding
-            np.divide(units @ self.rows.transpose(0, 2, 1), self.norms[:, None, :], out=cos)
-        else:
+        with np.errstate(over="ignore", invalid="ignore"):  # only a suspect's cosines may overflow
             np.matmul(units.astype(np.float32), self.rows.transpose(0, 2, 1), out=cos)
-            cos /= self.norms[:, None, :]
+        cos /= self.norms[:, None, :]
         suspect = None if self.suspect is None else self.suspect[:, None, :]
         if "add" in modes:
             for at in _slices(pos.shape[1], slab):
@@ -660,7 +650,8 @@ class _Scorer:
                 coef[stack, q, a] -= na / scale
                 coef[stack, q, b] += nb / scale
                 add = ws.get("scores", (a.size, n)).reshape(g, k, n)
-                np.matmul(coef.astype(np.float32), cos, out=add)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.matmul(coef.astype(np.float32), cos, out=add)
                 np.clip(add, -1.0, 1.0, out=add)
                 if self.any_null:
                     np.copyto(add, -1.0, where=self.null[:, None, :])

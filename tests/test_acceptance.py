@@ -199,11 +199,14 @@ def test_brute_force_analogy_oracle():
     rng = np.random.default_rng(5)
     table = EmbeddingTable([f"w{i}" for i in range(10)], rng.standard_normal((10, 6)))
     q = AnalogyQuestion("w0", "w4", "w7", "w9", "r")
+    # the stored float32 values, read as Python floats: the arithmetic is float64
+    vectors = table.vectors.tolist()
+    a, b, x = (vectors[table.index[w]] for w in ("w0", "w4", "w7"))
 
-    target = [x - a + b for a, b, x in zip(*(table.lookup(w) for w in ("w0", "w4", "w7")))]
+    target = [xi - ai + bi for ai, bi, xi in zip(a, b, x)]
     add_expected = sorted(
         (
-            (-brute_cos(table.vectors[i], target), i)
+            (-brute_cos(vectors[i], target), i)
             for i in range(10)
             if table.words[i] not in ("w0", "w4", "w7")
         ),
@@ -217,9 +220,9 @@ def test_brute_force_analogy_oracle():
     for i in range(10):
         if table.words[i] in ("w0", "w4", "w7"):
             continue
-        db = (brute_cos(table.vectors[i], table.lookup("w4")) + 1) / 2
-        dx = (brute_cos(table.vectors[i], table.lookup("w7")) + 1) / 2
-        da = (brute_cos(table.vectors[i], table.lookup("w0")) + 1) / 2
+        db = (brute_cos(vectors[i], b) + 1) / 2
+        dx = (brute_cos(vectors[i], x) + 1) / 2
+        da = (brute_cos(vectors[i], a) + 1) / 2
         mul_expected.append((-(db * dx / (da + 0.001)), i))
     mul_expected.sort()
     got_mul = cos_mul_answer(q, table)

@@ -40,11 +40,12 @@ class TestLoad:
 
     def test_normalize_3_4_5(self, tmp_path):
         table = load_text_embeddings(write(tmp_path, "1 2\na 3 4\n"), normalize=True)
-        np.testing.assert_allclose(table.lookup("a"), [0.6, 0.8], rtol=0, atol=1e-15)
+        assert table.vectors.dtype == np.float32
+        np.testing.assert_array_equal(table.lookup("a"), np.array([0.6, 0.8], dtype=np.float32))
 
     def test_scientific_notation_accepted(self, tmp_path):
-        table = load_text_embeddings(write(tmp_path, "1 2\na 1e-3 2.5E+1\n"))
-        np.testing.assert_array_equal(table.lookup("a"), [1e-3, 25.0])
+        table = load_text_embeddings(write(tmp_path, "1 2\na 1.5625e-2 2.5E+1\n"))
+        np.testing.assert_array_equal(table.lookup("a"), [0.015625, 25.0])
 
     def test_malformed_header(self, tmp_path):
         with pytest.raises(ValueError, match="line 1"):
@@ -65,6 +66,20 @@ class TestLoad:
             text = f"3 2\na 1 0\nb 0 1\nd {value} 1\n"
             with pytest.raises(ValueError, match="line 4: non-finite value"):
                 load_text_embeddings(write(tmp_path, text))
+
+    def test_value_past_the_float32_range_reports_line(self, tmp_path):
+        # the midpoint of the largest float32 and 2^128 rounds up to inf; just below it, down
+        fits = 3.4028235677973362e38
+        assert np.float32(fits) == np.finfo(np.float32).max
+        table = load_text_embeddings(write(tmp_path, f"2 2\na 1 0\nb {-fits!r} 1\n"))
+        assert table.lookup("b")[0] == -np.finfo(np.float32).max
+        for value in ("3.4028235677973366e38", "-1e39", "1e300"):
+            path = write(tmp_path, f"3 2\na 1 0\nb 0 1\nd 1 {value}\n")
+            for normalize in (False, True):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="line 4: value past the float32 range"):
+                        load_text_embeddings(path, normalize=normalize)
 
     def test_duplicate_keeps_first_and_warns(self, tmp_path):
         path = write(tmp_path, "2 2\na 1 2\na 3 4\n")
@@ -168,7 +183,7 @@ class TestLoadMatchesLineLoop:
         assert_matches_line_loop(str(path))
 
     def test_saved_table_is_bit_identical(self, tmp_path):
-        vecs = np.random.default_rng(5).standard_normal((50, 7)) * np.logspace(-300, 300, 7)
+        vecs = (np.random.default_rng(5).standard_normal((50, 7)) * np.logspace(-37, 37, 7)).astype(np.float32)
         table = EmbeddingTable([f"w{i}" for i in range(50)], vecs)
         path = str(tmp_path / "emb.txt")
         save_text_embeddings(table, path)
@@ -256,6 +271,17 @@ class TestLookupAndStack:
         with pytest.raises(ValueError, match="'d'"):
             EmbeddingTable(["a", "d"], np.array([[1.0, 0.0], [np.nan, 1.0]]))
 
+    def test_value_past_the_float32_range_rejected_in_constructor(self):
+        # raised as a named error, not an overflow RuntimeWarning of the cast
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (1e39, -1e300):
+                with pytest.raises(ValueError, match="value past the float32 range in the vector for word 'd'"):
+                    EmbeddingTable(["a", "d", "e"], np.array([[1.0, 0.0], [1.0, value], [0.0, 1.0]]))
+            table = EmbeddingTable(["a"], np.array([[np.finfo(np.float32).max, -1e-46]]))
+        assert table.vectors.dtype == np.float32
+        assert table.vectors.tolist() == [[float(np.finfo(np.float32).max), -0.0]]
+
 
 class TestRoundTripAndNormalize:
     def test_save_load_identity(self, tmp_path):
@@ -269,6 +295,20 @@ class TestRoundTripAndNormalize:
         assert back.words == table.words
         np.testing.assert_array_equal(back.vectors, table.vectors)
 
+    def test_float32_extremes_survive_save_and_load(self, tmp_path):
+        f32 = np.finfo(np.float32)
+        one = np.float32(1.0)
+        values = [f32.max, -f32.max, f32.smallest_subnormal, -f32.smallest_subnormal, -0.0,
+                  np.nextafter(one, np.float32(2)), np.nextafter(one, np.float32(0)), one, f32.tiny]
+        vecs = np.array([values, values[::-1]], dtype=np.float32)
+        table = EmbeddingTable(["a", "b"], vecs)
+        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_text_embeddings(table, str(p1))
+        back = load_text_embeddings(str(p1))
+        assert back.vectors.tobytes() == vecs.tobytes()  # the same bits, -0.0 and subnormals included
+        save_text_embeddings(back, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_save_load_save_stable(self, tmp_path):
         table = EmbeddingTable(["a"], np.array([[1 / 3, 2 / 7]]))
         p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
@@ -277,14 +317,15 @@ class TestRoundTripAndNormalize:
         assert Path(p1).read_text() == Path(p2).read_text()
 
     def test_save_bytes_match_per_value_format(self, tmp_path):
-        extremes = [0.1, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308, -1e-300]
+        f32 = np.finfo(np.float32)
+        extremes = [0.1, 1 / 3, -0.0, f32.smallest_subnormal, f32.max, -1e-30]
         vecs = np.array([extremes, extremes[::-1],
-                         np.random.default_rng(8).standard_normal(6) * 1e-5])
+                         np.random.default_rng(8).standard_normal(6) * 1e-5], dtype=np.float32)
         table = EmbeddingTable(["a", "b", "c"], vecs)
         path = tmp_path / "emb.txt"
         save_text_embeddings(table, str(path))
         expected = "3 6\n" + "".join(
-            word + " " + " ".join(format(v, ".17g") for v in row) + "\n"
+            word + " " + " ".join(format(v, ".9g") for v in row.tolist()) + "\n"
             for word, row in zip(table.words, vecs)
         )
         assert path.read_bytes() == expected.encode("utf-8")
@@ -302,7 +343,7 @@ class TestRoundTripAndNormalize:
     @given(
         st.lists(
             st.lists(
-                st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=32),
                 min_size=4, max_size=4,
             ).filter(lambda row: any(abs(v) > 1e-6 for v in row)),
             min_size=1, max_size=8,
@@ -314,15 +355,16 @@ class TestRoundTripAndNormalize:
         once = table.normalized()
         twice = once.normalized()
         np.testing.assert_array_equal(once.vectors, twice.vectors)
+        # unit rows rounded to float32: their float64 norms are within UNIT_NORM_TOL of 1
         np.testing.assert_allclose(
-            np.linalg.norm(once.vectors, axis=1), 1.0, rtol=0, atol=1e-12
+            np.linalg.norm(once.vectors.astype(np.float64), axis=1), 1.0, rtol=0, atol=UNIT_NORM_TOL
         )
 
     @given(
         st.lists(
             st.tuples(
                 st.lists(
-                    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=32),
                     min_size=4, max_size=4,
                 ).filter(lambda row: any(abs(v) > 1e-6 for v in row)),
                 st.booleans(),
@@ -334,21 +376,25 @@ class TestRoundTripAndNormalize:
     def test_normalize_matches_per_row_oracle(self, drawn):
         # the oracle norm is a plain sum of squares: np.linalg.norm(v) on one
         # row takes a BLAS dot, which may differ from a row-wise norm in the last bit
+        # the stored rows are float32, each normalized in float64 and rounded once
         norm = lambda v: np.sqrt(np.sum(v * v))
         rows = [np.array(v) / norm(np.array(v)) if unit else np.array(v) for v, unit in drawn]
+        rows = [v.astype(np.float32).astype(np.float64) for v in rows]
         table = EmbeddingTable([f"w{i}" for i in range(len(rows))], np.array(rows))
         out = table.normalized().vectors
         for (_, unit), v, got in zip(drawn, rows, out):
             if abs(norm(v) - 1.0) <= UNIT_NORM_TOL:
-                assert got.tobytes() == v.tobytes()
+                assert got.tobytes() == v.astype(np.float32).tobytes()
             else:
                 assert not unit
-                assert got.tobytes() == (v / norm(v)).tobytes()
+                assert got.tobytes() == (v / norm(v)).astype(np.float32).tobytes()
 
     def test_normalized_load_keeps_one_copy_of_the_table(self, tmp_path):
         # np.linalg.norm over the whole table squares a copy of it, and
-        # dividing into a new array makes another: both are table-sized
-        vecs = np.random.default_rng(11).standard_normal((6000, 64))
+        # dividing into a new array makes another: both are table-sized.
+        # Multiples of 1/64 below 8 are float32 values the 9-digit file holds
+        # exactly, so the parsed rows are the table's rows.
+        vecs = np.random.default_rng(11).integers(-511, 512, (6000, 64)) / 64
         path = str(tmp_path / "emb.txt")
         save_text_embeddings(EmbeddingTable([f"w{i}" for i in range(len(vecs))], vecs), path)
         peaks = {}

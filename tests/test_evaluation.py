@@ -53,27 +53,31 @@ def brute_cosine(u, v):
 
 
 def brute_add_ranking(table, q, exclude_inputs=True):
+    # the stored float32 values, read as Python floats: the arithmetic is float64
+    vectors = table.vectors.tolist()
     target = [
         x - a + b
-        for a, b, x in zip(table.lookup(q.a), table.lookup(q.b), table.lookup(q.x))
+        for a, b, x in zip(*(vectors[table.index[w]] for w in (q.a, q.b, q.x)))
     ]
     scored = []
     for i, word in enumerate(table.words):
         if exclude_inputs and word in (q.a, q.b, q.x) and word != q.y:
             continue
-        scored.append((-brute_cosine(table.vectors[i], target), i))
+        scored.append((-brute_cosine(vectors[i], target), i))
     scored.sort()
     return [i for _, i in scored], [-s for s, _ in scored]
 
 
 def brute_mul_ranking(table, q, epsilon=0.001, shift=True, exclude_inputs=True):
+    vectors = table.vectors.tolist()
+    a, b, x = (vectors[table.index[w]] for w in (q.a, q.b, q.x))
     scored = []
     for i, word in enumerate(table.words):
         if exclude_inputs and word in (q.a, q.b, q.x) and word != q.y:
             continue
-        db = brute_cosine(table.vectors[i], table.lookup(q.b))
-        dx = brute_cosine(table.vectors[i], table.lookup(q.x))
-        da = brute_cosine(table.vectors[i], table.lookup(q.a))
+        db = brute_cosine(vectors[i], b)
+        dx = brute_cosine(vectors[i], x)
+        da = brute_cosine(vectors[i], a)
         if shift:
             db, dx, da = (db + 1) / 2, (dx + 1) / 2, (da + 1) / 2
         scored.append((-(db * dx / (da + epsilon)), i))
@@ -377,11 +381,12 @@ def _low_rank_relation():
     """Eight pairs whose head and tail words share one 4-dim span of R^40.
 
     The pool's rank 4 is below 2d, so most of the pool basis lies outside the
-    pool's numerical span.
+    pool's numerical span. The span is that of 4 coordinates, so the rows
+    keep rank 4 exactly through their float32 rounding and normalization.
     """
     rng = np.random.default_rng(21)
-    span = rng.standard_normal((4, 40))
-    pairs = rng.standard_normal((16, 4)) @ span
+    pairs = np.zeros((16, 40))
+    pairs[:, rng.choice(40, 4, replace=False)] = rng.standard_normal((16, 4))
     vecs = np.vstack([pairs, rng.standard_normal((12, 40))])
     words = [f"h{i}" for i in range(8)] + [f"t{i}" for i in range(8)] + [f"z{i}" for i in range(12)]
     ds = RelationDataset()
@@ -881,10 +886,10 @@ class TestEvaluate:
         sizes = []
         init = scoring._Scorer.__init__
 
-        def recorded(self, rows, ws):
-            if rows.dtype == np.float32:  # a stack of kernels
+        def recorded(self, rows, ws, source=None, cnorms=None):
+            if source is not None:  # a stack of kernels
                 sizes.append(len(rows))
-            init(self, rows, ws)
+            init(self, rows, ws, source, cnorms)
 
         monkeypatch.setattr(scoring._Scorer, "__init__", recorded)
         # (batch budget, chunk budget): one stack per relation, stacks of two
@@ -1161,7 +1166,7 @@ def _reference_rank(slab, row, gold, excluded, n):
 
 def _slabs(rows, items, epsilon, shift):
     """(slab, R x |V| float32 scores, R full rows of reference scores) of a stack's questions."""
-    scorer = scoring._Scorer(rows, scoring._Workspace())
+    scorer = scoring._Scorer(rows.astype(np.float32), scoring._Workspace())
     block = scoring._Block.of(items)
     n = rows.shape[1]
     for slab in scorer.scores(block, ("add", "mul"), epsilon, shift, 10**6):
@@ -1193,10 +1198,16 @@ class TestExactRanks:
         rows = np.stack([vecs, vecs @ rng.standard_normal((m, m))])
         items = [((i, i + 1, i + 2, i + 3), np.array([i + 3]), (i, i + 1, i + 2)) for i in (0, 1, 2)]
         for slab, scores, refs in _slabs(rows, [items, items[::-1]], epsilon, shift):
+            # a float32 norm too near NULL_SPACE_NORM to tell makes a suspect: it scores NaN, under no bound
+            suspect = np.zeros(scores.shape, dtype=bool)
+            if slab.suspect is not None:
+                suspect = slab.suspect[np.arange(len(scores)) // slab.scores.shape[1]]
+            assert np.isnan(scores[suspect]).all()
             err = np.abs(scores - refs)
             tau = slab.tau.ravel()
             held = tau < np.inf
-            assert (err[held] <= tau[held, None]).all(), slab.mode
+            bounded = held[:, None] & ~suspect
+            assert (err[bounded] <= np.broadcast_to(tau[:, None], err.shape)[bounded]).all(), slab.mode
             if slab.mode == "add":
                 assert held.all()
             # split decides a candidate against a level only on its reference's side of it
@@ -1266,13 +1277,15 @@ class TestExactRanks:
     @pytest.mark.parametrize("mode", ["add", "mul"])
     @pytest.mark.parametrize("later", [False, True])
     def test_near_tie_below_float32_resolution(self, mode, later):
-        # z differs from the gold word y by 1e-10 along the target: their
-        # scores differ by about 1e-11, far below a float32 step. z comes
-        # first and scores lower, or comes later and scores higher, so a
-        # float32 ranking with the lower-index tie rule gets both wrong.
+        # z differs from the gold word y by one float32 step of its small
+        # component off the target: their scores differ by about 1e-11, far
+        # below a float32 step. z comes first and scores lower, or comes
+        # later and scores higher, so a float32 ranking with the lower-index
+        # tie rule gets both wrong.
         target = np.array([-1.0, 1.0, 1.0, 0.0])
-        y = target / np.linalg.norm(target) + np.array([0.0, 0.0, 0.0, 0.3])
-        z = y + (1e-10 if later else -1e-10) * target
+        y = (target / np.linalg.norm(target) + np.array([0.0, 0.0, 0.0, 0.01])).astype(np.float32)
+        z = y.copy()
+        z[3] = np.nextafter(y[3], np.float32(0.0 if later else 1.0))
         rows = {"a": [1.0, 0, 0, 0], "b": [0, 1.0, 0, 0], "x": [0, 0, 1.0, 0], "y": y, "z": z,
                 "u": [0, 0.2, 0.1, 1.0], "v": [0.5, 0.5, -0.5, 0.5]}
         words = ["a", "b", "x"] + (["y", "z"] if later else ["z", "y"]) + ["u", "v"]
@@ -1295,6 +1308,29 @@ class TestExactRanks:
         assert ranking.indices.tolist().index(table.index["y"]) + 1 == want
         report = evaluate(ds, table, EvalConfig(measure=measure))[measure]
         assert report.per_relation["r"].rank_sum == want
+
+    def test_plain_rows_past_the_float32_norm_range_are_suspects(self):
+        rng = np.random.default_rng(61)
+        n = 30
+        vecs = rng.standard_normal((n, 12))
+        vecs[3] *= 1e20  # its float32 squares overflow: the float32 norm is inf
+        table = EmbeddingTable([f"w{i}" for i in range(n)], vecs)
+        items = [((i, i + 1, i + 2, i + 3), np.array([i + 3]), (i, i + 1, i + 2)) for i in (0, 4, 8)]
+        block = scoring._Block.of([items])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scorer = scoring._Scorer(table.vectors[None], scoring._Workspace())
+            assert scorer.suspect is not None and np.argwhere(scorer.suspect).tolist() == [[0, 3]]
+            assert scorer.errors[1].tolist() == [0.0]  # plain rows are their own reference rows
+            for slab in scorer.scores(block, ("add", "mul"), 1e-3, True, 10**6):
+                scores = slab.scores.reshape(-1, n)
+                assert np.isnan(scores[:, 3]).all()
+                rows = np.flatnonzero(~slab.null.ravel() if slab.mode == "add" else np.ones(len(scores), bool))
+                gold = block.gold.reshape(len(scores), -1)
+                excluded = block.excluded.reshape(len(scores), -1)
+                ranks = scoring._gold_ranks(scores, slab, rows, gold, excluded)
+                want = [_reference_rank(slab, r, gold[r], excluded[r], n) for r in rows.tolist()]
+                assert ranks.tolist() == want, slab.mode
 
     @pytest.mark.parametrize("holdout", HOLDOUTS)
     @pytest.mark.parametrize("shift", [True, False])
@@ -1365,7 +1401,7 @@ def _random_kernel(rng, w, d):
 
 def _kernel_scorer(coords, kernels):
     """A scorer over the float32 rows of a stack of kernels, as evaluate builds it."""
-    source, cnorms = scoring._Scorer.kernel_inputs(coords, cast=False)
+    source, cnorms = scoring._Scorer.kernel_inputs(coords)
     return scoring._Scorer.of_kernels(kernels, scoring._Workspace(), coords, source, cnorms)
 
 
@@ -1580,21 +1616,37 @@ class TestKernelRows:
         w = widths[-1]
         assert peak < 12 * scoring._CHUNK_ELEMS + 16 * n * w, (peak, w)
 
-    def test_project_casts_float64_rows_in_blocks(self, monkeypatch):
+    def test_project_casts_float64_rows_to_float32(self):
         rng = np.random.default_rng(53)
         kernel = _random_kernel(rng, 12, 3)
         vectors = rng.standard_normal((1000, 12))
-        whole = kernel.project(vectors, out=np.empty((1000, 6), dtype=np.float32))
-        monkeypatch.setattr(grassmann, "_CAST_BLOCK_ELEMS", 12 * 64)  # 64 rows a block
         out = np.empty((1000, 6), dtype=np.float32)
         assert kernel.project(vectors, out=out) is out
-        np.testing.assert_allclose(out, whole, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(out, kernel.project(vectors), rtol=1e-5, atol=1e-5)
-        # float32 rows are read as they are, in the same blocks
+        # float64 rows are rounded to float32 first: float32 rows are read as they are
         same = kernel.project(vectors.astype(np.float32), out=np.empty((1000, 6), dtype=np.float32))
         assert same.tobytes() == out.tobytes()
         # with no float32 out the product is float64, whatever the input
         assert kernel.project(vectors.astype(np.float32)).dtype == np.float64
+
+
+@pytest.mark.parametrize("measure", ["CosADD,CosMUL", "GFKCosADD,GFKCosMUL"])
+def test_evaluate_makes_no_float64_copy_of_the_table(monkeypatch, measure):
+    # plain rows and, under holdout='none', the kernels' rows are scored from
+    # the float32 table itself: a float64 copy would take twice its bytes
+    table, ds = _memory_inputs()
+    assert table.vectors.dtype == np.float32
+    monkeypatch.setattr(scoring, "_CHUNK_ELEMS", 16 * len(table))
+    cfg = EvalConfig(measure=measure, subspace_dim=4, holdout="none")
+    evaluate(ds, table, cfg)  # builds the table's lowercase index before the measurement
+    tracemalloc.start()
+    try:
+        reports = evaluate(ds, table, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(rep.skipped for rep in reports.values())
+    assert peak < table.vectors.nbytes
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

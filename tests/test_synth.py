@@ -33,8 +33,12 @@ class TestGenerate:
     def test_noise_zero_tails_are_exact_rotations(self):
         spec = SynthSpec(n_relations=1, pairs_per_relation=6, dim=10, noise=0.0, seed=3)
         table, _ = generate(spec)
-        heads = table.vectors[:6]
-        tails = table.vectors[6:12]
+        # the generator's float64 draws, in its order; the table holds their float32 rounding
+        rng = np.random.default_rng(3)
+        rotation = random_rotation(rng, 10, spec.rotation_angle)
+        heads = rng.standard_normal((6, 10)) * coordinate_scales(10, None)
+        tails = heads @ rotation.T
+        assert table.vectors.tobytes() == np.vstack([heads, tails]).astype(np.float32).tobytes()
         # rotations preserve norms and pairwise inner products
         np.testing.assert_allclose(
             np.linalg.norm(heads, axis=1), np.linalg.norm(tails, axis=1), atol=1e-10
