@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -18,8 +20,10 @@ import numpy as np
 UNIT_NORM_TOL = float(np.finfo(np.float32).eps)
 # The least float64 magnitude that rounds to an infinite float32 (to even, up)
 _FLOAT32_LIMIT = 2.0**128 - 2.0**103
-# Rows of a table are normalized in blocks of about this many values (512 kB),
-# so the squared copy that np.linalg.norm makes is a block, not the table.
+# Rows are parsed, normalized and rounded to float32 in blocks of about this
+# many values (512 kB of float64), so no load and no normalized() makes a
+# float64 copy of the table, and the squared copy that np.linalg.norm makes
+# is a block, not the table.
 _NORM_BLOCK_ELEMS = 1 << 16
 
 
@@ -126,23 +130,40 @@ class EmbeddingTable:
         Rows whose norm is already within UNIT_NORM_TOL of 1 are left
         bit-identical, which makes normalization exactly idempotent. Zero
         rows are rejected; drop them first (the text loader already does).
+        Rows are upcast one block at a time, so the float64 copy is a block.
         """
-        vectors = self.vectors.astype(np.float64)
-        vectors /= _unit_divisors(self.words, vectors)[:, None]
+        vectors = np.empty_like(self.vectors)
+        step = _block_rows(self.dim)
+        for i in range(0, len(self), step):
+            block = self.vectors[i : i + step].astype(np.float64)
+            _round_rows(block, self.words[i : i + step], True, vectors[i : i + step])
         return EmbeddingTable(self.words, vectors)
+
+
+def _block_rows(dim: int) -> int:
+    """Rows per block: about _NORM_BLOCK_ELEMS values, at least one row."""
+    return max(1, _NORM_BLOCK_ELEMS // dim)
+
+
+def _round_rows(rows: np.ndarray, words: list[str], normalize: bool, out: np.ndarray) -> None:
+    """Round a block of float64 ``rows`` (words ``words``) into the float32 ``out``.
+
+    With ``normalize`` the rows are first divided in place by _unit_divisors.
+    Each row gets the bits it would get in any other block, since
+    np.linalg.norm(axis=1) takes every row's norm on its own.
+    """
+    if normalize:
+        rows /= _unit_divisors(words, rows)[:, None]
+    out[...] = rows
 
 
 def _unit_divisors(words: list[str], vectors: np.ndarray) -> np.ndarray:
     """Each float64 row's norm, or 1 for a row whose norm is within UNIT_NORM_TOL of 1.
 
-    The norms are taken by the same np.linalg.norm(axis=1) call on blocks
-    of rows, which gives each row the bits of one call on the whole array
-    without its squared copy. Zero rows are rejected.
+    Callers pass a block of rows, so the squared copy that np.linalg.norm
+    makes is a block. Zero rows are rejected.
     """
-    norms = np.empty(len(vectors))
-    step = max(1, _NORM_BLOCK_ELEMS // vectors.shape[1])
-    for i in range(0, len(vectors), step):
-        norms[i : i + step] = np.linalg.norm(vectors[i : i + step], axis=1)
+    norms = np.linalg.norm(vectors, axis=1)
     if np.any(norms == 0.0):
         bad = words[int(np.argmax(norms == 0.0))]
         raise ValueError(f"cannot normalize zero vector for word {bad!r}")
@@ -160,22 +181,18 @@ def load_text_embeddings(path: str, normalize: bool = False) -> EmbeddingTable:
 
     A regular file (good header, D parseable values on every non-blank line,
     all within the float32 range, no duplicate word, no zero row, as many
-    words as declared) is parsed in one streaming pass by numpy's C reader.
-    Any other file is re-read line by line, which gives the same table and
-    the same line-numbered errors and warnings as reading every file that
-    way. Values are parsed to float64; normalize divides them by their row
-    norms as normalized() does, and the table holds their one rounding to
-    float32.
+    words as declared) is parsed by numpy's C reader one block of rows at a
+    time, straight into the float32 table. Any other file is re-read line
+    by line, which gives the same table and the same line-numbered errors
+    and warnings as reading every file that way. Values are parsed to
+    float64 a block at a time; normalize divides them by their row norms as
+    normalized() does, and the table holds their one rounding to float32.
+    A regular file's load holds the float32 table plus one float64 block
+    of about _NORM_BLOCK_ELEMS values; the line loop also holds the float32
+    blocks it joins at the end, about twice the table.
     """
     table = _load_regular(path, normalize)
     return _load_lines(path, normalize) if table is None else table
-
-
-def _table(words: list[str], vectors: np.ndarray, normalize: bool) -> EmbeddingTable:
-    """The table of parsed float64 rows, normalized in place first if asked."""
-    if normalize:
-        vectors /= _unit_divisors(words, vectors)[:, None]
-    return EmbeddingTable(words, vectors)
 
 
 def _read_header(f, path: str) -> tuple[int, int]:
@@ -193,7 +210,14 @@ def _read_header(f, path: str) -> tuple[int, int]:
 def _load_regular(path: str, normalize: bool = False) -> EmbeddingTable | None:
     """The table of a regular file, or None when the file needs ``_load_lines``.
 
-    A malformed header raises at once, with the line loop's message.
+    The float32 table is allocated once, with the header's shape, and each
+    block of rows that np.loadtxt parses is checked (row width, float32
+    range, no zero row), normalized if asked and rounded into its rows. A
+    header that declares more values than a regular file could hold (a row
+    takes at least 2 D bytes of text) is not trusted with an allocation: the
+    file goes to the line loop. A pipe has no size to check, and the line
+    loop could not read it again, so its header is taken as it is. A
+    malformed header raises at once, with the line loop's message.
     """
     words: list[str] = []
 
@@ -208,37 +232,68 @@ def _load_regular(path: str, normalize: bool = False) -> EmbeddingTable | None:
 
     with open(path, encoding="utf-8") as f:
         declared, dim = _read_header(f, path)
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode) and declared * 2 * dim > st.st_size:
+            return None
+        vectors = np.empty((declared, dim), dtype=np.float32)
+        step = _block_rows(dim)
         texts = value_texts(f)
+        done = 0
         try:
-            first = next(texts, None)
-            if first is None:  # header only; loadtxt would warn of no data
-                return None
-            vectors = np.loadtxt(
-                itertools.chain([first], texts), dtype=np.float64, comments=None, ndmin=2
-            )
+            # loadtxt would warn of an empty block, so each block starts with a peeked line
+            while (first := next(texts, None)) is not None:
+                block = np.loadtxt(
+                    itertools.chain([first], itertools.islice(texts, step - 1)),
+                    dtype=np.float64, comments=None, ndmin=2,
+                )
+                end = done + len(block)
+                # a word with no values leaves more words than rows, and loadtxt
+                # accepts any row width the rows agree on; a NaN fails the range check
+                if (
+                    block.shape[1] != dim
+                    or end > declared
+                    or len(words) != end
+                    or not (-_FLOAT32_LIMIT < block.min() and block.max() < _FLOAT32_LIMIT)
+                    or not block.any(axis=1).all()
+                ):
+                    return None
+                _round_rows(block, words[done:end], normalize, vectors[done:end])
+                done = end
         except ValueError:
             return None
-    # a word with no values leaves more words than rows, and loadtxt accepts
-    # any row width the rows agree on: the shape check catches both; a NaN
-    # fails the range check
-    if (
-        vectors.shape != (len(words), dim)
-        or declared != len(words)
-        or not (-_FLOAT32_LIMIT < vectors.min() and vectors.max() < _FLOAT32_LIMIT)
-        or not vectors.any(axis=1).all()
-        or len(set(words)) != len(words)
-    ):
+    if done == 0 or done != declared or len(words) != done or len(set(words)) != done:
         return None
-    return _table(words, vectors, normalize)
+    return EmbeddingTable(words, vectors)
 
 
 def _load_lines(path: str, normalize: bool = False) -> EmbeddingTable:
-    """Read any file one line at a time, applying the dirty-input policy per line."""
+    """Read any file one line at a time, applying the dirty-input policy per line.
+
+    Kept rows are gathered into blocks of about _NORM_BLOCK_ELEMS values,
+    and each block is normalized if asked and rounded to float32 on its own;
+    the float32 blocks are joined into the table at the end.
+    """
     words: list[str] = []
-    rows: list[np.ndarray] = []
+    rows: list[np.ndarray] = []  # the float64 rows of the block being read
+    blocks: list[np.ndarray] = []  # the float32 blocks read so far
     seen: set[str] = set()
+    # a non-zero row whose float64 norm underflows to 0 cannot be normalized;
+    # its error is raised once the file is read, after any line error
+    zero_norm: ValueError | None = None
+
+    def round_block():
+        nonlocal zero_norm
+        block = np.vstack(rows)
+        blocks.append(np.empty(block.shape, dtype=np.float32))
+        try:
+            _round_rows(block, words[-len(rows) :], normalize and zero_norm is None, blocks[-1])
+        except ValueError as err:
+            zero_norm = err
+        rows.clear()
+
     with open(path, encoding="utf-8") as f:
         declared, dim = _read_header(f, path)
+        step = _block_rows(dim)
         for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
@@ -266,11 +321,19 @@ def _load_lines(path: str, normalize: bool = False) -> EmbeddingTable:
             seen.add(word)
             words.append(word)
             rows.append(vec)
+            if len(rows) == step:
+                round_block()
     if not words:
         raise ValueError(f"{path}: no usable embedding rows")
+    if rows:
+        round_block()
     if len(words) != declared:
         warnings.warn(f"{path}: header declares {declared} words, loaded {len(words)}")
-    return _table(words, np.vstack(rows), normalize)
+    if zero_norm is not None:
+        raise zero_norm
+    vectors = np.concatenate(blocks)
+    blocks.clear()  # free the blocks before the table's own checks
+    return EmbeddingTable(words, vectors)
 
 
 def save_text_embeddings(table: EmbeddingTable, path: str) -> None:

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfkanalogy import embeddings
 from gfkanalogy.embeddings import (
     UNIT_NORM_TOL,
     EmbeddingTable,
@@ -118,7 +122,18 @@ def outcome(load, path):
 
 
 def assert_matches_line_loop(path):
-    assert outcome(load_text_embeddings, path) == outcome(_load_lines, path)
+    for normalize in (False, True):
+        load = lambda p: load_text_embeddings(p, normalize=normalize)
+        lines = lambda p: _load_lines(p, normalize=normalize)
+        assert outcome(load, path) == outcome(lines, path)
+
+
+@pytest.fixture(scope="class", params=[2, 6], ids=["block-2", "block-6"])
+def small_blocks(request):
+    """Patch the loader's block size (in values) down, so small files span several blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embeddings, "_NORM_BLOCK_ELEMS", request.param)
+        yield
 
 
 # whitespace inside a line that str.split() splits on but str.splitlines() would break at
@@ -219,6 +234,125 @@ class TestLoadMatchesLineLoop:
             with pytest.raises(ValueError, match="no usable embedding rows"):
                 load_text_embeddings(path)
         assert caught == []
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestLoadMatchesLineLoopInSmallBlocks(TestLoadMatchesLineLoop):
+    """The same tests with blocks of a few values, so that files span several blocks."""
+
+
+class TestLaterBlocks:
+    """A regular file of 2-row blocks whose fourth block breaks the rules in one way."""
+
+    ROWS = [f"w{i} {i + 1} {-i} 0.5" for i in range(9)]
+
+    @pytest.fixture(autouse=True)
+    def two_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_NORM_BLOCK_ELEMS", 6)
+
+    def write_rows(self, tmp_path, row7, count=9):
+        rows = self.ROWS[:6] + [row7] + self.ROWS[7:]
+        return write(tmp_path, "\n".join([f"{count} 3"] + rows) + "\n")
+
+    def test_regular_file_spans_the_blocks(self, tmp_path):
+        path = self.write_rows(tmp_path, self.ROWS[6])
+        expected = np.array([[i + 1, -i, 0.5] for i in range(9)], dtype=np.float32)
+        assert _load_regular(path).vectors.tobytes() == expected.tobytes()
+        words = [f"w{i}" for i in range(9)]
+        assert _load_regular(path, normalize=True).vectors.tobytes() == (
+            EmbeddingTable(words, expected).normalized().vectors.tobytes()
+        )
+        assert_matches_line_loop(path)
+
+    @pytest.mark.parametrize(
+        "row7, message",
+        [
+            ("w6 7 -6 0.5 1", "line 8: expected 3 values for word 'w6', got 4"),
+            ("w6 7 -6", "line 8: expected 3 values for word 'w6', got 2"),
+            ("w6", "line 8: expected 3 values for word 'w6', got 0"),
+            ("w6 7 -6 3.5e38", "line 8: value past the float32 range"),
+            ("w6 7 nan 0.5", "line 8: non-finite value"),
+            ("w6 7 x 0.5", "line 8: non-numeric value"),
+        ],
+    )
+    def test_later_block_error_reports_line(self, tmp_path, row7, message):
+        path = self.write_rows(tmp_path, row7)
+        assert _load_regular(path) is None
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_text_embeddings(path)
+        assert_matches_line_loop(path)
+
+    @pytest.mark.parametrize(
+        "row7, message",
+        [
+            ("w6 0 0 -0.0", "line 8: dropping zero vector for 'w6'"),
+            ("w1 7 -6 0.5", "line 8: duplicate word 'w1', keeping first"),
+        ],
+    )
+    def test_later_block_warns_with_line(self, tmp_path, row7, message):
+        path = self.write_rows(tmp_path, row7)
+        assert _load_regular(path) is None
+        with pytest.warns(UserWarning) as caught:
+            table = load_text_embeddings(path)
+        assert [str(w.message) for w in caught] == [
+            f"{path}: {message}", f"{path}: header declares 9 words, loaded 8"
+        ]
+        assert table.words == [f"w{i}" for i in range(9) if i != 6]
+        assert_matches_line_loop(path)
+
+    @pytest.mark.parametrize("count", [8, 10])
+    def test_header_count_off_by_one(self, tmp_path, count):
+        path = self.write_rows(tmp_path, self.ROWS[6], count=count)
+        assert _load_regular(path) is None
+        with pytest.warns(UserWarning, match=f"declares {count} words, loaded 9"):
+            load_text_embeddings(path)
+        assert_matches_line_loop(path)
+
+    def test_underflowing_norm_is_raised_after_a_later_line_error(self, tmp_path):
+        # 1e-200 is non-zero in float64 but its square, and so its norm, is 0
+        rows = ["w0 1e-200 1e-200 0"] + self.ROWS[1:6] + ["w6 7 -6 0.5 1"] + self.ROWS[7:]
+        path = write(tmp_path, "\n".join(["9 3"] + rows) + "\n")
+        with pytest.raises(ValueError, match="line 8: expected 3 values"):
+            load_text_embeddings(path, normalize=True)
+        assert_matches_line_loop(path)
+        path = self.write_rows(tmp_path, "w6 1e-200 0 0")
+        with pytest.raises(ValueError, match="cannot normalize zero vector for word 'w6'"):
+            load_text_embeddings(path, normalize=True)
+        assert load_text_embeddings(path).vectors[6].tobytes() == bytes(12)
+        assert_matches_line_loop(path)
+
+    @pytest.mark.parametrize("text", ["100000000000 2\na 1 2\n", "1 100000000000\na 1 2\n",
+                                      "100000 100000\na 1 2\n"])
+    def test_header_past_the_file_size_allocates_nothing(self, tmp_path, text):
+        # a row takes at least 2 D bytes of text, so these headers declare
+        # more than the file holds; the loader must not size a table by them
+        path = write(tmp_path, text)
+        assert _load_regular(path) is None
+        assert_matches_line_loop(path)
+
+    def test_pipe_is_read_in_one_pass(self, tmp_path):
+        # a pipe has no size to bound the header by, and cannot be read twice
+        text = "\n".join(["9 3"] + self.ROWS) + "\n"
+        code = ("import sys; from gfkanalogy.embeddings import load_text_embeddings; "
+                "sys.stdout.buffer.write(load_text_embeddings('/dev/stdin').vectors.tobytes())")
+        src = str(Path(embeddings.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code], input=text.encode(), env=env,
+                             capture_output=True, timeout=60, check=True)
+        assert run.stdout == _load_regular(write(tmp_path, text)).vectors.tobytes()
+
+    def test_normalized_spans_the_blocks(self):
+        rng = np.random.default_rng(3)
+        vecs = rng.standard_normal((9, 3)) * np.logspace(-3, 3, 9)[:, None]
+        vecs[4] /= np.linalg.norm(vecs[4])
+        table = EmbeddingTable([f"w{i}" for i in range(9)], vecs)
+        blocked = table.normalized().vectors
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embeddings, "_NORM_BLOCK_ELEMS", 1 << 16)
+            assert blocked.tobytes() == table.normalized().vectors.tobytes()
+        vecs[7] = 0
+        with pytest.raises(ValueError, match="zero vector for word 'w7'"):
+            EmbeddingTable([f"w{i}" for i in range(9)], vecs).normalized()
 
 
 class TestLookupAndStack:
@@ -407,6 +541,28 @@ class TestRoundTripAndNormalize:
                 tracemalloc.stop()
         assert table.vectors.tobytes() == EmbeddingTable(table.words, vecs).normalized().vectors.tobytes()
         assert peaks[True] - peaks[False] < vecs.nbytes / 4
+
+    def test_loads_hold_the_float32_table_and_a_block(self, tmp_path):
+        # a 2,000 x 300 table spans 10 blocks; holding the whole float64
+        # parse beside the float32 table peaks at over 3x the table's bytes
+        vecs = np.random.default_rng(12).integers(-511, 512, (2000, 300)) / 64
+        path = str(tmp_path / "emb.txt")
+        table = EmbeddingTable([f"w{i}" for i in range(len(vecs))], vecs)
+        save_text_embeddings(table, path)
+        assert _load_regular(path) is not None
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1] / table.vectors.nbytes
+            finally:
+                tracemalloc.stop()
+
+        for normalize in (False, True):
+            assert peak(lambda: load_text_embeddings(path, normalize=normalize)) < 2.0
+            assert peak(lambda: _load_lines(path, normalize=normalize)) < 2.5
+        assert peak(table.normalized) < 2.0
 
     def test_normalize_rejects_zero_rows(self):
         table = EmbeddingTable(["a", "z"], np.array([[1.0, 0], [0, 0]]))
