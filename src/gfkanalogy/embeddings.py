@@ -49,11 +49,14 @@ class EmbeddingTable:
             )
         if vectors.shape[1] < 1:
             raise ValueError("embedding dimension must be at least 1")
-        finite = np.isfinite(vectors).all(axis=1)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            what = "value past the float32 range" if np.isfinite(given[i]).all() else "non-finite value"
-            raise ValueError(f"{what} in the vector for word {words[i]!r}")
+        # in blocks of rows, so the check's temporary is a block, not a quarter of the table
+        step = _block_rows(vectors.shape[1])
+        for lo in range(0, len(vectors), step):
+            finite = np.isfinite(vectors[lo : lo + step]).all(axis=1)
+            if not finite.all():
+                i = lo + int(np.argmin(finite))
+                what = "value past the float32 range" if np.isfinite(given[i]).all() else "non-finite value"
+                raise ValueError(f"{what} in the vector for word {words[i]!r}")
         index: dict[str, int] = {}
         for i, w in enumerate(words):
             if w in index:
@@ -63,7 +66,7 @@ class EmbeddingTable:
         self.index = index
         self.vectors = vectors
         self.vectors.setflags(write=False)
-        self._case_index: dict[str, list[int]] | None = None
+        self._folded: dict[str, list[int]] | None = None
         self._lower_words: np.ndarray | None = None
 
     @property
@@ -96,14 +99,18 @@ class EmbeddingTable:
     def case_matches(self, word: str) -> np.ndarray:
         """Ascending row indices of every word equal to ``word`` ignoring case.
 
-        The lowercase index behind it is built on first use.
+        A word that str.lower() leaves as it is matches only if it is
+        ``word.lower()``, which the exact index finds; so the lowercase index,
+        built on first use, holds only the words that str.lower() changes.
         """
-        if self._case_index is None:
-            index: dict[str, list[int]] = {}
+        if self._folded is None:
+            self._folded = {}
             for i, w in enumerate(self.words):
-                index.setdefault(w.lower(), []).append(i)
-            self._case_index = index
-        return np.array(self._case_index.get(word.lower(), ()), dtype=np.intp)
+                if w.lower() != w:
+                    self._folded.setdefault(w.lower(), []).append(i)
+        exact = self.index.get(word.lower())
+        matches = self._folded.get(word.lower(), []) + ([] if exact is None else [exact])
+        return np.sort(np.array(matches, dtype=np.intp))
 
     def lowercase_words(self) -> np.ndarray:
         """Lowercased vocabulary as an object array (cached)."""

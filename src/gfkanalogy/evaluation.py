@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .datasets import AnalogyQuestion, RelationDataset
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, _block_rows
 # subspace_from_rows is not called here, but perfbench/tracing.py wraps this module's name for it
 from .grassmann import (
     GfkKernel,
@@ -48,12 +48,11 @@ HOLDOUTS = ("none", "answer", "question")
 
 _CANONICAL = {m.lower(): m for m in MEASURES}
 # Cap on the elements of one stacked batch of kernels while it is built (1 MB
-# of the float64 bases, factors and coefficients), of each stacked pool SVD's
-# arrays and of each block of table rows mapped into pool coordinates. A few
-# dozen small kernels already share each LAPACK call's overhead; bigger
-# batches only raise peak memory
-# (kernel-sweep: 120-kernel batches of 32 x 12 bases, +7% peak RSS). Scoring
-# takes its own budget alone (scoring._CHUNK_ELEMS).
+# of the float64 bases, factors and coefficients) and of each stacked pool
+# SVD's arrays. A few dozen small kernels already share each LAPACK call's
+# overhead; bigger batches only raise peak memory (kernel-sweep: 120-kernel
+# batches of 32 x 12 bases, +7% peak RSS). Scoring takes its own budget alone
+# (scoring._CHUNK_ELEMS).
 _KERNEL_BATCH_ELEMS = 131_072
 
 
@@ -231,8 +230,7 @@ def gfk_answer(
             f"kernel ambient dimension {kernel.ambient_dim} does not match the table's dimension {table.dim}"
         )
     # the scorer evaluate takes for a kernel over the table itself, whose reference re-projects the table
-    source, cnorms = _Scorer.kernel_inputs(table.vectors)
-    scorer = _Scorer.of_kernels([kernel], _Workspace(), table.vectors, source, cnorms)
+    scorer = _Scorer.of_kernels([kernel], _Workspace(), table.vectors, _Scorer.kernel_inputs(table.vectors))
     return _answer(q, table, scorer, mode, epsilon, shift_cosines, exclude_inputs)
 
 
@@ -346,6 +344,23 @@ def _pool_width(big_d: int, pool_size: int, d: int, n_kernels: int) -> int | Non
     return None if w * (big_d + 2 * d * n_kernels) >= n_kernels * big_d * 2 * d else w
 
 
+def _pool_coords(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+    """The table's float32 pool coordinates (|V| x w), or None where one passes the float32 range.
+
+    A float64 product per row block of the table (_block_rows, whose float64
+    copy is 512 kB), rounded into the float32 array: one product over the
+    whole table lets a threaded BLAS pack a copy of all of it (53 MB more
+    peak memory on a 20k x 300 table with two threads). Only a finite row
+    of norm near 3.4e38 (an un-normalized table) can overflow.
+    """
+    coords = np.empty((len(vectors), len(basis)), dtype=np.float32)
+    step = _block_rows(vectors.shape[1])
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(vectors), step):
+            np.matmul(vectors[lo : lo + step], basis.T, out=coords[lo : lo + step])
+    return coords if np.isfinite(coords.min()) and np.isfinite(coords.max()) else None
+
+
 def _pool_basis(vectors: np.ndarray, pool: list[int], w: int) -> np.ndarray:
     """A w x D orthonormal basis (as rows) of a space holding the pool's span.
 
@@ -455,7 +470,7 @@ class _Relation:
     coordinates) it caches, on first use, the w x D pool basis and the
     _PoolSpectra of the groups' pools, which factors every distinct pool
     once, in stacked SVDs. No array here is |V| wide: the vocabulary is
-    mapped into pool coordinates anew at each dimension.
+    mapped into float32 pool coordinates anew at each dimension.
     """
 
     def __init__(self, questions, table: EmbeddingTable, holdout: str, exclude_inputs: bool):
@@ -483,11 +498,12 @@ class _Relation:
         return _Block.of([items for _, _, items in self.groups])
 
     def kernel_pools(self, table: EmbeddingTable, d: int, center: bool, keep: int):
-        """The vocabulary's kernel-space rows and the holdout groups' pool spectra in them.
+        """The vocabulary's float32 kernel-space coordinates and the holdout groups' pool spectra in them.
 
-        Returns (coords, spectra): coords are pool coordinates (|V| x w) when
-        _pool_width finds them cheaper, else the vectors themselves, and
-        spectra the _PoolSpectra of every group's head and tail pool in them,
+        Returns (coords, spectra): coords are float32 pool coordinates
+        (|V| x w) when _pool_width finds them cheaper and _pool_coords can
+        make them, else the float32 table itself, and spectra the
+        _PoolSpectra of every group's head and tail pool in them (upcast),
         in group order, factored at the first call for this width. Every
         group's pools are checked for d here, in a few array operations,
         before any kernel is built: raises ValueError when one cannot support
@@ -496,20 +512,12 @@ class _Relation:
         built.
         """
         w = _pool_width(table.dim, len(self.pool), d, len(self.groups))
-        if w not in self.frames:
-            basis = None if w is None else _pool_basis(table.vectors, self.pool, w)
-            self.frames[w] = (basis, None)
-        basis, spectra = self.frames[w]
-        if basis is None:
-            coords = table.vectors
-        else:
-            # in blocks of rows: one product over the whole table lets a threaded
-            # BLAS pack a copy of all of it (53 MB more peak memory on a 20k x 300
-            # table with two threads), which the blocks bound to their own size
-            coords = np.empty((len(table), w))
-            step = max(1, _KERNEL_BATCH_ELEMS // table.dim)
-            for lo in range(0, len(table), step):
-                np.matmul(table.vectors[lo : lo + step], basis.T, out=coords[lo : lo + step])
+        if w is not None and w not in self.frames:
+            self.frames[w] = (_pool_basis(table.vectors, self.pool, w), None)
+        coords = None if w is None else _pool_coords(table.vectors, self.frames[w][0])
+        if coords is None:  # the table is its own coordinates, as under holdout='none'
+            w, coords = None, table.vectors
+        basis, spectra = self.frames.get(w, (None, None))
         if spectra is None:
             pools = [(head_idx, tail_idx) for head_idx, tail_idx, _ in self.groups]
             spectra = _PoolSpectra(coords, pools, center, table.dim, keep)
@@ -586,10 +594,11 @@ def evaluate(
     kernel, so it is skipped or scored whole.
 
     Ranks are exact, from the scoring module: its _Scorer.of_kernels has each
-    kernel of a stack project the pool coordinates, cast to float32 once per
-    relation by _Scorer.kernel_inputs, or the float32 table itself. Peak
-    memory is the table + the scoring budget per |V|-wide block + O(|V| w):
-    a relation's pool coordinates, their float32 copy and norms.
+    kernel of a stack project a relation's float32 pool coordinates, or the
+    float32 table itself, whose norms _Scorer.kernel_inputs takes once per
+    relation. Peak memory is the table, plus the scoring budget per |V|-wide
+    block, plus |V|(4w + 4) bytes: a relation's float32 pool coordinates and
+    their norms.
 
     sweep_state is not a tuning option: dimension_sweep passes the state it
     builds once for all its dimensions (see there), and the reports equal
@@ -637,14 +646,12 @@ def evaluate(
                 for m in gfk_measures:
                     reports[m].skipped[relation] = str(err)
                 continue
-            # pool coordinates, projected by every kernel of the relation, are
-            # cast to float32 once; the float32 table itself is not copied
-            source, cnorms = _Scorer.kernel_inputs(coords)
+            cnorms = _Scorer.kernel_inputs(coords)
             groups = [items for _, _, items in rel.groups]
             results = _score_relation_gfk(
-                coords, source, cnorms, spectra, rel.block, groups, config.subspace_dim, gfk_measures, config, ws
+                coords, cnorms, spectra, rel.block, groups, config.subspace_dim, gfk_measures, config, ws
             )
-            del coords, source, cnorms  # not held while the next relation is scored
+            del coords, cnorms  # not held while the next relation is scored
             for m in gfk_measures:
                 reports[m].per_relation[relation] = _tally(results, m)
     return reports
@@ -661,7 +668,7 @@ def _tally(results, measure: str) -> RelationResult:
     )
 
 
-def _score_relation_gfk(coords, source, cnorms, spectra, block, groups, d, measures, config, ws):
+def _score_relation_gfk(coords, cnorms, spectra, block, groups, d, measures, config, ws):
     """Kernel-measure ranks for one relation's holdout groups, in pool coordinates.
 
     spectra holds each group's head and tail pool spectra (a _PoolSpectra),
@@ -675,10 +682,10 @@ def _score_relation_gfk(coords, source, cnorms, spectra, block, groups, d, measu
     holds as many kernels as fit _KERNEL_BATCH_ELEMS, and at least one. A
     sub-batch is scored in stacks, which the scoring budget alone sizes
     (see _stacks): on a small vocabulary the whole sub-batch is one stack.
-    Each stack's _Scorer.of_kernels projects source, the relation's
-    kernel_inputs with cnorms, by its kernels; it and the sub-batch's kernels
-    are dropped before the next ones are built. Returns the _ranked results
-    in group order.
+    Each stack's _Scorer.of_kernels projects coords, the relation's float32
+    coordinates, whose norms are cnorms, by its kernels; it and the
+    sub-batch's kernels are dropped before the next ones are built. Returns
+    the _ranked results in group order.
     """
     n, w = coords.shape
     size = max(1, _KERNEL_BATCH_ELEMS // (12 * w * d))
@@ -688,7 +695,7 @@ def _score_relation_gfk(coords, source, cnorms, spectra, block, groups, d, measu
         # the top-d spans that kernel_pools checked, one B x w x d batch per side
         kernels = gfk(principal_angles(*(Subspace(spectra.bases(start, stop, side, d)) for side in (0, 1))))
         for lo, hi, parts in _stacks(block.take(start, stop), groups[start:stop], 2 * d, measures, n):
-            scorer = _Scorer.of_kernels([kernels[i] for i in range(lo, hi)], ws, coords, source, cnorms)
+            scorer = _Scorer.of_kernels([kernels[i] for i in range(lo, hi)], ws, coords, cnorms)
             results.extend(_ranked(scorer, part, measures, config) for part in parts)
             del scorer  # not held while the next stack is built
         del kernels  # nor the batch while the next one is built

@@ -12,8 +12,8 @@ memory than calls over the whole slab.
 
 Ranks are still exact. A score is defined per pair by a float64 reference
 (see _Scorer._cosines): plain rows upcast to float64, kernel rows
-re-projected pair by pair from their upcast coordinates through the kernel's
-float64 f lam_sqrt, whose bits do not depend on the other pairs. Every
+re-projected pair by pair from their float32 coordinates, upcast, through the
+kernel's float64 f lam_sqrt, whose bits do not depend on the other pairs. Every
 float32 score lies within a proven bound of it, from one error model for
 plain and kernel rows (see _Scorer, _row_terms, _add_tau and _mul_bound;
 kernel bounds grow with the largest rho_j = |c_j| |f lam_sqrt|_F / |r_j| of
@@ -28,12 +28,13 @@ the same on any BLAS, thread count or block size; exact duplicates and 2v
 multiples tie.
 
 A stack holds as many row sets as fit _CHUNK_ELEMS of |V|-wide rows: their
-kernel rows, cosine rows and one or two score rows per question; a row set
-over it is scored in slabs of questions, and in parts by distinct words if
-need be (see _stacks). So each |V|-wide block of scoring (a stack's rows,
-a chunk of reference rows, a part of open rows) takes at most that one
-budget. The blocks live in one _Workspace per call and are reused from
-stack to stack; each scorer owns its candidate norms and flags (G x |V|).
+kernel rows, cosine rows and per question a score row, and for CosMUL at most
+one denominator row (one per distinct a word); a row set over it is scored in
+slabs of questions, and in parts by distinct words if need be (see _stacks).
+So each |V|-wide block of scoring (a stack's rows, a chunk of reference rows,
+a part of open rows) takes at most that one budget. The blocks live in one
+_Workspace per call and are reused from stack to stack; each scorer owns its
+candidate norms and flags (G x |V|).
 """
 
 from __future__ import annotations
@@ -49,12 +50,13 @@ from .grassmann import NULL_SPACE_NORM
 _MODES = {"CosADD": "add", "CosMUL": "mul", "GFKCosADD": "add", "GFKCosMUL": "mul"}
 # The scoring budget: a cap on the elements of every |V|-wide block of scoring,
 # plain or kernel, so that peak memory is the table, this budget per block and
-# O(|V| w) pool coordinates, however wide the vocabulary. A stack's block is,
-# per row set, its kernel rows (2d; none for the table itself), the cosine rows
-# of its u distinct words and per question slot a score row, plus a denominator
-# for CosMUL, all float32. Reference scores are taken in chunks whose gathered
-# float64 rows, and open score rows decided again in parts, hold an eighth as
-# many elements.
+# |V|(4w + 4) bytes of float32 pool coordinates and their norms, however wide
+# the vocabulary. A stack's block is, per row set, its kernel rows (2d; none
+# for the table itself), the cosine rows of its u distinct words and per
+# question slot a score row, plus for CosMUL a denominator row per distinct a
+# word (at most one per question), all float32. Reference scores are taken in
+# chunks whose gathered float64 rows, and open score rows decided again in
+# parts, hold an eighth as many elements.
 _CHUNK_ELEMS = 5_000_000
 
 # A kernel stack's candidate whose rho_j = |c_j| |P|_F / |r_j| (its pool
@@ -162,12 +164,12 @@ def _project_rows(coords: np.ndarray, proj_t: np.ndarray) -> np.ndarray:
     """float64 rows c f lam_sqrt of coordinate rows c, each a row-wise dot of its own coordinates, never a GEMM.
 
     proj_t holds (f lam_sqrt)^T: coords P x w take one m x w factor, or
-    each row its own (P x m x w). float32 coordinates are upcast before the
-    dots, as an einsum of mixed dtypes may group its sums otherwise. The
-    einsum dots each (row, factor column) pair in one order whatever the
-    other rows are, in either layout, so a row's bits do not depend on which
-    rows are projected with it (the tests hold rows computed alone, among
-    others or per row set bit-equal).
+    each row its own (P x m x w). The float32 coordinates that the kernel
+    rows project are upcast before the dots, as an einsum of mixed dtypes
+    may group its sums otherwise. The einsum dots each (row, factor column)
+    pair in one order whatever the other rows are, in either layout, so a
+    row's bits do not depend on which rows are projected with it (the tests
+    hold rows computed alone, among others or per row set bit-equal).
     """
     coords = coords.astype(np.float64, copy=False)
     return np.einsum("ij,ikj->ik" if proj_t.ndim == 3 else "ij,kj->ik", coords, proj_t)
@@ -347,10 +349,11 @@ def _row_terms(w: int | None, m: int, pf: np.ndarray):
       each and the length-w float32 dots gamma_w(u), so a component is off
       the exact c_j.P_k by gamma_{w+2}(u) |c_j|.|P_k| <= gamma_{w+2}(u)
       |c_j| |P_k| (Cauchy-Schwarz), and the row by gamma_{w+2}(u) |c_j| pf;
-      the reference adds gamma_w(v) |c_j| pf. Subnormal casts and products
-      add at most eta each: eta (sqrt(m w) |c_j| + sqrt(w) pf + sqrt(m) w
-      + 1) per path. rho_j = cn_j pf / |r_j| is the error in units of the
-      row.
+      the reference adds gamma_w(v) |c_j| pf. (Both paths read float32
+      c_j, whose cast costs nothing; the bound keeps the term.) Subnormal
+      casts and products add at most eta each: eta (sqrt(m w) |c_j| +
+      sqrt(w) pf + sqrt(m) w + 1) per path. rho_j = cn_j pf / |r_j| is the
+      error in units of the row.
     - The float32 norm n~_j of r~_j (squares, a sum, a square root) is
       within nu |r~_j| + n_abs of |r~_j|, nu = gamma_{m+1}(u) / 2 + u, and
       n_abs = sqrt(m eta) covers squares in the subnormal range. The
@@ -435,16 +438,18 @@ class _Scorer:
     _cosines): the additive score is the cosine of the unit target
     (x - a + b) / |x - a + b| and the candidate, the multiplicative one
     s_b s_x / (s_a + eps) of the reference cosines. The reference reads
-    plain rows upcast to float64 and re-projects kernel rows pair by pair,
-    and the query words' reference rows are the query rows of both paths.
+    plain rows upcast to float64 and re-projects kernel rows pair by pair
+    from the float32 coordinates that the kernels project, upcast, and the
+    query words' reference rows are the query rows of both paths.
     Every vocabulary-wide pass runs in float32, and each slab carries a
     proven bound on how far its float32 scores are from the reference ones,
     which _gold_ranks turns into exact ranks.
 
     Both kinds of row take one float32-row rule (see _row_terms): source
     is None for plain rows, or (coords, (f lam_sqrt)^T per kernel) for
-    kernel rows, and cnorms the coordinates' norms rounded to float32 (see
-    of_kernels). Each candidate of a row set is one of three kinds:
+    kernel rows, with coords the float32 coordinates they project, and
+    cnorms the coordinates' norms rounded to float32 (see of_kernels). Each
+    candidate of a row set is one of three kinds:
     - null: its float32 norm is so far below NULL_SPACE_NORM that its
       reference norm is too; its cosine against any query is pinned to -1
       on both paths, so it sinks to the bottom of every ranking.
@@ -518,37 +523,35 @@ class _Scorer:
         self.errors = (np.full(g, dc32), np.where(e < 0.5, 1.001 * e / np.sqrt(1 - np.minimum(e, 0.5) ** 2), 2.0))
 
     @staticmethod
-    def kernel_inputs(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(source, cnorms) for of_kernels, made once for every kernel that projects coords.
+    def kernel_inputs(coords: np.ndarray) -> np.ndarray:
+        """cnorms for of_kernels, once for every kernel that projects the float32 coords.
 
-        source is coords in float32: the float32 table itself, or a float32
-        copy of pool coordinates, whose values past the float32 range become
-        inf. cnorms are their float64 norms rounded to float32, taken with no
-        float64 copy of float32 coords.
+        Their float64 norms rounded to float32 (inf past its range: a suspect),
+        with no float64 copy of the coordinates.
         """
-        with np.errstate(over="ignore"):  # such rows are suspects
-            return coords.astype(np.float32, copy=False), _row_norms(coords, np.float64).astype(np.float32)
+        with np.errstate(over="ignore"):
+            return _row_norms(coords, np.float64).astype(np.float32)
 
     @classmethod
-    def of_kernels(cls, kernels, ws: _Workspace, coords, source, cnorms) -> "_Scorer":
+    def of_kernels(cls, kernels, ws: _Workspace, coords: np.ndarray, cnorms: np.ndarray) -> "_Scorer":
         """A scorer over float32 kernel rows: row set i is coords projected by kernels[i].
 
-        Kernel rows are made here alone: each kernel writes its slice of the
-        workspace's float32 "rows" buffer with one GfkKernel.project(source,
-        out=...), so r~_j = fl32(fl32(c_j) fl32(P)) as _row_terms bounds it.
-        coords (|V| x w) are float64 pool coordinates or the float32 table,
-        source and cnorms their kernel_inputs. The reference re-projects each
-        pair from coords, upcast, through the kernel's float64 P = f lam_sqrt
-        (its projection; see _project_rows) and takes that row's norm and
-        null flag, so a pair's reference bits depend on its own two rows
-        only.
+        coords (|V| x w, float32) are a relation's pool coordinates or the
+        table itself, and cnorms their kernel_inputs. Kernel rows are made
+        here alone: each kernel writes its slice of the workspace's float32
+        "rows" buffer with one GfkKernel.project(coords, out=...), so
+        r~_j = fl32(c_j fl32(P)) as _row_terms bounds it. The reference
+        re-projects each pair from the same coordinates, upcast, through the
+        kernel's float64 P = f lam_sqrt (its projection; see _project_rows)
+        and takes that row's norm and null flag, so a pair's reference bits
+        depend on its own two rows only.
         """
         g, n, m = len(kernels), len(coords), kernels[0].projection.shape[1]
         rows = ws.get("rows", (g * n, m)).reshape(g, n, m)
         for kernel, out in zip(kernels, rows):
-            kernel.project(source, out=out)
+            kernel.project(coords, out=out)
         proj_t = np.stack([kernel.projection.T for kernel in kernels])
-        return cls(rows, ws, (np.ascontiguousarray(coords), proj_t), cnorms)
+        return cls(rows, ws, (coords, proj_t), cnorms)
 
     def _reference_rows(self, g: np.ndarray, j: np.ndarray):
         """float64 rows of the candidates j[p] of row sets g[p], their norms, and null flags.
@@ -615,11 +618,13 @@ class _Scorer:
         G x k x U coefficient product, and is divided by |x - a + b|; a
         target with no direction is flagged null and its scores mean
         nothing. Every additive slab comes first. The multiplicative rule
-        then clips and shifts the cosine rows in place, once per word, and
-        builds a slab's s_b * s_x / (s_a + eps) rows into the score buffer
-        and a denominator buffer, one product of views of the word rows per
-        score row. A row's largest score and least denominator set its
-        bound, which is infinite when a denominator may be 0 or change sign;
+        then clips and shifts the cosine rows in place, once per word. A
+        slab takes one denominator row s_a + eps per distinct a word of each
+        row set, from one gathered sum, and builds its s_b * s_x rows into
+        the score buffer, one product of views of the word rows per score
+        row, each divided in place by its a word's denominator. A row's
+        largest score and its a word's least denominator set its bound,
+        which is infinite when a denominator may be 0 or change sign;
         each candidate's own bound still holds where its own denominator is
         clear of 0 (see _mul_split). Null queries and null candidates score
         -1 in every cosine; in the reference, a NaN score becomes -inf.
@@ -685,25 +690,27 @@ class _Scorer:
                 w = rows_at[:, at].reshape(-1, 3)  # flat a, b, x word rows per score row
                 k = len(w) // g
                 k0, k1, dd, _ = np.repeat(bounds.T, k, axis=1)
-                mul, den = ws.get("scores", (len(w), n)), ws.get("den", (len(w), n))
+                # the distinct a words' rows, and each score row's among them
+                a_rows, a_of = np.unique(w[:, 0], return_inverse=True)
+                mul, den = ws.get("scores", (len(w), n)), ws.get("den", (len(a_rows), n))
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    for i, (ia, ib, ix) in enumerate(w.tolist()):
-                        np.multiply(flat[ib], flat[ix], out=mul[i])
-                        np.add(flat[ia], epsilon, out=den[i])
-                    mul /= den
+                    np.add(flat[a_rows], epsilon, out=den)
+                    for row, ib, ix, ia in zip(mul, w[:, 1].tolist(), w[:, 2].tolist(), a_of.tolist()):
+                        np.multiply(flat[ib], flat[ix], out=row)
+                        np.divide(row, den[ia], out=row)
                     if suspect is not None:  # neither sets its row's bound
                         np.copyto(mul.reshape(g, k, n), 0.0, where=suspect)
-                        np.copyto(den.reshape(g, k, n), np.inf, where=suspect)
+                        np.copyto(den, np.inf, where=self.suspect[a_rows // u])
                     # the row's largest |score| bounds every |S|, and while every D > 0
                     # the least bounds every |D| from below; shifted scores are >= 0
                     peak = mul.max(axis=1) if shift else np.maximum(mul.max(axis=1), -mul.min(axis=1))
-                    room = den.min(axis=1) - dd
+                    room = den.min(axis=1)[a_of] - dd
                     tau = np.where(room > 0, (k0 + k1 * peak.astype(np.float64)) / room, np.inf)
                 if suspect is not None:
                     np.copyto(mul.reshape(g, k, n), np.nan, where=suspect)
 
-                def split(i, level, mul=mul, den=den, k=k):
-                    return _mul_split(mul.take(i, axis=0), den.take(i, axis=0), level, bounds[i // k].T)
+                def split(i, level, mul=mul, den=den, a_of=a_of, k=k):
+                    return _mul_split(mul.take(i, axis=0), den.take(a_of[i], axis=0), level, bounds[i // k].T)
 
                 def ref(r, j, w=w, k=k):
                     t = w[r].T  # the a, b and x word rows of every pair
@@ -868,7 +875,7 @@ def _modes(measures) -> tuple[str, ...]:
 
 
 def _rows_per_question(measures) -> int:
-    """|V|-wide score rows a question takes: its score row, plus a denominator for CosMUL."""
+    """|V|-wide score rows a question takes at most: its score row, plus for CosMUL its a word's denominator."""
     return 1 + ("mul" in _modes(measures))
 
 

@@ -393,6 +393,36 @@ class TestLookupAndStack:
         assert table.resolve("ATHENS") == 2
         assert table.resolve("aTHENS") == 0  # then the first variant
 
+    # mixed case and non-ASCII case pairs: str.lower() maps "SS" to "ss" but
+    # leaves "ß", maps "İ" to "i" and a combining dot, "Σ" to "σ" (never "ς"),
+    # and the titlecase "ǅ" and the capital "Ǆ" both to "ǆ"
+    @given(
+        words=st.lists(st.text("aAsSßİiIıΣσςǅǄǆ\u0307", min_size=1, max_size=3), unique=True, min_size=1,
+                       max_size=12),
+        extra=st.lists(st.text("aAsSßİiIıΣσςǅǄǆ\u0307", min_size=1, max_size=3), max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_case_matches_and_resolve_match_a_brute_scan(self, words, extra):
+        table = EmbeddingTable(words, np.ones((len(words), 2)))
+        variants = [f(w) for w in words + extra for f in (str, str.lower, str.upper, str.swapcase, str.casefold)]
+        for query in variants:
+            brute = [i for i, w in enumerate(words) if w.lower() == query.lower()]
+            assert table.case_matches(query).tolist() == brute, query
+            want = words.index(query) if query in words else (brute[0] if brute else None)
+            assert table.resolve(query) == want, query
+        # only the words that str.lower() changes are in the lowercase index
+        assert sorted(i for hits in table._folded.values() for i in hits) == [
+            i for i, w in enumerate(words) if w.lower() != w
+        ]
+
+    def test_an_all_lowercase_vocabulary_has_an_empty_lowercase_index(self):
+        table = EmbeddingTable(["athens", "b", "ß", "σ", "ς", "ǆ"], np.eye(6))
+        assert table.case_matches("ATHENS").tolist() == [0]
+        assert table.case_matches("ǅ").tolist() == [5]
+        assert table.case_matches("Σ").tolist() == [3]
+        assert table.case_matches("SS").size == 0
+        assert table._folded == {}
+
     def test_vectors_are_read_only(self, table):
         with pytest.raises(ValueError):
             table.vectors[0, 0] = 5.0
@@ -563,6 +593,32 @@ class TestRoundTripAndNormalize:
             assert peak(lambda: load_text_embeddings(path, normalize=normalize)) < 2.0
             assert peak(lambda: _load_lines(path, normalize=normalize)) < 2.5
         assert peak(table.normalized) < 2.0
+
+    def test_building_a_table_from_float32_rows_holds_no_table_sized_temporary(self):
+        # a finite check over the whole table at once takes a bool per value,
+        # a quarter of the float32 table; in row blocks it takes a block
+        vecs = np.random.default_rng(13).standard_normal((1000, 1000)).astype(np.float32)
+        words = [f"w{i}" for i in range(len(vecs))]
+        tracemalloc.start()
+        try:
+            table = EmbeddingTable(words, vecs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.vectors.tobytes() == vecs.tobytes()
+        assert peak < vecs.nbytes / 8, peak
+
+    def test_the_finite_check_names_the_word_in_any_block(self):
+        vecs = np.ones((3 * embeddings._block_rows(8) + 5, 8))
+        words = [f"w{i}" for i in range(len(vecs))]
+        for i in (0, len(vecs) // 2, len(vecs) - 1):
+            bad = vecs.copy()
+            bad[i, 3] = np.nan
+            with pytest.raises(ValueError, match=f"non-finite value in the vector for word 'w{i}'"):
+                EmbeddingTable(words, bad)
+            bad[i, 3] = 1e39
+            with pytest.raises(ValueError, match=f"value past the float32 range in the vector for word 'w{i}'"):
+                EmbeddingTable(words, bad)
 
     def test_normalize_rejects_zero_rows(self):
         table = EmbeddingTable(["a", "z"], np.array([[1.0, 0], [0, 0]]))

@@ -1332,6 +1332,30 @@ class TestExactRanks:
                 want = [_reference_rank(slab, r, gold[r], excluded[r], n) for r in rows.tolist()]
                 assert ranks.tolist() == want, slab.mode
 
+    @pytest.mark.parametrize("shift", [True, False])
+    def test_cosmul_takes_one_denominator_row_per_a_word(self, shift):
+        # 20 questions over 2 a words, on one row set and on two
+        table = random_table(71, 60, 8)
+        rng = np.random.default_rng(72)
+        ds = RelationDataset()
+        for k in range(20):
+            b, x, y = rng.choice(np.arange(2, 60), 3, replace=False).tolist()
+            ds.add(question(f"w{k % 2}", f"w{b}", f"w{x}", f"w{y}"))
+        questions = ds.relations["r"]
+        items = evaluation._scoring_items(evaluation._resolve_relation(questions, table)[0], table, True)
+        cfg = EvalConfig(measure="CosMUL", shift_cosines=shift)
+        want = []
+        for q in questions:
+            order, _ = brute_mul_ranking(table, q, shift=shift)
+            want.append(order.index(table.index[q.y]) + 1)
+        for g in (1, 2):
+            ws = scoring._Workspace()
+            scorer = scoring._Scorer(np.repeat(table.vectors[None], g, axis=0), ws)
+            ranks, _, _ = scoring._ranked(scorer, scoring._Block.of([items] * g), ("CosMUL",), cfg)["CosMUL"]
+            assert ws._bufs["den"].shape[0] == 2 * g
+            assert ranks.tolist() == want * g
+        assert evaluate(ds, table, cfg)["CosMUL"].per_relation["r"].rank_sum == sum(want)
+
     @pytest.mark.parametrize("holdout", HOLDOUTS)
     @pytest.mark.parametrize("shift", [True, False])
     def test_evaluate_ranks_equal_all_reference_ranks(self, monkeypatch, holdout, shift):
@@ -1400,9 +1424,9 @@ def _random_kernel(rng, w, d):
 
 
 def _kernel_scorer(coords, kernels):
-    """A scorer over the float32 rows of a stack of kernels, as evaluate builds it."""
-    source, cnorms = scoring._Scorer.kernel_inputs(coords)
-    return scoring._Scorer.of_kernels(kernels, scoring._Workspace(), coords, source, cnorms)
+    """A scorer over the float32 rows of a stack of kernels, as evaluate builds it from float32 coordinates."""
+    coords = np.asarray(coords, dtype=np.float32)
+    return scoring._Scorer.of_kernels(kernels, scoring._Workspace(), coords, scoring._Scorer.kernel_inputs(coords))
 
 
 class TestKernelRows:
@@ -1537,6 +1561,44 @@ class TestKernelRows:
                 want = [_reference_rank(slab, r, gold[r], excluded[r], n) for r in rows.tolist()]
                 assert ranks.tolist() == want, slab.mode
 
+    def test_pool_coordinates_past_the_float32_range_keep_the_table(self, monkeypatch):
+        # an un-normalized table: a finite float32 row of norm about 1e39
+        # along a pool word, whose float32 pool coordinate would be inf
+        table, ds = _memory_inputs()
+        vecs = table.vectors.astype(np.float64)
+        vecs[-1] = vecs[1] * (3e38 / np.abs(vecs[1]).max())
+        table = EmbeddingTable(table.words, vecs)
+        assert np.linalg.norm(vecs[-1]) > 3.5e38
+        kernel_pools, cosines, widths, suspects = evaluation._Relation.kernel_pools, scoring._Scorer._cosines, [], []
+
+        def recorded(rel, *args, **kwargs):
+            coords, pools = kernel_pools(rel, *args, **kwargs)
+            widths.append(coords.shape[1])
+            return coords, pools
+
+        def finite(scorer, *args):
+            suspects.append(scorer.suspect is not None and bool(scorer.suspect[:, -1].all()))
+            out = cosines(scorer, *args)
+            assert np.isfinite(out).all()
+            return out
+
+        monkeypatch.setattr(evaluation._Relation, "kernel_pools", recorded)
+        monkeypatch.setattr(scoring._Scorer, "_cosines", finite)
+        cfg = EvalConfig(measure="all", subspace_dim=4, holdout="answer")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reports = evaluate(ds, table, cfg)
+        # the relation's kernels project the table itself, where the row is a suspect
+        assert widths == [table.dim] and suspects and all(suspects)
+        for rep in reports.values():
+            assert not rep.skipped and rep.n_questions == 90
+            assert np.isfinite(rep.micro_average_rank)
+        # the row's coordinate along its own direction is past the float32 range; along the others it is not
+        along = vecs[-1] / np.linalg.norm(vecs[-1])
+        assert evaluation._pool_coords(table.vectors, along[None]) is None
+        axes = evaluation._pool_coords(table.vectors, np.eye(table.dim)[:20])
+        assert axes.tobytes() == table.vectors[:, :20].tobytes()
+
     @pytest.mark.parametrize("holdout", ["none", "answer"])
     def test_kernel_scoring_memory_follows_the_budget(self, monkeypatch, holdout):
         table, ds = _memory_inputs()
@@ -1566,9 +1628,9 @@ class TestKernelRows:
             assert w == big_d and peak < table.vectors.nbytes / 4
         else:
             # the scoring budget's blocks, a stack's float32 kernel rows among
-            # them, then the pool coordinates (float64 and float32): O(|V| w)
+            # them, then the float32 pool coordinates and their norms: |V|(4w + 4)
             assert w < big_d
-            assert peak < 12 * scoring._CHUNK_ELEMS + 16 * n * w
+            assert peak < 12 * scoring._CHUNK_ELEMS + 8 * n * w
 
     @pytest.mark.parametrize("shift", [True, False])
     def test_kernel_stacks_keep_memory_within_the_budget(self, monkeypatch, shift):
@@ -1612,9 +1674,9 @@ class TestKernelRows:
         if not shift:
             assert sum(split_rows) == reports["GFKCosMUL"].n_questions == 90
         # the scoring budget's blocks, a stack's float32 kernel rows among them,
-        # then the pool coordinates (float64 and float32): O(|V| w)
+        # then the float32 pool coordinates and their norms: |V|(4w + 4)
         w = widths[-1]
-        assert peak < 12 * scoring._CHUNK_ELEMS + 16 * n * w, (peak, w)
+        assert peak < 12 * scoring._CHUNK_ELEMS + 8 * n * w, (peak, w)
 
     def test_project_casts_float64_rows_to_float32(self):
         rng = np.random.default_rng(53)
