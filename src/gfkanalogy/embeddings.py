@@ -186,20 +186,52 @@ def load_text_embeddings(path: str, normalize: bool = False) -> EmbeddingTable:
     values on a line, a nan or infinite value, a value past the float32
     range) raise ValueError with the offending line number.
 
-    A regular file (good header, D parseable values on every non-blank line,
-    all within the float32 range, no duplicate word, no zero row, as many
-    words as declared) is parsed by numpy's C reader one block of rows at a
-    time, straight into the float32 table. Any other file is re-read line
-    by line, which gives the same table and the same line-numbered errors
-    and warnings as reading every file that way. Values are parsed to
-    float64 a block at a time; normalize divides them by their row norms as
-    normalized() does, and the table holds their one rounding to float32.
-    A regular file's load holds the float32 table plus one float64 block
-    of about _NORM_BLOCK_ELEMS values; the line loop also holds the float32
-    blocks it joins at the end, about twice the table.
+    The file is read once, in blocks of _block_rows(D) lines, so a pipe
+    loads as a regular file does. numpy's C reader parses each block
+    (_parse_block); a block that breaks a rule is parsed again from its
+    lines, held in memory, one at a time (_parse_lines), which gives the
+    same table and the same line-numbered errors and warnings as reading
+    every line that way. Values are parsed to float64 a block at a time;
+    normalize divides them by their row norms as normalized() does, and the
+    table holds their one rounding to float32. The float32 table is sized
+    by the header, which for a regular file is bounded by the file's size
+    (a row takes at least 2 D bytes of text); it grows if more rows arrive
+    and is trimmed to the rows kept. A load holds the float32 table, one
+    block of text and the float64 rows parsed from it.
     """
-    table = _load_regular(path, normalize)
-    return _load_lines(path, normalize) if table is None else table
+    with open(path, encoding="utf-8") as f:
+        declared, dim = _read_header(f, path)
+        st = os.fstat(f.fileno())
+        size = min(declared, st.st_size // (2 * dim)) if stat.S_ISREG(st.st_mode) else declared
+        vectors = np.empty((size, dim), dtype=np.float32)
+        words: list[str] = []
+        seen: set[str] = set()
+        # a non-zero row whose float64 norm underflows to 0 cannot be normalized;
+        # its error is raised once the file is read, after any line error
+        zero_norm: ValueError | None = None
+        lineno = 2
+        while lines := list(itertools.islice(f, _block_rows(dim))):
+            kept, rows = _parse_block(lines, dim, seen) or _parse_lines(lines, lineno, dim, seen, path)
+            lineno += len(lines)
+            del lines  # a block's text is not held while its rows are rounded or the next block read
+            done, end = len(words), len(words) + len(kept)
+            if end > len(vectors):
+                # no view of vectors outlives a block, so its buffer may move
+                vectors.resize((max(end, 2 * len(vectors)), dim), refcheck=False)
+            try:
+                _round_rows(rows, kept, normalize and zero_norm is None, vectors[done:end])
+            except ValueError as err:
+                zero_norm = err
+            words += kept
+            del rows  # nor are its rows
+    if not words:
+        raise ValueError(f"{path}: no usable embedding rows")
+    if len(words) != declared:
+        warnings.warn(f"{path}: header declares {declared} words, loaded {len(words)}")
+    if zero_norm is not None:
+        raise zero_norm
+    vectors.resize((len(words), dim), refcheck=False)
+    return EmbeddingTable(words, vectors)
 
 
 def _read_header(f, path: str) -> tuple[int, int]:
@@ -214,22 +246,18 @@ def _read_header(f, path: str) -> tuple[int, int]:
     raise ValueError(f"{path}: line 1: malformed header {header.strip()!r}")
 
 
-def _load_regular(path: str, normalize: bool = False) -> EmbeddingTable | None:
-    """The table of a regular file, or None when the file needs ``_load_lines``.
+def _parse_block(lines: list[str], dim: int, seen: set[str]) -> tuple[list[str], np.ndarray] | None:
+    """The words and float64 rows of a block of lines, parsed by np.loadtxt, or None.
 
-    The float32 table is allocated once, with the header's shape, and each
-    block of rows that np.loadtxt parses is checked (row width, float32
-    range, no zero row), normalized if asked and rounded into its rows. A
-    header that declares more values than a regular file could hold (a row
-    takes at least 2 D bytes of text) is not trusted with an allocation: the
-    file goes to the line loop. A pipe has no size to check, and the line
-    loop could not read it again, so its header is taken as it is. A
-    malformed header raises at once, with the line loop's message.
+    None means the block breaks a rule: a non-blank line without ``dim``
+    parseable values, a value past the float32 range, a zero row, or a word
+    that repeats one in the block or in ``seen``. Otherwise the block's
+    words are added to ``seen``.
     """
     words: list[str] = []
 
-    def value_texts(lines):
-        # iterate the file, not str.splitlines(): that also splits on \x0c, \x1c, \x85 ...
+    def value_texts():
+        # the file's own lines, not str.splitlines(): that also splits on \x0c, \x1c, \x85 ...
         for line in lines:
             fields = line.split(None, 1)
             if fields:
@@ -237,110 +265,68 @@ def _load_regular(path: str, normalize: bool = False) -> EmbeddingTable | None:
             if len(fields) == 2:
                 yield fields[1]
 
-    with open(path, encoding="utf-8") as f:
-        declared, dim = _read_header(f, path)
-        st = os.fstat(f.fileno())
-        if stat.S_ISREG(st.st_mode) and declared * 2 * dim > st.st_size:
-            return None
-        vectors = np.empty((declared, dim), dtype=np.float32)
-        step = _block_rows(dim)
-        texts = value_texts(f)
-        done = 0
-        try:
-            # loadtxt would warn of an empty block, so each block starts with a peeked line
-            while (first := next(texts, None)) is not None:
-                block = np.loadtxt(
-                    itertools.chain([first], itertools.islice(texts, step - 1)),
-                    dtype=np.float64, comments=None, ndmin=2,
-                )
-                end = done + len(block)
-                # a word with no values leaves more words than rows, and loadtxt
-                # accepts any row width the rows agree on; a NaN fails the range check
-                if (
-                    block.shape[1] != dim
-                    or end > declared
-                    or len(words) != end
-                    or not (-_FLOAT32_LIMIT < block.min() and block.max() < _FLOAT32_LIMIT)
-                    or not block.any(axis=1).all()
-                ):
-                    return None
-                _round_rows(block, words[done:end], normalize, vectors[done:end])
-                done = end
-        except ValueError:
-            return None
-    if done == 0 or done != declared or len(words) != done or len(set(words)) != done:
+    texts = value_texts()
+    # loadtxt would warn of an empty block, so a block of blank lines ends here
+    if (first := next(texts, None)) is None:
+        return None if words else ([], np.empty((0, dim)))
+    try:
+        rows = np.loadtxt(itertools.chain([first], texts), dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
         return None
-    return EmbeddingTable(words, vectors)
+    # a word with no values leaves more words than rows, and loadtxt
+    # accepts any row width the rows agree on; a NaN fails the range check
+    if (
+        rows.shape[1] != dim
+        or len(words) != len(rows)
+        or not (-_FLOAT32_LIMIT < rows.min() and rows.max() < _FLOAT32_LIMIT)
+        or not rows.any(axis=1).all()
+        or len(set(words)) != len(words)
+        or not seen.isdisjoint(words)
+    ):
+        return None
+    seen.update(words)
+    return words, rows
 
 
-def _load_lines(path: str, normalize: bool = False) -> EmbeddingTable:
-    """Read any file one line at a time, applying the dirty-input policy per line.
+def _parse_lines(
+    lines: list[str], start: int, dim: int, seen: set[str], path: str
+) -> tuple[list[str], np.ndarray]:
+    """The kept words and float64 rows of ``lines``, read one at a time; the first is line ``start``.
 
-    Kept rows are gathered into blocks of about _NORM_BLOCK_ELEMS values,
-    and each block is normalized if asked and rounded to float32 on its own;
-    the float32 blocks are joined into the table at the end.
+    Applies the dirty-input policy to each line: a malformed line raises,
+    a word in ``seen`` and a zero row are skipped with a warning, and each
+    kept word is added to ``seen``.
     """
     words: list[str] = []
-    rows: list[np.ndarray] = []  # the float64 rows of the block being read
-    blocks: list[np.ndarray] = []  # the float32 blocks read so far
-    seen: set[str] = set()
-    # a non-zero row whose float64 norm underflows to 0 cannot be normalized;
-    # its error is raised once the file is read, after any line error
-    zero_norm: ValueError | None = None
-
-    def round_block():
-        nonlocal zero_norm
-        block = np.vstack(rows)
-        blocks.append(np.empty(block.shape, dtype=np.float32))
+    rows: list[np.ndarray] = []
+    for lineno, line in enumerate(lines, start=start):
+        if not line.strip():
+            continue
+        fields = line.split()
+        if len(fields) != dim + 1:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {dim} values for word "
+                f"{fields[0]!r}, got {len(fields) - 1}"
+            )
+        word = fields[0]
         try:
-            _round_rows(block, words[-len(rows) :], normalize and zero_norm is None, blocks[-1])
-        except ValueError as err:
-            zero_norm = err
-        rows.clear()
-
-    with open(path, encoding="utf-8") as f:
-        declared, dim = _read_header(f, path)
-        step = _block_rows(dim)
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != dim + 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {dim} values for word "
-                    f"{fields[0]!r}, got {len(fields) - 1}"
-                )
-            word = fields[0]
-            try:
-                vec = np.array([float(x) for x in fields[1:]])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path}: line {lineno}: non-finite value")
-            if np.abs(vec).max() >= _FLOAT32_LIMIT:
-                raise ValueError(f"{path}: line {lineno}: value past the float32 range")
-            if word in seen:
-                warnings.warn(f"{path}: line {lineno}: duplicate word {word!r}, keeping first")
-                continue
-            if not np.any(vec):
-                warnings.warn(f"{path}: line {lineno}: dropping zero vector for {word!r}")
-                continue
-            seen.add(word)
-            words.append(word)
-            rows.append(vec)
-            if len(rows) == step:
-                round_block()
-    if not words:
-        raise ValueError(f"{path}: no usable embedding rows")
-    if rows:
-        round_block()
-    if len(words) != declared:
-        warnings.warn(f"{path}: header declares {declared} words, loaded {len(words)}")
-    if zero_norm is not None:
-        raise zero_norm
-    vectors = np.concatenate(blocks)
-    blocks.clear()  # free the blocks before the table's own checks
-    return EmbeddingTable(words, vectors)
+            vec = np.array([float(x) for x in fields[1:]])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}: line {lineno}: non-finite value")
+        if np.abs(vec).max() >= _FLOAT32_LIMIT:
+            raise ValueError(f"{path}: line {lineno}: value past the float32 range")
+        if word in seen:
+            warnings.warn(f"{path}: line {lineno}: duplicate word {word!r}, keeping first")
+            continue
+        if not np.any(vec):
+            warnings.warn(f"{path}: line {lineno}: dropping zero vector for {word!r}")
+            continue
+        seen.add(word)
+        words.append(word)
+        rows.append(vec)
+    return words, np.array(rows).reshape(len(rows), dim)
 
 
 def save_text_embeddings(table: EmbeddingTable, path: str) -> None:

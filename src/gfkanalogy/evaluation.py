@@ -84,8 +84,8 @@ class EvalConfig:
         object.__setattr__(self, "measure", ",".join(names) if names != MEASURES else "all")
         if self.subspace_dim < 1:
             raise ValueError("subspace_dim must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:  # nan fails both comparisons
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if self.holdout not in HOLDOUTS:
             raise ValueError(f"holdout must be one of {HOLDOUTS}, got {self.holdout!r}")
         if self.threads != 1:

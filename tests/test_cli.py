@@ -147,6 +147,18 @@ class TestEval:
         assert rc == 2
         assert "2*d" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_2(self, synth_files, tmp_path, capsys, epsilon):
+        emb, data = synth_files
+        out = tmp_path / "report.csv"
+        rc = main([
+            "eval", "--embeddings", emb, "--dataset", data, "--measure", "cosmul",
+            "--subspace-dim", "4", "--epsilon", epsilon, "--out", str(out),
+        ])
+        assert rc == 2
+        assert f"error: epsilon must be positive and finite, got {epsilon}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_holdout_flag_switches_protocol(self, synth_files, tmp_path):
         emb, data = synth_files
         outputs = []

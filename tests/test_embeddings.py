@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -15,8 +16,6 @@ from gfkanalogy import embeddings
 from gfkanalogy.embeddings import (
     UNIT_NORM_TOL,
     EmbeddingTable,
-    _load_lines,
-    _load_regular,
     load_text_embeddings,
     save_text_embeddings,
 )
@@ -121,10 +120,33 @@ def outcome(load, path):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+def load_line_by_line(path, normalize=False):
+    """The per-line reference: the loader with every block declined by its block parse."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embeddings, "_parse_block", lambda *args: None)
+        return load_text_embeddings(path, normalize=normalize)
+
+
+def declined_blocks(path, normalize=False):
+    """Whether the block parse declined each block of ``path``, in the order they are read."""
+    declined = []
+    parse = embeddings._parse_block
+
+    def spy(*args):
+        parsed = parse(*args)
+        declined.append(parsed is None)
+        return parsed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embeddings, "_parse_block", spy)
+        outcome(lambda p: load_text_embeddings(p, normalize=normalize), path)
+    return declined
+
+
 def assert_matches_line_loop(path):
     for normalize in (False, True):
         load = lambda p: load_text_embeddings(p, normalize=normalize)
-        lines = lambda p: _load_lines(p, normalize=normalize)
+        lines = lambda p: load_line_by_line(p, normalize=normalize)
         assert outcome(load, path) == outcome(lines, path)
 
 
@@ -178,7 +200,7 @@ def embedding_files(draw, regular):
 
 
 class TestLoadMatchesLineLoop:
-    """The public loader against the line loop it falls back to, on any file."""
+    """The public loader against the per-line reading it gives a declined block, on any file."""
 
     @given(embedding_files(regular=False))
     @settings(max_examples=400, deadline=None)
@@ -194,7 +216,8 @@ class TestLoadMatchesLineLoop:
         path.write_bytes(text.encode("utf-8"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _load_regular(str(path)) is not None
+            load_text_embeddings(str(path))
+        assert not any(declined_blocks(str(path)))
         assert_matches_line_loop(str(path))
 
     def test_saved_table_is_bit_identical(self, tmp_path):
@@ -202,7 +225,8 @@ class TestLoadMatchesLineLoop:
         table = EmbeddingTable([f"w{i}" for i in range(50)], vecs)
         path = str(tmp_path / "emb.txt")
         save_text_embeddings(table, path)
-        assert _load_regular(path).vectors.tobytes() == vecs.tobytes()
+        assert load_text_embeddings(path).vectors.tobytes() == vecs.tobytes()
+        assert not any(declined_blocks(path))
         assert_matches_line_loop(path)
 
     def test_extra_value_on_a_later_row_reports_line(self, tmp_path):
@@ -223,7 +247,7 @@ class TestLoadMatchesLineLoop:
         path = write(tmp_path, "2 1\na 1\x0cb 2\n")
         message = "line 2: expected 1 values for word 'a', got 3"
         with pytest.raises(ValueError, match=message):
-            _load_lines(path)
+            load_line_by_line(path)
         with pytest.raises(ValueError, match=message):
             load_text_embeddings(path)
 
@@ -257,11 +281,12 @@ class TestLaterBlocks:
     def test_regular_file_spans_the_blocks(self, tmp_path):
         path = self.write_rows(tmp_path, self.ROWS[6])
         expected = np.array([[i + 1, -i, 0.5] for i in range(9)], dtype=np.float32)
-        assert _load_regular(path).vectors.tobytes() == expected.tobytes()
+        assert load_text_embeddings(path).vectors.tobytes() == expected.tobytes()
         words = [f"w{i}" for i in range(9)]
-        assert _load_regular(path, normalize=True).vectors.tobytes() == (
+        assert load_text_embeddings(path, normalize=True).vectors.tobytes() == (
             EmbeddingTable(words, expected).normalized().vectors.tobytes()
         )
+        assert declined_blocks(path) == [False] * 5
         assert_matches_line_loop(path)
 
     @pytest.mark.parametrize(
@@ -277,7 +302,7 @@ class TestLaterBlocks:
     )
     def test_later_block_error_reports_line(self, tmp_path, row7, message):
         path = self.write_rows(tmp_path, row7)
-        assert _load_regular(path) is None
+        assert declined_blocks(path) == [False, False, False, True]
         with pytest.raises(ValueError, match=re.escape(message)):
             load_text_embeddings(path)
         assert_matches_line_loop(path)
@@ -291,7 +316,7 @@ class TestLaterBlocks:
     )
     def test_later_block_warns_with_line(self, tmp_path, row7, message):
         path = self.write_rows(tmp_path, row7)
-        assert _load_regular(path) is None
+        assert declined_blocks(path) == [False, False, False, True, False]
         with pytest.warns(UserWarning) as caught:
             table = load_text_embeddings(path)
         assert [str(w.message) for w in caught] == [
@@ -302,8 +327,9 @@ class TestLaterBlocks:
 
     @pytest.mark.parametrize("count", [8, 10])
     def test_header_count_off_by_one(self, tmp_path, count):
+        # the count is only warned about: every block parses, into a table grown or trimmed to 9 rows
         path = self.write_rows(tmp_path, self.ROWS[6], count=count)
-        assert _load_regular(path) is None
+        assert not any(declined_blocks(path))
         with pytest.warns(UserWarning, match=f"declares {count} words, loaded 9"):
             load_text_embeddings(path)
         assert_matches_line_loop(path)
@@ -327,19 +353,63 @@ class TestLaterBlocks:
         # a row takes at least 2 D bytes of text, so these headers declare
         # more than the file holds; the loader must not size a table by them
         path = write(tmp_path, text)
-        assert _load_regular(path) is None
+        tracemalloc.start()
+        try:
+            outcome(load_text_embeddings, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
         assert_matches_line_loop(path)
 
-    def test_pipe_is_read_in_one_pass(self, tmp_path):
-        # a pipe has no size to bound the header by, and cannot be read twice
-        text = "\n".join(["9 3"] + self.ROWS) + "\n"
-        code = ("import sys; from gfkanalogy.embeddings import load_text_embeddings; "
-                "sys.stdout.buffer.write(load_text_embeddings('/dev/stdin').vectors.tobytes())")
+    # loads /dev/stdin in blocks of 2 rows, as two_row_blocks does in this process
+    PIPE_LOAD = """
+import json, sys, warnings
+from gfkanalogy import embeddings
+embeddings._NORM_BLOCK_ELEMS = 6
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    try:
+        table = embeddings.load_text_embeddings("/dev/stdin", normalize=sys.argv[1] == "True")
+        result = ["table", table.words, table.vectors.tobytes().hex()]
+    except ValueError as err:
+        result = ["error", str(err)]
+print(json.dumps([result, [str(w.message) for w in caught]]))
+"""
+
+    @pytest.mark.parametrize(
+        "lines, ending, messages",
+        [
+            (["9 3"] + ROWS, "\n", []),
+            # a blank line, a zero row, a repeated word and \r\n endings, in later blocks
+            (["10 3"] + ROWS[:3] + [""] + ROWS[3:6] + ["z 0 0 0"] + ROWS[6:] + ["w1 7 -6 0.5"], "\r\n",
+             ["line 9: dropping zero vector for 'z'", "line 13: duplicate word 'w1', keeping first",
+              "header declares 10 words, loaded 9"]),
+            (["9 3"] + ROWS[:6] + ["w6 7 x 0.5"] + ROWS[7:], "\n", ["line 8: non-numeric value"]),
+        ],
+        ids=["regular", "dirty", "line-error"],
+    )
+    def test_pipe_is_read_in_one_pass(self, tmp_path, lines, ending, messages):
+        # a pipe has no size to bound the header by, and cannot be read twice:
+        # it gives the table, warnings and errors that the same bytes in a file give
+        data = (ending.join(lines) + ending).encode()
+        path = str(tmp_path / "emb.txt")
+        Path(path).write_bytes(data)
         src = str(Path(embeddings.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run([sys.executable, "-c", code], input=text.encode(), env=env,
-                             capture_output=True, timeout=60, check=True)
-        assert run.stdout == _load_regular(write(tmp_path, text)).vectors.tobytes()
+        for normalize in (False, True):
+            run = subprocess.run([sys.executable, "-c", self.PIPE_LOAD, str(normalize)], input=data,
+                                 env=env, capture_output=True, timeout=60, check=True)
+            result, caught = outcome(lambda p: load_text_embeddings(p, normalize=normalize), path)
+            on_stdin = lambda message: message.replace(path, "/dev/stdin")
+            if result[0] == "table":
+                expected, errors = ["table", result[1], result[3].hex()], []
+            else:
+                expected = ["error", on_stdin(result[2])]
+                errors = expected[1:]
+            warned = [on_stdin(message) for _, message in caught]
+            assert json.loads(run.stdout) == [expected, warned]
+            assert warned + errors == [f"/dev/stdin: {m}" for m in messages]
 
     def test_normalized_spans_the_blocks(self):
         rng = np.random.default_rng(3)
@@ -579,7 +649,7 @@ class TestRoundTripAndNormalize:
         path = str(tmp_path / "emb.txt")
         table = EmbeddingTable([f"w{i}" for i in range(len(vecs))], vecs)
         save_text_embeddings(table, path)
-        assert _load_regular(path) is not None
+        assert not any(declined_blocks(path))
 
         def peak(call):
             tracemalloc.start()
@@ -591,7 +661,7 @@ class TestRoundTripAndNormalize:
 
         for normalize in (False, True):
             assert peak(lambda: load_text_embeddings(path, normalize=normalize)) < 2.0
-            assert peak(lambda: _load_lines(path, normalize=normalize)) < 2.5
+            assert peak(lambda: load_line_by_line(path, normalize=normalize)) < 2.5
         assert peak(table.normalized) < 2.0
 
     def test_building_a_table_from_float32_rows_holds_no_table_sized_temporary(self):

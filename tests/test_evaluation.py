@@ -1417,6 +1417,21 @@ def _memory_inputs():
     return table, ds
 
 
+def _kernel_scoring_bound(n, w):
+    """Bytes that kernel scoring over n words in w pool coordinates may trace above the table.
+
+    Float32 blocks: the workspace's "rows", "cos", "scores" and "den" share
+    one budget of _CHUNK_ELEMS values (4 bytes each), and an open-row part
+    gathers score and denominator rows of an eighth of it each (1 byte per
+    budget value). A reference chunk gathers float64 rows of another eighth
+    (1 byte more). Then the float32 pool coordinates and their norms,
+    n(4w + 4), and 512 KiB for a holdout batch's kernels and pools and the
+    scorers' per-candidate arrays. A float64 copy of the coordinates (8nw)
+    does not fit.
+    """
+    return 6 * scoring._CHUNK_ELEMS + 4 * n * (w + 1) + (1 << 19)
+
+
 def _random_kernel(rng, w, d):
     """The flow kernel between two random d-dimensional subspaces of R^w."""
     head, tail = (Subspace(np.linalg.qr(rng.standard_normal((w, d)))[0]) for _ in range(2))
@@ -1627,10 +1642,8 @@ class TestKernelRows:
             # the kernels project the table itself, cast to float32 a block at a time
             assert w == big_d and peak < table.vectors.nbytes / 4
         else:
-            # the scoring budget's blocks, a stack's float32 kernel rows among
-            # them, then the float32 pool coordinates and their norms: |V|(4w + 4)
             assert w < big_d
-            assert peak < 12 * scoring._CHUNK_ELEMS + 8 * n * w
+            assert peak < _kernel_scoring_bound(n, w)
 
     @pytest.mark.parametrize("shift", [True, False])
     def test_kernel_stacks_keep_memory_within_the_budget(self, monkeypatch, shift):
@@ -1673,10 +1686,8 @@ class TestKernelRows:
         assert max(stacks) == 4 and sum(stacks) == 45
         if not shift:
             assert sum(split_rows) == reports["GFKCosMUL"].n_questions == 90
-        # the scoring budget's blocks, a stack's float32 kernel rows among them,
-        # then the float32 pool coordinates and their norms: |V|(4w + 4)
         w = widths[-1]
-        assert peak < 12 * scoring._CHUNK_ELEMS + 8 * n * w, (peak, w)
+        assert peak < _kernel_scoring_bound(n, w), (peak, w)
 
     def test_project_casts_float64_rows_to_float32(self):
         rng = np.random.default_rng(53)
@@ -2027,6 +2038,10 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             EvalConfig(epsilon=0.0)
+        # a nan or infinite epsilon would make every CosMUL score nan or 0
+        for epsilon in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                EvalConfig(epsilon=epsilon)
         with pytest.raises(ValueError):
             EvalConfig(subspace_dim=0)
         with pytest.raises(ValueError):
