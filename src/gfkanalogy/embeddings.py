@@ -193,16 +193,18 @@ def load_text_embeddings(path: str, normalize: bool = False) -> EmbeddingTable:
     same table and the same line-numbered errors and warnings as reading
     every line that way. Values are parsed to float64 a block at a time;
     normalize divides them by their row norms as normalized() does, and the
-    table holds their one rounding to float32. The float32 table is sized
-    by the header, which for a regular file is bounded by the file's size
-    (a row takes at least 2 D bytes of text); it grows if more rows arrive
-    and is trimmed to the rows kept. A load holds the float32 table, one
-    block of text and the float64 rows parsed from it.
+    table holds their one rounding to float32. For a regular file the
+    float32 table is sized by the header, bounded by the file's size (a row
+    takes at least 2 D bytes of text); a pipe's size is unknown, so its
+    table starts empty and the rows of its first block size it. The table
+    grows if more rows arrive and is trimmed to the rows kept. A load holds
+    the float32 table, one block of text and the float64 rows parsed from
+    it.
     """
     with open(path, encoding="utf-8") as f:
         declared, dim = _read_header(f, path)
         st = os.fstat(f.fileno())
-        size = min(declared, st.st_size // (2 * dim)) if stat.S_ISREG(st.st_mode) else declared
+        size = min(declared, st.st_size // (2 * dim)) if stat.S_ISREG(st.st_mode) else 0
         vectors = np.empty((size, dim), dtype=np.float32)
         words: list[str] = []
         seen: set[str] = set()

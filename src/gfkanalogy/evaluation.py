@@ -22,7 +22,6 @@ kernel and projection in those narrow coordinates.
 from __future__ import annotations
 
 import csv
-import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -463,28 +462,30 @@ class EvalReport:
 class _Relation:
     """One relation's evaluation state that does not depend on the subspace dimension.
 
-    Holds the in-vocabulary questions as scoring items (with gold and
-    excluded indices) and the number dropped, and the holdout groups: per
-    distinct exclusion set, the head and tail pool indices left and the
-    group's items. Per pool-coordinate width w (None for embedding
-    coordinates) it caches, on first use, the w x D pool basis and the
-    _PoolSpectra of the groups' pools, which factors every distinct pool
-    once, in stacked SVDs. No array here is |V| wide: the vocabulary is
-    mapped into float32 pool coordinates anew at each dimension.
+    Holds the in-vocabulary questions as scoring items (gold and excluded
+    indices, per config.exclude_inputs) and the number dropped, and the
+    holdout groups of config.holdout: per distinct exclusion set, the head
+    and tail pool indices left and the group's items. Per pool-coordinate
+    width w (None for embedding coordinates) it caches, on first use, the
+    w x D pool basis and the _PoolSpectra of the groups' pools, centred per
+    config.center_subspaces, whose keep leading right singular vectors serve
+    any d <= keep; each distinct pool is factored once, in stacked SVDs. No
+    array here is |V| wide: each dimension maps the vocabulary anew.
     """
 
-    def __init__(self, questions, table: EmbeddingTable, holdout: str, exclude_inputs: bool):
+    def __init__(self, questions, table: EmbeddingTable, config: EvalConfig, keep: int):
         resolved, self.n_oov = _resolve_relation(questions, table)
-        self.items = _scoring_items(resolved, table, exclude_inputs)
+        self.items = _scoring_items(resolved, table, config.exclude_inputs)
         head_pool, tail_pool = _category_pools(resolved)
         self.pool = list(dict.fromkeys(head_pool + tail_pool))
         groups: dict[tuple, list] = {}
         for item in self.items:
-            groups.setdefault(_holdout_exclusions(holdout, item[0]), []).append(item)
+            groups.setdefault(_holdout_exclusions(config.holdout, item[0]), []).append(item)
         self.groups = [
             (_kept(head_pool, head_excl), _kept(tail_pool, tail_excl), items)
             for (head_excl, tail_excl), items in groups.items()
         ]
+        self.center, self.keep = config.center_subspaces, keep
         self.frames: dict[int | None, tuple[np.ndarray | None, _PoolSpectra | None]] = {}
 
     @cached_property
@@ -497,7 +498,7 @@ class _Relation:
         """Each holdout group's questions, one list per group."""
         return _Block.of([items for _, _, items in self.groups])
 
-    def kernel_pools(self, table: EmbeddingTable, d: int, center: bool, keep: int):
+    def kernel_pools(self, table: EmbeddingTable, d: int):
         """The vocabulary's float32 kernel-space coordinates and the holdout groups' pool spectra in them.
 
         Returns (coords, spectra): coords are float32 pool coordinates
@@ -520,39 +521,10 @@ class _Relation:
         basis, spectra = self.frames.get(w, (None, None))
         if spectra is None:
             pools = [(head_idx, tail_idx) for head_idx, tail_idx, _ in self.groups]
-            spectra = _PoolSpectra(coords, pools, center, table.dim, keep)
+            spectra = _PoolSpectra(coords, pools, self.center, table.dim, self.keep)
             self.frames[w] = (basis, spectra)
         spectra.check(d)
         return coords, spectra
-
-
-class _SweepState:
-    """The _Relation of every relation, shared by the evaluate calls of one sweep.
-
-    It belongs to one dataset and table, one holdout, exclude_inputs and
-    center_subspaces setting, and kernels of subspace dimension up to
-    max_dim; evaluate refuses it for anything else.
-    """
-
-    def __init__(
-        self, dataset: RelationDataset, table: EmbeddingTable, config: EvalConfig, max_dim: int
-    ):
-        self._inputs = (weakref.ref(dataset), weakref.ref(table))
-        self._settings = (config.holdout, config.exclude_inputs, config.center_subspaces)
-        self.max_dim = max_dim
-        self.relations: dict[str, _Relation] = {}
-
-    def check(self, dataset, table, config: EvalConfig, kernels: bool) -> None:
-        same = self._inputs[0]() is dataset and self._inputs[1]() is table
-        settings = (config.holdout, config.exclude_inputs, config.center_subspaces)
-        if not same or settings != self._settings or (kernels and config.subspace_dim > self.max_dim):
-            raise ValueError("sweep_state was built for other inputs, settings or dimensions")
-
-    def relation(self, name: str, questions, table: EmbeddingTable) -> _Relation:
-        if name not in self.relations:
-            holdout, exclude_inputs, _ = self._settings
-            self.relations[name] = _Relation(questions, table, holdout, exclude_inputs)
-        return self.relations[name]
 
 
 def evaluate(
@@ -560,7 +532,7 @@ def evaluate(
     table: EmbeddingTable,
     config: EvalConfig,
     *,
-    sweep_state: _SweepState | None = None,
+    sweep_state: dict[str, _Relation] | None = None,
 ) -> dict[str, EvalReport]:
     """Run the analogy benchmark and report per-relation and micro metrics.
 
@@ -600,10 +572,11 @@ def evaluate(
     block, plus |V|(4w + 4) bytes: a relation's float32 pool coordinates and
     their norms.
 
-    sweep_state is not a tuning option: dimension_sweep passes the state it
-    builds once for all its dimensions (see there), and the reports equal
-    those of a call without it. Without it, each relation's state is
-    dropped once the relation is scored.
+    sweep_state is not a tuning option: dimension_sweep passes the _Relation
+    of every relation, by name, built once for all its dimensions (see
+    there), and the reports equal those of a call without it. Without it,
+    each relation's _Relation is built for config.subspace_dim and dropped,
+    with its pool spectra, once the relation is scored.
     """
     measures = config.measures()
     gfk_measures = tuple(m for m in measures if m in GFK_MEASURES)
@@ -613,17 +586,14 @@ def evaluate(
             f"subspace_dim {config.subspace_dim} too large: kernel measures need "
             f"2 * subspace_dim <= embedding dim (2*d = {2 * config.subspace_dim} > {table.dim})"
         )
-    if sweep_state is not None:
-        sweep_state.check(dataset, table, config, bool(gfk_measures))
-    keep = config.subspace_dim if sweep_state is None else sweep_state.max_dim
     ws = _Workspace()
     plain_scorer = _Scorer(table.vectors[None], ws) if plain_measures else None
     reports = {m: EvalReport(measure=m) for m in measures}
     for relation, questions in dataset.relations.items():
         if sweep_state is None:
-            rel = _Relation(questions, table, config.holdout, config.exclude_inputs)
+            rel = _Relation(questions, table, config, config.subspace_dim)
         else:
-            rel = sweep_state.relation(relation, questions, table)
+            rel = sweep_state[relation]
         for m in measures:
             reports[m].oov_counts[relation] = rel.n_oov
         if not rel.items:
@@ -639,9 +609,7 @@ def evaluate(
 
         if gfk_measures:
             try:
-                coords, spectra = rel.kernel_pools(
-                    table, config.subspace_dim, config.center_subspaces, keep
-                )
+                coords, spectra = rel.kernel_pools(table, config.subspace_dim)
             except ValueError as err:
                 for m in gfk_measures:
                     reports[m].skipped[relation] = str(err)
@@ -651,7 +619,7 @@ def evaluate(
             results = _score_relation_gfk(
                 coords, cnorms, spectra, rel.block, groups, config.subspace_dim, gfk_measures, config, ws
             )
-            del coords, cnorms  # not held while the next relation is scored
+            del coords, cnorms, spectra  # not held while the next relation is scored
             for m in gfk_measures:
                 reports[m].per_relation[relation] = _tally(results, m)
     return reports
@@ -716,21 +684,24 @@ def dimension_sweep(
     2 * d exceeds the embedding dimension or every relation was skipped at
     that dimension.
 
-    What does not depend on d is built once per sweep and handed to each
-    evaluate call: question resolution with gold and excluded indices, holdout
-    grouping, the pool basis (per basis width) and the row spectrum of each
+    What does not depend on d is built once per sweep: before the first
+    evaluate call, one _Relation per relation, kept for max(dims), which
+    every call takes as sweep_state. It holds question resolution with gold
+    and excluded indices and holdout grouping, and, from the first d that
+    needs them, the pool basis (per basis width) and the row spectrum of each
     distinct holdout-group pool, from stacked SVDs of the pools of one size,
     whose leading max(dims) right singular vectors give each d its subspaces
-    after the same checks as subspace_from_rows. Nothing
-    |V|-wide is kept across dimensions: each d maps the vocabulary into pool
-    coordinates again.
+    after the same checks as subspace_from_rows. Nothing |V|-wide is kept
+    across dimensions: each d maps the vocabulary into pool coordinates
+    again.
     """
     measures = config.measures()
     plain = tuple(m for m in measures if m not in GFK_MEASURES)
     gfks = tuple(m for m in measures if m in GFK_MEASURES)
     if any(d >= table.dim for d in dims):
         raise ValueError("every swept dimension must be below the embedding dimension")
-    state = _SweepState(dataset, table, config, max(dims, default=1))
+    keep = max(dims, default=1)
+    state = {name: _Relation(questions, table, config, keep) for name, questions in dataset.relations.items()}
 
     baselines: dict[str, float | None] = {}
     if plain:

@@ -349,18 +349,35 @@ class TestLaterBlocks:
 
     @pytest.mark.parametrize("text", ["100000000000 2\na 1 2\n", "1 100000000000\na 1 2\n",
                                       "100000 100000\na 1 2\n"])
-    def test_header_past_the_file_size_allocates_nothing(self, tmp_path, text):
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_header_past_the_file_size_allocates_nothing(self, tmp_path, text, source):
         # a row takes at least 2 D bytes of text, so these headers declare
-        # more than the file holds; the loader must not size a table by them
+        # more than the file holds; the loader must not size a table by them,
+        # nor, for a pipe, whose size it cannot know, by the header at all
         path = write(tmp_path, text)
+        load_path = path
+        if source == "pipe":
+            read_end, write_end = os.pipe()
+            os.write(write_end, text.encode())
+            os.close(write_end)
+            load_path = f"/dev/fd/{read_end}"
         tracemalloc.start()
         try:
-            outcome(load_text_embeddings, path)
+            got = outcome(load_text_embeddings, load_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            if source == "pipe":
+                os.close(read_end)
         assert peak < 1 << 20, peak
-        assert_matches_line_loop(path)
+        if source == "pipe":
+            # the regular file's table, warnings and errors, under the pipe's name
+            assert repr(got) == repr(outcome(load_text_embeddings, path)).replace(path, load_path)
+        else:
+            assert_matches_line_loop(path)
+        if text.startswith("100000000000 2"):
+            assert got[0][1] == ["a"]
+            assert got[1] == [(UserWarning, f"{load_path}: header declares 100000000000 words, loaded 1")]
 
     # loads /dev/stdin in blocks of 2 rows, as two_row_blocks does in this process
     PIPE_LOAD = """

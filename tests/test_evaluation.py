@@ -3,6 +3,7 @@ import io
 import math
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -824,12 +825,12 @@ class TestEvaluate:
         kernel_pools, project = evaluation._Relation.kernel_pools, GfkKernel.project
         pools, widths, projected = [], [], []
 
-        def recorded_pools(rel, table, d, center, keep):
-            coords, spectra = kernel_pools(rel, table, d, center, keep)
+        def recorded_pools(rel, table, d):
+            coords, spectra = kernel_pools(rel, table, d)
             widths.append(coords.shape[1])
             # each pool factored by a call of its own, not in a stacked SVD
             pools.extend(
-                [row_spectrum(coords[list(idx)], center, ambient_dim=table.dim, keep=keep) for idx in pair]
+                [row_spectrum(coords[list(idx)], center, ambient_dim=table.dim, keep=rel.keep) for idx in pair]
                 for *pair, _ in rel.groups
             )
             return coords, spectra
@@ -874,7 +875,7 @@ class TestEvaluate:
         rows, groups = {}, set()
         for holdout in ("answer", "question"):
             for name, questions in ds.relations.items():
-                rel = evaluation._Relation(questions, table, holdout, True)
+                rel = evaluation._Relation(questions, table, EvalConfig(holdout=holdout), d)
                 assert len(rel.groups) > 1
                 if name == "r":
                     assert not rel.block.real.all()  # groups of unequal size are padded
@@ -1908,7 +1909,7 @@ class TestSweepState:
             assert "usable unique words" in skips[5]["rot"]
             assert fresh[1, "GFKCosADD,GFKCosMUL"]["GFKCosADD"].per_relation["chain"].n_null_flags
         else:
-            assert set(state.relations["chain"].frames) == ({8, 10} if holdout == "answer" else {None})
+            assert set(state["chain"].frames) == ({8, 10} if holdout == "answer" else {None})
         assert fresh[1, "GFKCosADD,GFKCosMUL"]["GFKCosADD"].oov_counts["rot"] == 1
 
     def test_each_pool_is_factored_once_per_sweep(self, monkeypatch):
@@ -1933,8 +1934,9 @@ class TestSweepState:
         cfg = EvalConfig(measure="GFKCosADD,GFKCosMUL", holdout="question")
         rows = dimension_sweep(ds, table, cfg, dims=[2, 3, 4])
         assert all(acc is not None for _, _, acc in rows)
-        [state] = set(states)
-        relations = state.relations.values()
+        state = states[0]
+        assert all(s is state for s in states)
+        relations = state.values()
         # the pool basis is shared by all three dimensions
         assert all(len(rel.frames) == 1 for rel in relations)
         n_groups = sum(len(rel.groups) for rel in relations)
@@ -1942,12 +1944,50 @@ class TestSweepState:
         assert sum(factored) == 2 * n_groups and len(factored) == len(relations)
         assert not [a.shape for a in _arrays_in(state) if a.ndim and len(a) == len(table)]
 
+    @pytest.mark.parametrize("holdout", HOLDOUTS)
+    def test_relations_are_held_one_at_a_time_and_built_once_per_sweep(self, monkeypatch, holdout):
+        table, ds = _sweep_fixture()
+        init, kernel_pools = evaluation._Relation.__init__, evaluation._Relation.kernel_pools
+        built, spectra_built, stale = [], [], []  # weak references; earlier objects alive per kernel_pools
+
+        def recorded_init(rel, *args):
+            init(rel, *args)
+            built.append(weakref.ref(rel))
+
+        def recorded_pools(rel, *args):
+            stale.append([ref() for ref in built + spectra_built if ref() is not None and ref() is not rel])
+            coords, spectra = kernel_pools(rel, *args)
+            spectra_built.append(weakref.ref(spectra))
+            return coords, spectra
+
+        monkeypatch.setattr(evaluation._Relation, "__init__", recorded_init)
+        monkeypatch.setattr(evaluation._Relation, "kernel_pools", recorded_pools)
+        # a fresh evaluate drops each relation, with its pool spectra, before the next one's kernels
+        evaluate(ds, table, EvalConfig(measure="all", subspace_dim=3, holdout=holdout))
+        assert len(built) == len(stale) == len(ds.relations) == 3
+        assert stale == [[]] * 3
+        # a sweep builds every relation once, before its first evaluate call, for all its dimensions
+        built.clear(), spectra_built.clear(), stale.clear()
+        original, states = evaluation.evaluate, []
+
+        def capturing(dataset, table_, config, **kwargs):
+            states.append((len(built), kwargs["sweep_state"]))
+            return original(dataset, table_, config, **kwargs)
+
+        monkeypatch.setattr(evaluation, "evaluate", capturing)
+        dimension_sweep(ds, table, EvalConfig(measure="all", holdout=holdout), [1, 2, 3, 5])
+        assert len(built) == 3 and len(states) == 5
+        assert all(n == 3 and state is states[0][1] for n, state in states)
+        assert [ref() for ref in built] == list(states[0][1].values())
+
     @pytest.mark.parametrize("holdout", ["answer", "question"])
     @pytest.mark.parametrize("center", [False, True])
     def test_stacked_pool_spectra_have_the_bits_of_each_pool(self, monkeypatch, holdout, center):
         """Pools of mixed sizes, factored whole and one or two to a stacked call."""
         table, ds = _stacking_fixture()
-        rel = evaluation._Relation(ds.relations["r"], table, holdout, True)
+        d, keep = 2, 3
+        cfg = EvalConfig(holdout=holdout, center_subspaces=center)
+        rel = evaluation._Relation(ds.relations["r"], table, cfg, keep)
         sizes = {len(idx) for head, tail, _ in rel.groups for idx in (head, tail)}
         assert len(sizes) >= 2
         calls = []
@@ -1957,14 +1997,13 @@ class TestSweepState:
             return row_spectrum(rows, *args, **kwargs)
 
         monkeypatch.setattr(evaluation, "row_spectrum", counted)
-        d, keep = 2, 3
         width = None
         for cap in (None, 1, 2):
             if cap is not None:
                 # cap pools of the widest size to a call; smaller ones may take more
                 monkeypatch.setattr(evaluation, "_KERNEL_BATCH_ELEMS", 16 * cap * max(sizes) * width)
             rel.frames.clear(), calls.clear()
-            coords, spectra = rel.kernel_pools(table, d, center, keep)
+            coords, spectra = rel.kernel_pools(table, d)
             width = coords.shape[1]
             distinct = {idx for head, tail, _ in rel.groups for idx in (head, tail)}
             assert sum(b for b, _ in calls) == len(distinct)
@@ -1985,7 +2024,7 @@ class TestSweepState:
     def test_pool_checks_raise_what_the_first_failing_pool_raises(self, make):
         """Each group's pools checked in order, as subspace_from_rows checks the full rows."""
         table, ds = make()
-        rel = evaluation._Relation(next(iter(ds.relations.values())), table, "question", True)
+        rel = evaluation._Relation(next(iter(ds.relations.values())), table, EvalConfig(holdout="question"), 11)
         messages = []
         for d in range(1, 12):
             want = None
@@ -2003,26 +2042,15 @@ class TestSweepState:
                     want = str(err)
                     break
             if want is None:
-                rel.kernel_pools(table, d, False, 11)
+                rel.kernel_pools(table, d)
             else:
                 with pytest.raises(ValueError) as got:
-                    rel.kernel_pools(table, d, False, 11)
+                    rel.kernel_pools(table, d)
                 assert str(got.value) == want, d
                 messages.append(want)
         # both fixtures reach the pool-size message, the low-rank one the rank message too
         assert any("usable unique words" in m for m in messages)
         assert any("effective rank" in m for m in messages) or make is not _low_rank_relation
-
-    def test_state_refused_for_other_inputs(self):
-        table, ds = generate(SynthSpec(n_relations=2, pairs_per_relation=8, dim=12, seed=3))
-        cfg = EvalConfig(measure="GFKCosADD", subspace_dim=4, holdout="answer")
-        state = evaluation._SweepState(ds, table, cfg, 4)
-        evaluate(ds, table, cfg, sweep_state=state)
-        for other in (replace(cfg, holdout="question"), replace(cfg, subspace_dim=5)):
-            with pytest.raises(ValueError, match="sweep_state"):
-                evaluate(ds, table, other, sweep_state=state)
-        with pytest.raises(ValueError, match="sweep_state"):
-            evaluate(ds, table.normalized(), cfg, sweep_state=state)
 
 
 class TestConfig:
